@@ -41,12 +41,9 @@ from .scenario import (
     project_box,
 )
 from .policy import (
-    MlpChannel,
     PolicyParams,
-    backward,
     compute_k_max,
     enforce_conditions,
-    forward,
     init_policy,
     load_policy,
     save_policy,
@@ -66,6 +63,7 @@ from .controller import (
 from .trainer import (
     Batch,
     ChanceConfig,
+    StabilityError,
     TrainerConfig,
     TrainerState,
     dual_update,

@@ -1,8 +1,8 @@
 """Command-line entry points for the experiment pipeline.
 
-Every subcommand takes a single YAML config plus dotted-key overrides
-(``-o trainer.beta=0.05``).  Exit code 0 on success; each pipeline stage has
-its own nonzero exit code so callers can tell where a run died.
+Every subcommand but ``evaluate`` takes a single YAML config plus dotted-key
+overrides (``-o trainer.beta=0.05``).  Exit code 0 on success; each pipeline
+stage has its own nonzero exit code so callers can tell where a run died.
 """
 
 from __future__ import annotations
@@ -13,65 +13,34 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .controller import check_stability
-from .feeder import build_sensitivities, load_feeder
-from .policy import init_policy, load_policy
+from .policy import compute_k_max, init_policy, load_policy, save_policy
 from .runner import (
     STAGES,
     StageError,
-    _generator_config,
-    _trainer_config,
     evaluate,
-    load_config,
+    generator_config,
+    load_network,
     load_trajectory,
+    report_summary,
+    resolve_config,
     run_experiment,
+    stage,
     sweep_beta,
+    trainer_config,
     write_training_log,
 )
 from .scenario import convexity_constants, generate_profile, save_scenario
 from .trainer import train
 
 # exit codes: 1 = generic, 2.. = stage-specific
-STAGE_EXIT = {stage: i + 2 for i, stage in enumerate(STAGES)}
-
-
-def _apply_overrides(cfg: dict, overrides) -> dict:
-    """Apply ``a.b.c=value`` overrides in place; values parsed as YAML."""
-    for item in overrides or []:
-        key, _, raw = item.partition("=")
-        if not _:
-            raise StageError("config", f"override must be key=value: {item}")
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = yaml.safe_load(raw)
-    return cfg
-
-
-def _resolved_config(args) -> tuple[dict, Path]:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, getattr(args, "override", None))
-    return cfg, Path(args.config).parent
-
-
-def _feeder_from(cfg: dict, base: Path):
-    path = Path(cfg["feeder"])
-    if not path.is_absolute():
-        path = base / path
-    graph = load_feeder(path)
-    return graph, build_sensitivities(graph)
+STAGE_EXIT = {name: i + 2 for i, name in enumerate(STAGES)}
 
 
 def cmd_build_feeder(args) -> int:
-    cfg, base = _resolved_config(args)
-    try:
-        graph, model = _feeder_from(cfg, base)
-    except Exception as exc:
-        print(f"feeder stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["feeder"]
+    _, feeder_path = resolve_config(args.config, args.override)
+    graph, model = load_network(feeder_path)
     eig_r = np.linalg.eigvalsh(model.R)
     eig_x = np.linalg.eigvalsh(model.X)
     print(json.dumps({
@@ -88,15 +57,11 @@ def cmd_build_feeder(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    cfg, base = _resolved_config(args)
-    try:
-        graph, _ = _feeder_from(cfg, base)
-        scfg = cfg["scenario"]
-        gen = _generator_config(scfg, graph, int(scfg["horizon_train"]))
+    cfg, feeder_path = resolve_config(args.config, args.override)
+    graph, _ = load_network(feeder_path)
+    with stage("scenario"):
+        gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
         scn = generate_profile(graph, gen, int(args.seed))
-    except Exception as exc:
-        print(f"scenario stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["scenario"]
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_scenario(scn, out, out.with_suffix(".yaml"))
@@ -105,26 +70,18 @@ def cmd_gen_scenario(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, base = _resolved_config(args)
-    try:
-        graph, model = _feeder_from(cfg, base)
+    cfg, feeder_path = resolve_config(args.config, args.override)
+    with stage("config"):
+        tr_cfg = trainer_config(cfg)
+    graph, model = load_network(feeder_path)
+    with stage("scenario"):
         scfg = cfg["scenario"]
-        gen = _generator_config(scfg, graph, int(scfg["horizon_train"]))
-        scns = [generate_profile(graph, gen, int(s))
-                for s in scfg.get("train_seeds", [1])]
-        limits = cfg.get("limits", {"v_lo": 0.95**2, "v_hi": 1.05**2})
-        tr_cfg = _trainer_config(cfg.get("trainer", {}), limits)
-    except Exception as exc:
-        print(f"config stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["config"]
-    try:
+        gen = generator_config(cfg, int(scfg["horizon_train"]))
+        scns = [generate_profile(graph, gen, int(s)) for s in scfg.get("train_seeds", [1])]
+    with stage("train"):
         state, log = train(scns, tr_cfg, graph, model)
-    except Exception as exc:
-        print(f"train stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["train"]
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    from .policy import save_policy
     save_policy(state.policy, out / "policy.npz")
     write_training_log(log, out / "training_log.csv")
     print(f"trained {tr_cfg.epochs} epochs; final lagrangian "
@@ -133,54 +90,36 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        out = run_experiment(args.config, output_dir=args.output)
-    except StageError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT.get(exc.stage, 1)
-    except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    out = run_experiment(args.config, output_dir=args.output, overrides=args.override)
     print(f"experiment artifacts in {out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    try:
+    with stage("evaluate"):
         controlled = load_trajectory(args.controlled)
         oracle_traj = load_trajectory(args.oracle)
         report = evaluate(controlled, oracle_traj, float(args.v_lo), float(args.v_hi))
-    except Exception as exc:
-        print(f"evaluate stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["evaluate"]
-    print(json.dumps({
-        "absolute_gap": report.absolute_gap,
-        "relative_gap": report.relative_gap,
-        "volt_violation": report.volt_violation,
-        "excluded_steps": report.excluded_steps,
-    }, indent=2))
+    print(json.dumps(report_summary(report), indent=2))
     return 0
 
 
 def cmd_check_conditions(args) -> int:
-    cfg, base = _resolved_config(args)
-    try:
-        graph, model = _feeder_from(cfg, base)
+    cfg, feeder_path = resolve_config(args.config, args.override)
+    with stage("config"):
+        tr_cfg = trainer_config(cfg)
+    graph, model = load_network(feeder_path)
+    with stage("stability"):
         scfg = cfg["scenario"]
-        gen = _generator_config(scfg, graph, int(scfg.get("horizon_test", 10)))
+        gen = generator_config(cfg, int(scfg.get("horizon_test", 10)))
         scn = generate_profile(graph, gen, int(scfg.get("test_seed", 1000)))
         m, xi = convexity_constants(scn.steps[0].cost)
-        alpha = float(cfg.get("trainer", {}).get("alpha", 0.48))
         if args.policy:
             policy = load_policy(args.policy)
         else:
-            from .policy import compute_k_max
-            k_max = compute_k_max(alpha, m, xi, model.a_norm)
+            k_max = compute_k_max(tr_cfg.alpha, m, xi, model.a_norm, tr_cfg.k_max_margin)
             policy = init_policy(graph, gen.controllable, k_max=k_max)
-        report = check_stability(m, xi, model.a_norm, policy, alpha)
-    except Exception as exc:
-        print(f"stability stage failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT["stability"]
+        report = check_stability(m, xi, model.a_norm, policy, tr_cfg.alpha)
     print(json.dumps({
         "c1_ok": report.c1_ok, "c2_ok": report.c2_ok, "c3_ok": report.c3_ok,
         "c3_bound": report.c3_bound, "c3_margin": report.c3_margin,
@@ -192,14 +131,8 @@ def cmd_check_conditions(args) -> int:
 
 def cmd_sweep_beta(args) -> int:
     betas = tuple(float(b) for b in args.betas.split(","))
-    try:
-        out = sweep_beta(args.config, betas=betas, output_dir=args.output)
-    except StageError as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return STAGE_EXIT.get(exc.stage, 1)
-    except Exception as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 1
+    out = sweep_beta(args.config, betas=betas, output_dir=args.output,
+                     overrides=args.override)
     print(f"sweep artifacts in {out}")
     return 0
 
@@ -211,43 +144,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, config=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
+        if config:
+            p.add_argument("config")
+            p.add_argument("-o", "--override", action="append", default=[],
+                           help="dotted config override, e.g. trainer.beta=0.05")
         return p
 
-    p = add("build-feeder", cmd_build_feeder, "load a feeder and report its sensitivity model")
-    p.add_argument("config")
-    p.add_argument("-o", "--override", action="append")
+    add("build-feeder", cmd_build_feeder, "load a feeder and report its sensitivity model")
 
     p = add("gen-scenario", cmd_gen_scenario, "generate a synthetic scenario CSV")
-    p.add_argument("config")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--output", required=True)
-    p.add_argument("-o", "--override", action="append")
 
     p = add("train", cmd_train, "train the local feedback policies")
-    p.add_argument("config")
     p.add_argument("--output", required=True)
-    p.add_argument("-o", "--override", action="append")
 
     p = add("run", cmd_run, "run the full experiment pipeline")
-    p.add_argument("config")
     p.add_argument("--output", default=None)
 
-    p = add("evaluate", cmd_evaluate, "compute gap/violation metrics from trajectory CSVs")
+    p = add("evaluate", cmd_evaluate, "compute gap/violation metrics from trajectory CSVs",
+            config=False)
     p.add_argument("controlled")
     p.add_argument("oracle")
     p.add_argument("--v-lo", default=0.95**2)
     p.add_argument("--v-hi", default=1.05**2)
 
     p = add("check-conditions", cmd_check_conditions, "evaluate the stability conditions")
-    p.add_argument("config")
     p.add_argument("--policy", default=None)
-    p.add_argument("-o", "--override", action="append")
 
     p = add("sweep-beta", cmd_sweep_beta, "run the experiment across chance levels")
-    p.add_argument("config")
     p.add_argument("--betas", default="0.05,0.1,0.5")
     p.add_argument("--output", default=None)
     return parser
@@ -255,7 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except StageError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return STAGE_EXIT[exc.stage]
+    except Exception as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

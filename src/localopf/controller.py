@@ -99,6 +99,30 @@ def step(
     return ControllerState(x=x_new, v_hat=v_new, t=step_data.t)
 
 
+def _picard(x, plant, feedback, cost, box, alpha, eq_tol, max_iters, gaps=None):
+    """Picard iteration of the frozen-scenario dynamics on (S, 2N) setpoint rows.
+
+    ``plant`` maps setpoint rows to squared-voltage rows and ``feedback`` maps
+    those voltages to policy outputs.  Stops once every row moved less than
+    ``eq_tol``; appends the largest row step of each iteration to ``gaps``
+    when given.  Returns (x, v, converged (S,), gap (S,), iterations).
+    """
+    floor, lo, hi = cost.floor, box.lo, box.hi
+    two_w = 2.0 * cost.weight
+    gap = np.full(len(x), np.inf)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        u = feedback(plant(x))
+        x_new = np.clip(x - alpha * (two_w * (x - floor) + u), lo, hi)
+        gap = np.linalg.norm(x_new - x, axis=1)
+        x = x_new
+        if gaps is not None:
+            gaps.append(float(np.max(gap)))
+        if np.max(gap) < eq_tol:
+            break
+    return x, plant(x), gap < eq_tol, gap, iterations
+
+
 def solve_equilibrium(
     step_data: ScenarioStep,
     policy: PolicyParams,
@@ -109,36 +133,28 @@ def solve_equilibrium(
     output_offset: np.ndarray | None = None,
     return_gaps: bool = False,
 ):
-    """Picard iteration of the frozen-scenario dynamics to its fixed point.
+    """Fixed point of the frozen-scenario dynamics on ``cfg.plant``.
 
     Starts at the box midpoint unless ``x0`` is given.  ``output_offset``
     adds a constant to the policy output (used by the sensitivity probe).
+    With ``return_gaps`` also returns the step length of every iteration.
     """
-    x = step_data.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    n = graph.n
-    gaps = []
-    converged = False
-    gap = np.inf
-    iterations = 0
-    for iterations in range(1, cfg.eq_max_iters + 1):
-        v = plant_voltage(x, step_data, model, graph, cfg.plant)
-        u = forward_all(policy, v, step_data.p_u, step_data.q_u)
-        if output_offset is not None:
-            u = u + output_offset
-        g = x - cfg.alpha * (cost_grad(step_data.cost, x[:n], x[n:]) + u)
-        x_new = project_box(g, step_data.box)
-        gap = float(np.linalg.norm(x_new - x))
-        if return_gaps:
-            gaps.append(gap)
-        x = x_new
-        if gap < cfg.eq_tol:
-            converged = True
-            break
-    v_dag = plant_voltage(x, step_data, model, graph, cfg.plant)
-    eq = Equilibrium(x_dag=x, v_dag=v_dag, iterations=iterations, converged=converged, residual=gap)
-    if return_gaps:
-        return eq, gaps
-    return eq
+    x = np.array(step_data.box.midpoint if x0 is None else x0, dtype=float, ndmin=2)
+    p_u, q_u = step_data.p_u[None], step_data.q_u[None]
+
+    def plant(x):
+        return plant_voltage(x[0], step_data, model, graph, cfg.plant)[None]
+
+    def feedback(v):
+        u = forward_all(policy, v, p_u, q_u)
+        return u if output_offset is None else u + output_offset
+
+    gaps = [] if return_gaps else None
+    x, v, conv, gap, iterations = _picard(x, plant, feedback, step_data.cost, step_data.box,
+                                          cfg.alpha, cfg.eq_tol, cfg.eq_max_iters, gaps)
+    eq = Equilibrium(x_dag=x[0], v_dag=v[0], iterations=iterations,
+                     converged=bool(conv[0]), residual=float(gap[0]))
+    return (eq, gaps) if return_gaps else eq
 
 
 def solve_equilibria_batch(
@@ -153,33 +169,18 @@ def solve_equilibria_batch(
     max_iters: int = 2000,
     x0: np.ndarray | None = None,
 ):
-    """Vectorized Picard solve on the linear plant for S scenario samples.
+    """Vectorized fixed-point solve on the linear plant for S scenario samples.
 
     ``p_u``, ``q_u`` have shape (S, N); returns (x (S,2N), v (S,N),
     converged (S,), iterations).  Rows share the cost and box.
     """
-    S, n = p_u.shape
     v_env = model.v0 + p_u @ model.R.T + q_u @ model.X.T
-    if x0 is None:
-        x = np.tile(box.midpoint, (S, 1))
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-    lo, hi = box.lo, box.hi
-    floor = cost.floor
-    two_w = 2.0 * cost.weight
-    gap = np.full(S, np.inf)
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        v = x @ model.A.T + v_env
-        u = forward_all(policy, v, p_u, q_u)
-        g = x - alpha * (two_w * (x - floor) + u)
-        x_new = np.clip(g, lo, hi)
-        gap = np.linalg.norm(x_new - x, axis=1)
-        x = x_new
-        if np.max(gap) < eq_tol:
-            break
-    v = x @ model.A.T + v_env
-    return x, v, gap < eq_tol, iterations
+    x = np.tile(box.midpoint, (len(p_u), 1)) if x0 is None else np.array(x0, dtype=float)
+    x, v, conv, _, iterations = _picard(
+        x, lambda x: x @ model.A.T + v_env, lambda v: forward_all(policy, v, p_u, q_u),
+        cost, box, alpha, eq_tol, max_iters,
+    )
+    return x, v, conv, iterations
 
 
 def rho_alpha(m: float, xi: float, L_theta: float, a_norm: float, alpha: float) -> float:

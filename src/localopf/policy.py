@@ -18,19 +18,6 @@ from .feeder import FeederGraph
 
 
 @dataclass
-class MlpChannel:
-    """Single-channel view: weight/bias list plus the voltage gain k.
-
-    ``weights[l]`` has shape (n_l, n_{l-1}) with n_0 = n_{L+1} = 1.
-    """
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    k: float
-    d_scale: float = 1.0
-
-
-@dataclass
 class PolicyParams:
     """Per-node policy parameters, stacked channel-major.
 
@@ -56,17 +43,6 @@ class PolicyParams:
     def node_index(self) -> np.ndarray:
         """0-based vector indices of the controllable nodes."""
         return np.array(self.nodes, dtype=int) - 1
-
-    def channel(self, node: int, which: str) -> MlpChannel:
-        """View of one node's channel ('p' or 'q'); shares storage."""
-        pos = self.nodes.index(node)
-        c = pos if which == "p" else len(self.nodes) + pos
-        return MlpChannel(
-            weights=[w[c] for w in self.weights],
-            biases=[b[c] for b in self.biases],
-            k=float(self.k[c]),
-            d_scale=float(self.d_scale[c]),
-        )
 
     def lipschitz_v(self) -> float:
         """Policy Lipschitz constant in v: the voltage path is linear in k."""
@@ -140,58 +116,6 @@ def enforce_conditions(params: PolicyParams, k_max: float | None = None) -> Poli
     np.clip(params.k, 0.0, k_max, out=params.k)
     params.k_max = float(k_max)
     return params
-
-
-# ---------------------------------------------------------------------------
-# Scalar forward/backward (single channel) -- reference path used in tests
-# and anywhere a per-node view is convenient.
-
-def forward(ch: MlpChannel, v_i: float, d_i: float):
-    """Evaluate one channel: u = MLP(d_i / d_scale) + k * v_i.
-
-    Returns (u, tape); the tape stores pre-activations for ``backward``.
-    """
-    h = np.array([d_i / ch.d_scale])
-    pre = []
-    hs = [h]
-    n_layers = len(ch.weights)
-    for l in range(n_layers - 1):
-        z = ch.weights[l] @ h + ch.biases[l]
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        hs.append(h)
-    out = ch.weights[-1] @ h + ch.biases[-1]
-    u = float(out[0]) + ch.k * v_i
-    tape = {"pre": pre, "hs": hs, "v": float(v_i), "shapes": [w.shape for w in ch.weights]}
-    return u, tape
-
-
-def backward(ch: MlpChannel, tape, upstream: float):
-    """Exact reverse-mode gradients of one channel output.
-
-    Returns (grads, (du_dv, du_dd)) with grads = {"weights": [...],
-    "biases": [...], "k": float}.  ReLU subgradient at 0 is taken as 0.
-    """
-    if tape["shapes"] != [w.shape for w in ch.weights]:
-        raise ValueError("tape does not match channel parameters")
-    pre, hs = tape["pre"], tape["hs"]
-    n_layers = len(ch.weights)
-    # unit-seed reverse pass; everything is linear in the seed, so parameter
-    # gradients are the unit gradients scaled by ``upstream``
-    delta = np.ones(1)
-    dW = [np.zeros_like(w) for w in ch.weights]
-    db = [np.zeros_like(b) for b in ch.biases]
-    dW[-1] = upstream * np.outer(delta, hs[-1])
-    db[-1] = upstream * delta
-    d_h = ch.weights[-1].T @ delta
-    for l in range(n_layers - 2, -1, -1):
-        delta = d_h * (pre[l] > 0.0)
-        dW[l] = upstream * np.outer(delta, hs[l])
-        db[l] = upstream * delta
-        d_h = ch.weights[l].T @ delta
-    du_dd = float(d_h[0]) / ch.d_scale
-    dk = upstream * tape["v"]
-    return {"weights": dW, "biases": db, "k": dk}, (ch.k, du_dd)
 
 
 # ---------------------------------------------------------------------------

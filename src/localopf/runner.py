@@ -15,7 +15,8 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .scenario import (
     cost_value,
     generate_profile,
 )
-from .trainer import TrainerConfig, train
+from .trainer import StabilityError, TrainerConfig, train
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,19 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # Trajectory producers.
 
+def _trajectory(scenario: Scenario, x, v, objective) -> Trajectory:
+    """Trajectory over ``scenario``'s slots from per-slot setpoints, voltages, objectives."""
+    steps = scenario.steps
+    return Trajectory(
+        t=np.array([s.t for s in steps]),
+        x=np.array(x),
+        v=np.array(v),
+        p_u=np.array([s.p_u for s in steps]),
+        q_u=np.array([s.q_u for s in steps]),
+        objective=np.array(objective),
+    )
+
+
 def run_controller(
     scenario: Scenario,
     policy,
@@ -201,15 +215,7 @@ def run_controller(
         rows_x.append(state.x)
         rows_v.append(state.v_hat)
         objs.append(cost_value(s.cost, state.x[:n], state.x[n:]))
-    traj = Trajectory(
-        t=np.array([s.t for s in scenario.steps]),
-        x=np.array(rows_x),
-        v=np.array(rows_v),
-        p_u=np.array([s.p_u for s in scenario.steps]),
-        q_u=np.array([s.q_u for s in scenario.steps]),
-        objective=np.array(objs),
-    )
-    return traj, elapsed / len(scenario.steps)
+    return _trajectory(scenario, rows_x, rows_v, objs), elapsed / len(scenario.steps)
 
 
 def run_no_control(
@@ -222,14 +228,7 @@ def run_no_control(
     for s in scenario.steps:
         rows_v.append(plant_voltage(x, s, model, graph, "nonlinear"))
         objs.append(cost_value(s.cost, x[:n], x[n:]))
-    return Trajectory(
-        t=np.array([s.t for s in scenario.steps]),
-        x=np.tile(x, (len(scenario.steps), 1)),
-        v=np.array(rows_v),
-        p_u=np.array([s.p_u for s in scenario.steps]),
-        q_u=np.array([s.q_u for s in scenario.steps]),
-        objective=np.array(objs),
-    )
+    return _trajectory(scenario, np.tile(x, (len(scenario.steps), 1)), rows_v, objs)
 
 
 def run_baseline(
@@ -257,14 +256,7 @@ def run_baseline(
         rows_x.append(state.x)
         rows_v.append(plant_voltage(state.x, s, model, graph, "nonlinear"))
         objs.append(cost_value(s.cost, state.x[:n], state.x[n:]))
-    return Trajectory(
-        t=np.array([s.t for s in scenario.steps]),
-        x=np.array(rows_x),
-        v=np.array(rows_v),
-        p_u=np.array([s.p_u for s in scenario.steps]),
-        q_u=np.array([s.q_u for s in scenario.steps]),
-        objective=np.array(objs),
-    )
+    return _trajectory(scenario, rows_x, rows_v, objs)
 
 
 def run_oracle(
@@ -286,14 +278,7 @@ def run_oracle(
         rows_x.append(sol.x_star)
         rows_v.append(sol.v_star)
         objs.append(sol.objective)
-    return Trajectory(
-        t=np.array([s.t for s in scenario.steps]),
-        x=np.array(rows_x),
-        v=np.array(rows_v),
-        p_u=np.array([s.p_u for s in scenario.steps]),
-        q_u=np.array([s.q_u for s in scenario.steps]),
-        objective=np.array(objs),
-    )
+    return _trajectory(scenario, rows_x, rows_v, objs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +296,22 @@ STAGES = ("config", "feeder", "scenario", "stability", "train",
           "operate", "oracle", "evaluate", "write")
 
 
+@contextmanager
+def stage(name: str):
+    """Re-raise a failure inside the block as a StageError of stage ``name``.
+
+    A StabilityError belongs to the ``stability`` stage wherever it is raised.
+    """
+    try:
+        yield
+    except StageError:
+        raise
+    except StabilityError as exc:
+        raise StageError("stability", str(exc)) from exc
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
@@ -325,42 +326,90 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _generator_config(scfg: dict, graph: FeederGraph, horizon: int) -> GeneratorConfig:
-    return GeneratorConfig(
-        controllable=tuple(int(i) for i in scfg["controllable"]),
-        d_def_p_kva=np.asarray(scfg["d_def_p_kva"], dtype=float),
-        d_def_q_kva=np.asarray(scfg["d_def_q_kva"], dtype=float),
-        horizon=horizon,
-        tau=float(scfg.get("tau", 6.0)),
-        trend=tuple((float(h), float(f)) for h, f in scfg.get(
-            "trend", ((0.0, 0.55), (8.0, 1.0)))),
-        noise_sd=float(scfg.get("noise_sd", 0.1)),
-        joint_noise=bool(scfg.get("joint_noise", True)),
-        cost_weight=float(scfg.get("cost_weight", 1.0)),
-        p_cap_kva=float(scfg.get("p_cap_kva", 500.0)),
-        q_cap_kvar=float(scfg.get("q_cap_kvar", 300.0)),
-    )
+# Keys each config section accepts; None marks a top-level scalar.
+_CONFIG_KEYS = {
+    "feeder": None,
+    "output_dir": None,
+    "scenario": {f.name for f in fields(GeneratorConfig) if f.name != "horizon"}
+    | {"horizon_train", "horizon_test", "train_seeds", "test_seed"},
+    "trainer": {f.name for f in fields(TrainerConfig)} - {"v_lo", "v_hi"},
+    "limits": {"v_lo", "v_hi"},
+    "baseline": {"alpha_b", "sigma_b"},
+}
+
+# YAML value -> dataclass field value, keyed by the field's annotation.
+_COERCE = {
+    "float": float,
+    "int": int,
+    "bool": bool,
+    "str": str,
+    "float | None": lambda v: None if v is None else float(v),
+    "np.ndarray": lambda v: np.asarray(v, dtype=float),
+    "tuple[int, ...]": lambda v: tuple(int(i) for i in v),
+    "tuple[int, int]": lambda v: tuple(int(i) for i in v),
+    "tuple[tuple[float, float], ...]": lambda v: tuple((float(a), float(b)) for a, b in v),
+}
 
 
-def _trainer_config(tcfg: dict, limits: dict) -> TrainerConfig:
-    return TrainerConfig(
-        mode=str(tcfg.get("mode", "gradient")),
-        alpha=float(tcfg.get("alpha", 0.48)),
-        beta=float(tcfg.get("beta", 0.1)),
-        lambda_mode=str(tcfg.get("lambda_mode", "fixed")),
-        lambda_value=float(tcfg.get("lambda_value", 5e-4)),
-        sigma_phi=float(tcfg.get("sigma_phi", 1e-3)),
-        sigma_mu=float(tcfg.get("sigma_mu", 100.0)),
-        batch_size=int(tcfg.get("batch_size", 32)),
-        epochs=int(tcfg.get("epochs", 50)),
-        seed=int(tcfg.get("seed", 0)),
-        eq_tol=float(tcfg.get("eq_tol", 1e-9)),
-        eq_max_iters=int(tcfg.get("eq_max_iters", 2000)),
-        mu_init=float(tcfg.get("mu_init", 1.0)),
-        v_lo=float(limits["v_lo"]),
-        v_hi=float(limits["v_hi"]),
-        arch=tuple(int(a) for a in tcfg.get("arch", (3, 64))),
-    )
+def resolve_config(path, overrides=()) -> tuple[dict, Path]:
+    """Load a YAML config, apply dotted ``key=value`` overrides, check its keys.
+
+    Override values are parsed as YAML.  Returns the config and the feeder
+    path resolved against the config's directory; the config keeps the path
+    as written, so its hash does not depend on where it was loaded from.
+    Raises StageError('config') for an unreadable file, a malformed override
+    or a key that no section knows.
+    """
+    with stage("config"):
+        cfg = load_config(path)
+    for item in overrides:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise StageError("config", f"override must be key=value: {item}")
+        *sections, leaf = key.split(".")
+        node = cfg
+        for part in sections:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise StageError("config", f"override {item}: '{part}' is not a section")
+        node[leaf] = yaml.safe_load(raw)
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise StageError("config", f"unknown config key '{key}'")
+        known = _CONFIG_KEYS[key]
+        if known is None:
+            continue
+        if not isinstance(value, dict):
+            raise StageError("config", f"config section '{key}' must be a mapping")
+        unknown = sorted(set(value) - known)
+        if unknown:
+            raise StageError("config", f"unknown key(s) in '{key}': {', '.join(unknown)}")
+    if "feeder" not in cfg:
+        raise StageError("config", "no feeder configured")
+    return cfg, Path(path).parent / str(cfg["feeder"])
+
+
+def _from_section(cls, section: dict, **fixed):
+    """``cls`` from the section's keys that name its fields, coerced to their types."""
+    values = {f.name: _COERCE[f.type](section[f.name]) for f in fields(cls) if f.name in section}
+    return cls(**{**values, **fixed})
+
+
+def generator_config(cfg: dict, horizon: int) -> GeneratorConfig:
+    """Load-generator settings of the ``scenario`` section for ``horizon`` slots."""
+    return _from_section(GeneratorConfig, cfg["scenario"], horizon=horizon)
+
+
+def trainer_config(cfg: dict) -> TrainerConfig:
+    """Trainer settings of the ``trainer`` section with the ``limits`` voltage band."""
+    return _from_section(TrainerConfig, {**cfg.get("trainer", {}), **cfg.get("limits", {})})
+
+
+def load_network(feeder_path) -> tuple[FeederGraph, LinearVoltageModel]:
+    """Feeder graph and its sensitivity model; failures belong to the ``feeder`` stage."""
+    with stage("feeder"):
+        graph = load_feeder(feeder_path)
+        return graph, build_sensitivities(graph)
 
 
 def write_training_log(log, path) -> None:
@@ -386,99 +435,74 @@ def write_manifest(path, entries: dict) -> None:
             fh.write(f"{key}={entries[key]}\n")
 
 
-def run_experiment(config_path, output_dir=None) -> Path:
-    """End-to-end pipeline from a single config file.
+def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
+    """End-to-end pipeline from a single config file plus dotted overrides.
 
     Stages: config → feeder → scenario → stability → train → operate →
     oracle → evaluate → write.  The output directory resolves, in order,
     from the ``output_dir`` argument, the LOCALOPF_OUTDIR environment
     variable, and the config's ``output_dir`` key.  Returns the directory.
     """
-    cfg = load_config(config_path)
+    cfg, feeder_path = resolve_config(config_path, overrides)
+    with stage("config"):
+        tr_cfg = trainer_config(cfg)
     out = output_dir or os.environ.get("LOCALOPF_OUTDIR") or cfg.get("output_dir")
     if out is None:
         raise StageError("config", "no output directory configured")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
 
-    try:
-        feeder_path = Path(cfg["feeder"])
-        if not feeder_path.is_absolute():
-            feeder_path = Path(config_path).parent / feeder_path
-        graph = load_feeder(feeder_path)
-        model = build_sensitivities(graph)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("feeder", str(exc)) from exc
+    graph, model = load_network(feeder_path)
 
-    try:
+    with stage("scenario"):
         scfg = cfg["scenario"]
         train_seeds = [int(s) for s in scfg.get("train_seeds", [1])]
         test_seed = int(scfg.get("test_seed", 1000))
-        gen_train = _generator_config(scfg, graph, int(scfg["horizon_train"]))
-        gen_test = _generator_config(scfg, graph, int(scfg["horizon_test"]))
+        gen_train = generator_config(cfg, int(scfg["horizon_train"]))
+        gen_test = generator_config(cfg, int(scfg["horizon_test"]))
         train_scns = [generate_profile(graph, gen_train, s) for s in train_seeds]
         test_scn = generate_profile(graph, gen_test, test_seed)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("scenario", str(exc)) from exc
 
-    limits = cfg.get("limits", {"v_lo": 0.95**2, "v_hi": 1.05**2})
-    tr_cfg = _trainer_config(cfg.get("trainer", {}), limits)
-
-    try:
+    with stage("train"):
         state, log = train(train_scns, tr_cfg, graph, model)
-    except ValueError as exc:
-        if "stability" in str(exc):
-            raise StageError("stability", str(exc)) from exc
-        raise StageError("train", str(exc)) from exc
-    except Exception as exc:
-        raise StageError("train", str(exc)) from exc
     write_training_log(log, out / "training_log.csv")
     save_policy(state.policy, out / "policy.npz")
 
     m, xi = convexity_constants(test_scn.steps[0].cost)
     report_stab = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
 
+    v_lo, v_hi = tr_cfg.v_lo, tr_cfg.v_hi
     ctrl_cfg = ControllerConfig(alpha=tr_cfg.alpha, plant="nonlinear")
     x0 = test_scn.steps[0].box.midpoint
-    try:
+    with stage("operate"):
         ctrl_traj, step_time = run_controller(test_scn, state.policy, model, graph,
                                               ctrl_cfg, x0=x0)
         nc_traj = run_no_control(test_scn, model, graph)
         bcfg = cfg.get("baseline", {})
         base_traj = run_baseline(
-            test_scn, model, graph, limits["v_lo"], limits["v_hi"],
+            test_scn, model, graph, v_lo, v_hi,
             alpha_b=float(bcfg.get("alpha_b", tr_cfg.alpha)),
             sigma_b=float(bcfg.get("sigma_b", 5.0)), x0=x0,
         )
-    except Exception as exc:
-        raise StageError("operate", str(exc)) from exc
 
-    try:
-        oracle_traj = run_oracle(test_scn, model, limits["v_lo"], limits["v_hi"])
-    except Exception as exc:
-        raise StageError("oracle", str(exc)) from exc
+    with stage("oracle"):
+        oracle_traj = run_oracle(test_scn, model, v_lo, v_hi)
 
-    try:
-        report = evaluate(ctrl_traj, oracle_traj, limits["v_lo"], limits["v_hi"],
+    with stage("evaluate"):
+        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi,
                           mean_step_time=step_time, config_echo=cfg)
-        nc_report = evaluate(nc_traj, oracle_traj, limits["v_lo"], limits["v_hi"])
-        base_report = evaluate(base_traj, oracle_traj, limits["v_lo"], limits["v_hi"])
-    except Exception as exc:
-        raise StageError("evaluate", str(exc)) from exc
+        nc_report = evaluate(nc_traj, oracle_traj, v_lo, v_hi)
+        base_report = evaluate(base_traj, oracle_traj, v_lo, v_hi)
 
-    try:
+    with stage("write"):
         save_trajectory(ctrl_traj, out / "controller_trajectory.csv")
         save_trajectory(nc_traj, out / "no_control_trajectory.csv")
         save_trajectory(base_traj, out / "baseline_trajectory.csv")
         save_trajectory(oracle_traj, out / "oracle_trajectory.csv", with_objective=True)
         payload = {
-            "controller": _report_dict(report),
-            "no_control": _report_dict(nc_report),
-            "baseline": _report_dict(base_report),
+            "controller": report_summary(report),
+            "no_control": report_summary(nc_report),
+            "baseline": report_summary(base_report),
             "stability": {
                 "rho": report_stab.rho,
                 "L_theta": report_stab.L_theta,
@@ -507,12 +531,11 @@ def run_experiment(config_path, output_dir=None) -> Path:
             "x0": ",".join(repr(float(xx)) for xx in x0),
             "rho": repr(float(report_stab.rho)),
         })
-    except Exception as exc:
-        raise StageError("write", str(exc)) from exc
     return out
 
 
-def _report_dict(report: EvaluationReport) -> dict:
+def report_summary(report: EvaluationReport) -> dict:
+    """The headline metrics of an evaluation, as written to ``report.json``."""
     return {
         "absolute_gap": report.absolute_gap,
         "relative_gap": report.relative_gap,
@@ -521,33 +544,22 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
-def sweep_beta(config_path, betas=(0.05, 0.1, 0.5), output_dir=None) -> Path:
+def sweep_beta(config_path, betas=(0.05, 0.1, 0.5), output_dir=None, overrides=()) -> Path:
     """Run the experiment per beta and emit a comparison table.
 
+    Each sub-run uses the config with ``overrides`` plus ``trainer.beta``.
     Writes `beta_sweep.csv` with one row per beta:
     `beta,volt_violation,absolute_gap,relative_gap` plus the no-control and
     baseline violation columns for context.
     """
-    cfg = load_config(config_path)
+    cfg, _ = resolve_config(config_path, overrides)
     out = Path(output_dir or os.environ.get("LOCALOPF_OUTDIR")
                or cfg.get("output_dir") or ".")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for beta in betas:
-        sub = out / f"beta_{beta}"
-        cfg_b = dict(cfg)
-        cfg_b["trainer"] = dict(cfg.get("trainer", {}), beta=float(beta))
-        cfg_b["output_dir"] = str(sub)
-        tmp = out / f"config_beta_{beta}.yaml"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(cfg_b, fh, sort_keys=True)
-        # resolve the feeder path relative to the original config location
-        feeder_path = Path(cfg["feeder"])
-        if not feeder_path.is_absolute():
-            cfg_b["feeder"] = str((Path(config_path).parent / feeder_path).resolve())
-            with open(tmp, "w", encoding="utf-8") as fh:
-                yaml.safe_dump(cfg_b, fh, sort_keys=True)
-        run_dir = run_experiment(tmp, output_dir=sub)
+        run_dir = run_experiment(config_path, output_dir=out / f"beta_{beta}",
+                                 overrides=[*overrides, f"trainer.beta={beta!r}"])
         with open(run_dir / "report.json", encoding="utf-8") as fh:
             rep = json.load(fh)
         rows.append([

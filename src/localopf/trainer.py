@@ -16,7 +16,6 @@ import numpy as np
 
 from .controller import (
     ControllerConfig,
-    Equilibrium,
     check_stability,
     solve_equilibria_batch,
     solve_equilibrium,
@@ -32,9 +31,20 @@ from .policy import (
     init_policy,
     set_input_scale,
 )
-from .scenario import Scenario, ScenarioStep, convexity_constants, cost_value
+from .scenario import (
+    BoxLimits,
+    CostModel,
+    Scenario,
+    ScenarioStep,
+    convexity_constants,
+    cost_value,
+)
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
+
+
+class StabilityError(ValueError):
+    """The policy fails the uniqueness or step-size conditions before training."""
 
 
 def hinge_surrogate(lam, g):
@@ -100,34 +110,31 @@ class TrainerState:
 
 @dataclass(frozen=True)
 class Batch:
-    samples: tuple[ScenarioStep, ...]
-    equilibria: tuple[Equilibrium, ...]
+    """Converged equilibria of one minibatch, stacked row-wise.
 
-    @property
-    def skipped(self) -> tuple[bool, ...]:
-        return tuple(not e.converged for e in self.equilibria)
+    Every row shares ``cost`` and ``box``; ``skipped`` counts the samples
+    left out because their equilibrium solve did not converge.
+    """
 
-    def converged_arrays(self):
-        """(steps, x (S,2N), v (S,N)) over the converged samples."""
-        keep = [(s, e) for s, e in zip(self.samples, self.equilibria) if e.converged]
-        if not keep:
-            raise ValueError("batch has no converged equilibria")
-        steps = [s for s, _ in keep]
-        x = np.array([e.x_dag for _, e in keep])
-        v = np.array([e.v_dag for _, e in keep])
-        return steps, x, v
+    p_u: np.ndarray  # (S, N)
+    q_u: np.ndarray  # (S, N)
+    x: np.ndarray  # (S, 2N) equilibrium setpoints
+    v: np.ndarray  # (S, N) equilibrium squared voltages
+    cost: CostModel
+    box: BoxLimits
+    skipped: int = 0
+
+    def mean_cost(self) -> float:
+        """Generation cost averaged over the rows."""
+        n = self.v.shape[1]
+        return float(np.mean([cost_value(self.cost, xi[:n], xi[n:]) for xi in self.x]))
 
 
 def lagrangian(batch: Batch, state: TrainerState, v_lo, v_hi) -> float:
     """Empirical Lagrangian: batch-mean cost plus dual-weighted surrogates."""
-    steps, x, v = batch.converged_arrays()
-    n = v.shape[1]
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
+    v = batch.v
     ch = state.chance
-    mean_cost = float(
-        np.mean([cost_value(s.cost, xi[:n], xi[n:]) for s, xi in zip(steps, x)])
-    )
+    mean_cost = batch.mean_cost()
     hinge_lo = hinge_surrogate(ch.lambda_lo, v_lo - v).mean(axis=0)
     hinge_hi = hinge_surrogate(ch.lambda_hi, v - v_hi).mean(axis=0)
     val = mean_cost
@@ -153,10 +160,8 @@ def grad_policy(
     derivative factor is -1/(2w) where the pre-projection point is interior
     and 0 where the box projection is active.
     """
-    steps, x, v = batch.converged_arrays()
+    x, v = batch.x, batch.v
     S, n = v.shape
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
     ch = state.chance
     ind_lo = indicator(ch.lambda_lo + v_lo - v)  # (S, N)
     ind_hi = indicator(ch.lambda_hi + v - v_hi)
@@ -165,18 +170,13 @@ def grad_policy(
         bracket_pq = np.concatenate([w_dual @ model.R, w_dual @ model.X], axis=1)
     else:
         bracket_pq = w_dual @ voltage_jacobian  # (S, 2N)
-    weight = np.array([s.cost.weight for s in steps])[:, None]
-    floor = np.array([s.cost.floor for s in steps])
-    grad_f = 2.0 * weight * (x - floor)
+    weight = batch.cost.weight
+    grad_f = 2.0 * weight * (x - batch.cost.floor)
     bracket = bracket_pq + grad_f
 
-    p_u = np.array([s.p_u for s in steps])
-    q_u = np.array([s.q_u for s in steps])
-    u, tape = forward_all(state.policy, v, p_u, q_u, with_tape=True)
+    u, tape = forward_all(state.policy, v, batch.p_u, batch.q_u, with_tape=True)
     g = x - alpha * (grad_f + u)
-    lo = np.array([s.box.lo for s in steps])
-    hi = np.array([s.box.hi for s in steps])
-    interior = np.abs(np.clip(g, lo, hi) - g) <= ACTIVITY_TOL
+    interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
 
     upstream_full = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
     idx = state.policy.node_index
@@ -190,10 +190,7 @@ def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
     """Gradients of the Lagrangian in the auxiliary offsets (learned mode)."""
     if state.chance.lambda_mode != "learned":
         raise ValueError("grad_lambda requires lambda_mode='learned'")
-    _, _, v = batch.converged_arrays()
-    n = v.shape[1]
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
+    v = batch.v
     ch = state.chance
     g_lo = state.mu_lo * (indicator(ch.lambda_lo + v_lo - v).mean(axis=0) - ch.beta)
     g_hi = state.mu_hi * (indicator(ch.lambda_hi + v - v_hi).mean(axis=0) - ch.beta)
@@ -202,10 +199,7 @@ def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
 
 def dual_update(state: TrainerState, batch: Batch, v_lo, v_hi) -> TrainerState:
     """Projected dual ascent on the surrogate constraint violations."""
-    _, _, v = batch.converged_arrays()
-    n = v.shape[1]
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
+    v = batch.v
     ch = state.chance
     asc_lo = hinge_surrogate(ch.lambda_lo, v_lo - v).mean(axis=0) - ch.beta * ch.lambda_lo
     asc_hi = hinge_surrogate(ch.lambda_hi, v - v_hi).mean(axis=0) - ch.beta * ch.lambda_hi
@@ -341,7 +335,7 @@ def train(
         set_input_scale(policy, Scenario(steps=tuple(pool), seed=cfg.seed))
     report = check_stability(m, xi, model.a_norm, policy, cfg.alpha)
     if not report.all_ok:
-        raise ValueError(f"stability check failed before training: {report}")
+        raise StabilityError(f"stability check failed before training: {report}")
 
     ch = ChanceConfig(
         beta=cfg.beta,
@@ -382,21 +376,16 @@ def train(
             samples = [pool[i] for i in chunk]
             batch, x_warm = _solve_batch(samples, state.policy, model, graph, ctrl_cfg,
                                          cfg.mode, x_warm)
-            skipped += sum(batch.skipped)
+            skipped += batch.skipped
             jac = None
             if cfg.mode == "gradient_free":
-                i0 = next(i for i, e in enumerate(batch.equilibria) if e.converged)
-                jac = zo_voltage_jacobian(graph, batch.samples[i0],
-                                          batch.equilibria[i0].x_dag,
-                                          cfg.zo_step, model.v0)
+                # probe around the first converged row under its own injections
+                row = replace(samples[0], p_u=batch.p_u[0], q_u=batch.q_u[0])
+                jac = zo_voltage_jacobian(graph, row, batch.x[0], cfg.zo_step, model.v0)
             ep_lag.append(lagrangian(batch, state, v_lo, v_hi))
-            _, xb, vb = batch.converged_arrays()
-            ep_cost.append(np.mean(
-                [cost_value(s.cost, xx[:n], xx[n:]) for s, xx in
-                 zip([s for s, e in zip(batch.samples, batch.equilibria) if e.converged], xb)]
-            ))
-            ep_viol_lo.append(np.mean(vb < v_lo))
-            ep_viol_hi.append(np.mean(vb > v_hi))
+            ep_cost.append(batch.mean_cost())
+            ep_viol_lo.append(np.mean(batch.v < v_lo))
+            ep_viol_hi.append(np.mean(batch.v > v_hi))
             grads = grad_policy(batch, state, model, v_lo, v_hi, cfg.alpha, jac)
             adam_update(state.policy, grads, state.adam_state, cfg.sigma_phi)
             enforce_conditions(state.policy, k_max)
@@ -422,26 +411,35 @@ def train(
 
 
 def _solve_batch(samples, policy, model, graph, ctrl_cfg, mode, x_warm):
-    """Equilibria for one minibatch; linear plant is solved vectorized."""
+    """Equilibria for one minibatch, and the warm start for the next one.
+
+    The linear plant is solved for all rows at once; the nonlinear plant row
+    by row, each warm-started from the last converged row.
+    """
+    p_u = np.array([s.p_u for s in samples])
+    q_u = np.array([s.q_u for s in samples])
     if mode == "gradient":
-        p_u = np.array([s.p_u for s in samples])
-        q_u = np.array([s.q_u for s in samples])
-        x0 = np.tile(x_warm, (len(samples), 1))
-        x, v, conv, iters = solve_equilibria_batch(
-            p_u, q_u, samples[0].cost, samples[0].box, policy, model,
-            ctrl_cfg.alpha, ctrl_cfg.eq_tol, ctrl_cfg.eq_max_iters, x0
-        )
-        eqs = tuple(
-            Equilibrium(x_dag=x[i], v_dag=v[i], iterations=iters,
-                        converged=bool(conv[i]), residual=0.0)
-            for i in range(len(samples))
+        x, v, conv, _ = solve_equilibria_batch(
+            p_u, q_u, samples[0].cost, samples[0].box, policy, model, ctrl_cfg.alpha,
+            ctrl_cfg.eq_tol, ctrl_cfg.eq_max_iters, np.tile(x_warm, (len(samples), 1)),
         )
         x_next = x[-1] if np.any(conv) else x_warm
-        return Batch(samples=tuple(samples), equilibria=eqs), x_next
-    eqs = []
-    for s in samples:
-        eq = solve_equilibrium(s, policy, model, graph, ctrl_cfg, x0=x_warm)
-        if eq.converged:
-            x_warm = eq.x_dag
-        eqs.append(eq)
-    return Batch(samples=tuple(samples), equilibria=tuple(eqs)), x_warm
+    else:
+        eqs = []
+        for s in samples:
+            eq = solve_equilibrium(s, policy, model, graph, ctrl_cfg, x0=x_warm)
+            if eq.converged:
+                x_warm = eq.x_dag
+            eqs.append(eq)
+        x = np.array([e.x_dag for e in eqs])
+        v = np.array([e.v_dag for e in eqs])
+        conv = np.array([e.converged for e in eqs])
+        x_next = x_warm
+    if not np.any(conv):
+        raise ValueError(
+            f"no equilibrium of the {len(samples)}-sample minibatch converged within "
+            f"{ctrl_cfg.eq_max_iters} iterations (tolerance {ctrl_cfg.eq_tol:g})"
+        )
+    batch = Batch(p_u=p_u[conv], q_u=q_u[conv], x=x[conv], v=v[conv],
+                  cost=samples[0].cost, box=samples[0].box, skipped=int(np.sum(~conv)))
+    return batch, x_next

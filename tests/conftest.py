@@ -1,16 +1,19 @@
 """Shared fixtures: shipped feeders and small synthetic scenarios."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from localopf import (
+    Batch,
     BoxLimits,
     CostModel,
     ScenarioStep,
     build_sensitivities,
     load_feeder,
+    solve_equilibrium,
 )
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "localopf" / "data"
@@ -50,4 +53,26 @@ def make_step(n, p_u, q_u, ctrl, p_cap=0.5, q_cap=0.3, weight=1.0, t=0):
         q_u=np.asarray(q_u, dtype=float),
         cost=CostModel(np.zeros(n), np.zeros(n), weight=weight),
         box=BoxLimits(np.zeros(n), p_hi, np.zeros(n), q_hi),
+    )
+
+
+def interior_step(graph, rng, t=0):
+    """Random slot on nodes 3, 5, 7 whose cost floor sits mid-box, so equilibria are interior."""
+    n = graph.n
+    stp = make_step(n, -rng.uniform(0.002, 0.02, n), -rng.uniform(0.001, 0.012, n),
+                    [3, 5, 7], p_cap=0.4, q_cap=0.3, t=t)
+    return dataclasses.replace(stp, cost=CostModel(0.5 * stp.box.p_hi, 0.5 * stp.box.q_hi))
+
+
+def solved_batch(samples, policy, model, graph, cfg):
+    """Training batch of per-sample equilibria; every sample must converge."""
+    eqs = [solve_equilibrium(s, policy, model, graph, cfg) for s in samples]
+    assert all(e.converged for e in eqs)
+    return Batch(
+        p_u=np.array([s.p_u for s in samples]),
+        q_u=np.array([s.q_u for s in samples]),
+        x=np.array([e.x_dag for e in eqs]),
+        v=np.array([e.v_dag for e in eqs]),
+        cost=samples[0].cost,
+        box=samples[0].box,
     )

@@ -35,7 +35,7 @@ from localopf import (
 from localopf.controller import solve_equilibria_batch
 from localopf.powerflow import env_voltage
 from localopf.runner import (
-    _generator_config,
+    generator_config,
     load_config,
     run_controller,
     run_baseline,
@@ -44,7 +44,7 @@ from localopf.runner import (
     run_experiment,
 )
 from localopf.trainer import indicator
-from conftest import make_step
+from conftest import interior_step, make_step, solved_batch
 from test_feeder import path_intersection_oracle
 from test_oracle import grid_search_2bus, kkt_witness, two_bus_setup
 from test_powerflow import newton_raphson_2bus, two_bus_graph
@@ -101,19 +101,6 @@ def test_acceptance_2_sensitivities(graph8, graph37):
 # Criterion 3: equilibrium uniqueness and contraction, with negative control
 
 
-def _interior_random_step(graph, rng):
-    import dataclasses
-
-    from localopf import CostModel
-
-    n = graph.n
-    stp = make_step(n, -rng.uniform(0.002, 0.02, n), -rng.uniform(0.001, 0.012, n),
-                    [3, 5, 7], p_cap=0.4, q_cap=0.3)
-    return dataclasses.replace(
-        stp, cost=CostModel(0.5 * stp.box.p_hi, 0.5 * stp.box.q_hi, 1.0)
-    )
-
-
 def test_acceptance_3_equilibrium_uniqueness_and_contraction(graph8, model8):
     started = time.monotonic()
     rng = np.random.default_rng(3003)
@@ -130,7 +117,7 @@ def test_acceptance_3_equilibrium_uniqueness_and_contraction(graph8, model8):
         assert rep.all_ok
         rho = rho_alpha(M, XI, pol.lipschitz_v(), model8.a_norm, ALPHA)
         assert rho < 1.0
-        stp = _interior_random_step(graph8, rng)
+        stp = interior_step(graph8, rng)
         eq_a = solve_equilibrium(stp, pol, model8, graph8, cfg, x0=stp.box.lo)
         eq_b, gaps = solve_equilibrium(stp, pol, model8, graph8, cfg,
                                        x0=stp.box.hi, return_gaps=True)
@@ -153,7 +140,7 @@ def test_acceptance_3_equilibrium_uniqueness_and_contraction(graph8, model8):
         # on a stabilizing box corner
         pol.biases[-1][:, 0] = -pol.k * 1.0
         assert not check_stability(M, XI, model8.a_norm, pol, bad_cfg.alpha).c3_ok
-        stp = _interior_random_step(graph8, np.random.default_rng(trial))
+        stp = interior_step(graph8, np.random.default_rng(trial))
         eq_a = solve_equilibrium(stp, pol, model8, graph8, bad_cfg, x0=stp.box.lo)
         eq_b = solve_equilibrium(stp, pol, model8, graph8, bad_cfg, x0=stp.box.hi)
         if not (eq_a.converged and eq_b.converged):
@@ -178,7 +165,7 @@ def test_acceptance_4_sensitivity_bound(graph8, model8):
         pol = init_policy(graph8, [3, 5, 7], arch=(1, 6), k_max=k_hi,
                           seed=int(rng.integers(1 << 30)))
         pol.k[:] = rng.uniform(0.0, k_hi, pol.n_channels)
-        stp = _interior_random_step(graph8, rng)
+        stp = interior_step(graph8, rng)
         assert lemma1_check(stp, pol, model8, graph8, cfg) <= 1.05 * ALPHA
 
 
@@ -187,7 +174,7 @@ def test_acceptance_4_sensitivity_bound(graph8, model8):
 
 
 def test_acceptance_5_gradient_fidelity(graph8, model8):
-    from localopf import Batch, ChanceConfig, TrainerState, grad_policy, lagrangian
+    from localopf import ChanceConfig, TrainerState, grad_policy, lagrangian
 
     started = time.monotonic()
     rng = np.random.default_rng(5005)
@@ -206,18 +193,14 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
         sigma_phi=1e-3, sigma_lambda=1e-3, sigma_mu=1.0,
     )
     v_lo, v_hi = 0.9604, 1.0
-    samples = [_interior_random_step(graph8, rng) for _ in range(3)]
+    samples = [interior_step(graph8, rng) for _ in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=50_000)
 
-    def solve_batch():
-        eqs = tuple(solve_equilibrium(s, pol, model8, graph8, cfg) for s in samples)
-        assert all(e.converged for e in eqs)
-        return Batch(samples=tuple(samples), equilibria=eqs)
-
-    grads = grad_policy(solve_batch(), state, model8, v_lo, v_hi, ALPHA)
+    grads = grad_policy(solved_batch(samples, pol, model8, graph8, cfg), state, model8,
+                        v_lo, v_hi, ALPHA)
 
     def lag():
-        return lagrangian(solve_batch(), state, v_lo, v_hi)
+        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, v_lo, v_hi)
 
     eps = 1e-6
     arrays = [(grads["weights"][l], pol.weights[l]) for l in range(len(pol.weights))]
@@ -285,8 +268,8 @@ def desk():
     graph = load_feeder(DATA / cfg["feeder"])
     model = build_sensitivities(graph)
     scfg = cfg["scenario"]
-    gen_train = _generator_config(scfg, graph, int(scfg["horizon_train"]))
-    gen_test = _generator_config(scfg, graph, int(scfg["horizon_test"]))
+    gen_train = generator_config(cfg, int(scfg["horizon_train"]))
+    gen_test = generator_config(cfg, int(scfg["horizon_test"]))
     train_scns = [generate_profile(graph, gen_train, s) for s in scfg["train_seeds"]]
     test_scn = generate_profile(graph, gen_test, int(scfg["test_seed"]))
     limits = cfg["limits"]

@@ -1,5 +1,6 @@
 """Metrics, experiment pipeline artifacts, determinism, and the CLI."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -10,9 +11,12 @@ from localopf import Trajectory, evaluate
 from localopf.cli import STAGE_EXIT, main
 from localopf.runner import (
     config_hash,
+    generator_config,
     load_trajectory,
+    resolve_config,
     run_experiment,
     save_trajectory,
+    trainer_config,
     volt_violation_series,
     write_manifest,
 )
@@ -97,6 +101,20 @@ def test_config_hash_stable_and_sensitive():
     assert len(config_hash(a)) == 16
 
 
+def test_resolve_config_overrides_reach_every_field_type():
+    cfg, feeder_path = resolve_config(CONFIG8, [
+        "trainer.k_max_margin=0.5", "trainer.zo_step=2e-3", "trainer.sigma_lambda=0.01",
+        "trainer.arch=[1, 4]", "trainer.mu_init=2", "limits.v_lo=0.81",
+        "scenario.joint_noise=false", "scenario.trend=[[0, 1]]"])
+    tr = trainer_config(cfg)
+    assert (tr.k_max_margin, tr.zo_step, tr.sigma_lambda) == (0.5, 2e-3, 0.01)
+    assert (tr.arch, tr.mu_init, tr.v_lo, tr.epochs) == ((1, 4), 2.0, 0.81, 10)
+    gen = generator_config(cfg, 5)
+    assert (gen.joint_noise, gen.trend, gen.horizon) == (False, ((0.0, 1.0),), 5)
+    assert cfg["feeder"] == "feeder_8bus.txt"
+    assert feeder_path == DATA / "feeder_8bus.txt"
+
+
 def test_write_manifest_sorted(tmp_path):
     path = tmp_path / "manifest.txt"
     write_manifest(path, {"zeta": 1, "alpha": "two"})
@@ -148,19 +166,12 @@ def test_run_experiment_deterministic(run_dir, tmp_path):
         assert a == b, f"{name} differs between identical reruns"
 
 
-def test_run_experiment_missing_output_dir(tmp_path, monkeypatch):
-    import yaml
+def test_run_experiment_missing_output_dir(monkeypatch):
+    from localopf.runner import StageError
 
-    from localopf.runner import StageError, load_config
-
-    cfg = load_config(CONFIG8)
-    cfg.pop("output_dir", None)
-    path = tmp_path / "no_out.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg, fh)
     monkeypatch.delenv("LOCALOPF_OUTDIR", raising=False)
     with pytest.raises(StageError) as exc:
-        run_experiment(path)
+        run_experiment(CONFIG8, overrides=["output_dir=null"])
     assert exc.value.stage == "config"
 
 
@@ -230,17 +241,8 @@ def test_cli_evaluate(run_dir, capsys):
 
 
 def test_cli_run_reports_stage_exit_code(tmp_path, capsys):
-    import yaml
-
-    from localopf.runner import load_config
-
-    cfg = load_config(CONFIG8)
-    cfg["feeder"] = "does_not_exist.txt"
-    cfg["output_dir"] = str(tmp_path / "out")
-    path = tmp_path / "broken.yaml"
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg, fh)
-    assert main(["run", str(path)]) == STAGE_EXIT["feeder"]
+    assert main(["run", str(CONFIG8), "-o", "feeder=does_not_exist.txt",
+                 "-o", f"output_dir={tmp_path / 'out'}"]) == STAGE_EXIT["feeder"]
 
 
 def test_cli_train_and_overrides(tmp_path, capsys):
@@ -252,3 +254,44 @@ def test_cli_train_and_overrides(tmp_path, capsys):
     log = (out / "training_log.csv").read_text().strip().splitlines()
     assert log[0].startswith("epoch,")
     assert len(log) == 2  # header + 1 epoch
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_cli_stability_failure_exit_code(tmp_path, command):
+    # a gain clamp 2.5x the uniqueness bound fails C3 before training starts
+    code = main([command, str(CONFIG8), "--output", str(tmp_path / "out"),
+                 "-o", "trainer.k_max_margin=2.5"])
+    assert code == STAGE_EXIT["stability"]
+
+
+@pytest.mark.parametrize("command,key", [
+    ("run", "trainer.typo_key"), ("train", "trainer.typo_key"),
+    ("gen-scenario", "scenario.horizon"), ("sweep-beta", "limits.v_mid"),
+    ("check-conditions", "baseline.gamma"), ("build-feeder", "typo_key"),
+])
+def test_cli_unknown_config_key_exit_code(tmp_path, command, key):
+    args = [command, str(CONFIG8), "-o", f"{key}=1"]
+    if command not in ("build-feeder", "check-conditions"):
+        args += ["--output", str(tmp_path / "out")]
+    assert main(args) == STAGE_EXIT["config"]
+
+
+def test_cli_sweep_beta(tmp_path):
+    out = tmp_path / "sweep"
+    code = main(["sweep-beta", str(CONFIG8), "--betas", "0.05,0.5", "--output", str(out),
+                 "-o", "trainer.epochs=1", "-o", "scenario.horizon_train=16",
+                 "-o", "scenario.horizon_test=8"])
+    assert code == 0
+    with open(out / "beta_sweep.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["beta"]) for r in rows] == [0.05, 0.5]
+    for row in rows:
+        sub = out / f"beta_{row['beta']}"
+        rep = json.loads((sub / "report.json").read_text())
+        ctrl = rep["controller"]
+        assert [float(val) for val in list(row.values())[1:]] == [
+            ctrl["volt_violation"], ctrl["absolute_gap"], ctrl["relative_gap"],
+            rep["no_control"]["volt_violation"], rep["baseline"]["volt_violation"]]
+        manifest = (sub / "manifest.txt").read_text()
+        assert f"beta={row['beta']}\n" in manifest and "epochs=1\n" in manifest
+    assert not list(out.glob("config_beta_*.yaml"))

@@ -9,8 +9,8 @@ from localopf import (
     Batch,
     ChanceConfig,
     ControllerConfig,
-    CostModel,
     GeneratorConfig,
+    StabilityError,
     TrainerConfig,
     TrainerState,
     dual_update,
@@ -20,14 +20,12 @@ from localopf import (
     hinge_surrogate,
     init_policy,
     lagrangian,
-    solve_equilibrium,
     train,
     zo_voltage_jacobian,
 )
-from localopf.controller import Equilibrium
 from localopf.powerflow import env_voltage
 from localopf.trainer import AdamState, adam_update, controllable_nodes, indicator
-from conftest import make_step
+from conftest import interior_step, make_step, solved_batch
 
 ALPHA = 0.48
 
@@ -85,13 +83,14 @@ def _fabricated_batch(n, ctrl):
         make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), ctrl),
         make_step(n, -0.02 * np.ones(n), -0.01 * np.ones(n), ctrl, t=1),
     ]
-    x = [np.full(2 * n, 0.1), np.full(2 * n, 0.2)]
-    v = [np.full(n, 0.96), np.full(n, 1.01)]
-    eqs = [
-        Equilibrium(x_dag=x[i], v_dag=v[i], iterations=1, converged=True, residual=0.0)
-        for i in range(2)
-    ]
-    return Batch(samples=tuple(steps), equilibria=tuple(eqs))
+    return Batch(
+        p_u=np.array([s.p_u for s in steps]),
+        q_u=np.array([s.q_u for s in steps]),
+        x=np.array([np.full(2 * n, 0.1), np.full(2 * n, 0.2)]),
+        v=np.array([np.full(n, 0.96), np.full(n, 1.01)]),
+        cost=steps[0].cost,
+        box=steps[0].box,
+    )
 
 
 def test_lagrangian_hand_computed(graph8):
@@ -148,25 +147,6 @@ def test_grad_lambda_hand_computed(graph8):
 # Policy gradient vs end-to-end finite differences through the equilibrium
 
 
-def _interior_samples(graph, rng, count):
-    """Slots whose cost floor sits mid-box so equilibria are interior."""
-    n = graph.n
-    out = []
-    for t in range(count):
-        stp = make_step(n, -rng.uniform(0.002, 0.02, n), -rng.uniform(0.001, 0.012, n),
-                        [3, 5, 7], p_cap=0.4, q_cap=0.3, t=t)
-        floor_p = 0.5 * stp.box.p_hi
-        floor_q = 0.5 * stp.box.q_hi
-        out.append(dataclasses.replace(stp, cost=CostModel(floor_p, floor_q, 1.0)))
-    return out
-
-
-def _solve_all(samples, pol, model, graph, cfg):
-    eqs = tuple(solve_equilibrium(s, pol, model, graph, cfg) for s in samples)
-    assert all(e.converged for e in eqs)
-    return Batch(samples=tuple(samples), equilibria=eqs)
-
-
 def test_grad_policy_matches_finite_difference(graph8, model8):
     """End-to-end check: analytic gradient vs numeric differentiation of the
     Lagrangian with equilibria re-solved after every parameter perturbation.
@@ -180,14 +160,14 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
     n = graph8.n
     state = _tiny_state(n, pol, beta=0.3, lam=0.02, mu=0.7)
     v_lo, v_hi = 0.9604, 1.0
-    samples = _interior_samples(graph8, rng, 3)
+    samples = [interior_step(graph8, rng, t) for t in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=20_000)
 
-    batch = _solve_all(samples, pol, model8, graph8, cfg)
+    batch = solved_batch(samples, pol, model8, graph8, cfg)
     grads = grad_policy(batch, state, model8, v_lo, v_hi, ALPHA)
 
     def lag():
-        return lagrangian(_solve_all(samples, pol, model8, graph8, cfg),
+        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg),
                           state, v_lo, v_hi)
 
     eps = 1e-6
@@ -228,9 +208,9 @@ def test_grad_policy_with_explicit_jacobian_matches_linear(graph8, model8):
     pol = init_policy(graph8, [3, 5, 7], arch=(1, 4), k_max=0.1, seed=1)
     n = graph8.n
     state = _tiny_state(n, pol, beta=0.3, lam=0.02, mu=0.7)
-    samples = _interior_samples(graph8, rng, 4)
+    samples = [interior_step(graph8, rng, t) for t in range(4)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
-    batch = _solve_all(samples, pol, model8, graph8, cfg)
+    batch = solved_batch(samples, pol, model8, graph8, cfg)
     g0 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
     jac = np.concatenate([model8.R, model8.X], axis=1)
     g1 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA, voltage_jacobian=jac)
@@ -250,9 +230,8 @@ def test_grad_policy_zero_where_projection_active(graph8, model8):
                          -rng.uniform(0.001, 0.012, n), [3, 5, 7], t=t)
                for t in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
-    batch = _solve_all(samples, pol, model8, graph8, cfg)
-    _, x, _ = batch.converged_arrays()
-    assert np.all(np.abs(x[:, pol.node_index]) < 1e-9)  # pinned at zero
+    batch = solved_batch(samples, pol, model8, graph8, cfg)
+    assert np.all(np.abs(batch.x[:, pol.node_index]) < 1e-9)  # pinned at zero
     state = _tiny_state(n, pol, mu=0.7)
     grads = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
     for l in range(len(grads["weights"])):
@@ -353,7 +332,7 @@ def test_train_rejects_unstable_policy(graph8, model8):
     scn = _train_scenario(graph8, horizon=8)
     pol = init_policy(graph8, [3, 5, 7], k_max=10.0, seed=0)
     pol.k[:] = 10.0
-    with pytest.raises(ValueError, match="stability"):
+    with pytest.raises(StabilityError, match="stability"):
         train(scn, TrainerConfig(epochs=1), graph8, model8, policy=pol)
 
 
@@ -390,6 +369,14 @@ def test_train_gradient_free_mode_runs(graph8, model8):
     state, log = train(scn, cfg, graph8, model8)
     assert len(log) == 1
     assert log[0]["skipped"] == 0
+
+
+@pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
+def test_train_rejects_minibatch_without_converged_equilibrium(graph8, model8, mode):
+    scn = _train_scenario(graph8, horizon=8)
+    cfg = TrainerConfig(mode=mode, epochs=1, batch_size=8, eq_max_iters=1)
+    with pytest.raises(ValueError, match="no equilibrium of the 8-sample minibatch converged"):
+        train(scn, cfg, graph8, model8)
 
 
 def test_trainer_config_validation():
