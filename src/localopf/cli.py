@@ -34,7 +34,7 @@ from .runner import (
 from .scenario import convexity_constants, generate_profile, save_scenario
 from .trainer import train
 
-# exit codes: 1 = generic, 2.. = stage-specific
+# exit codes: 1 = generic (usage errors included), 2.. = stage-specific
 STAGE_EXIT = {name: i + 2 for i, name in enumerate(STAGES)}
 
 
@@ -124,7 +124,8 @@ def cmd_check_conditions(args) -> int:
         "c1_ok": report.c1_ok, "c2_ok": report.c2_ok, "c3_ok": report.c3_ok,
         "c3_bound": report.c3_bound, "c3_margin": report.c3_margin,
         "step_ok": report.step_ok, "step_bound": report.step_bound,
-        "rho": report.rho, "L_theta": report.L_theta, "all_ok": report.all_ok,
+        "rho": report.rho, "contraction_ok": report.contraction_ok,
+        "L_theta": report.L_theta, "all_ok": report.all_ok,
     }, indent=2))
     return 0 if report.all_ok else STAGE_EXIT["stability"]
 
@@ -182,7 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.fn(args)
     except StageError as exc:

@@ -214,7 +214,13 @@ class StabilityReport:
 
     @property
     def all_ok(self) -> bool:
+        """Uniqueness (C1-C3) and the step-size bound; says nothing about contraction."""
         return self.c1_ok and self.c2_ok and self.c3_ok and self.step_ok
+
+    @property
+    def contraction_ok(self) -> bool:
+        """The closed loop contracts on the linear plant: finite rho < 1."""
+        return bool(np.isfinite(self.rho) and self.rho < 1.0)
 
 
 def check_stability(

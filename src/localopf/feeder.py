@@ -3,6 +3,9 @@
 A feeder is a tree rooted at bus 0 (the substation).  All electrical
 quantities inside the package are per-unit on the feeder's power base;
 the file loader converts ohmic line data when a voltage base is given.
+The tree's shape reaches the numerics through one matrix, the root-path
+incidence ``FeederGraph.path``: the sensitivities and the branch-flow sweep
+are both products with it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ class FeederGraph:
 
     Lines are stored parent->child and indexed so that ``lines[j-1]`` is the
     unique line feeding bus ``j``.  ``order`` lists non-root buses so that
-    every parent appears before its children.
+    every parent appears before its children.  ``path[l, j]`` is 1 when line
+    ``l`` (feeding bus ``l+1``) lies on the root path of bus ``j+1``, else 0.
     """
 
     buses: tuple[Bus, ...]
@@ -55,6 +59,7 @@ class FeederGraph:
     v0: float = 1.0  # squared slack voltage, per-unit^2
     parent: tuple[int, ...] = field(default=())  # parent[j-1] for bus j
     order: tuple[int, ...] = field(default=())  # root-to-leaf bus order
+    path: np.ndarray = field(default=None, repr=False, compare=False)  # (N, N) incidence
 
     @property
     def n(self) -> int:
@@ -123,6 +128,13 @@ def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
         missing = sorted(set(ids) - visited)
         raise FeederError(f"disconnected buses {missing}")
 
+    # a bus's root path is its parent's plus the line feeding it
+    path = np.zeros((n, n))
+    for w in order:
+        if parent[w - 1] != 0:
+            path[:, w - 1] = path[:, parent[w - 1] - 1]
+        path[w - 1, w - 1] = 1.0
+
     return FeederGraph(
         buses=buses,
         lines=tuple(oriented),  # type: ignore[arg-type]
@@ -131,6 +143,7 @@ def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
         v0=float(v0),
         parent=tuple(parent),
         order=tuple(order),
+        path=path,
     )
 
 
@@ -246,34 +259,16 @@ def build_sensitivities(graph: FeederGraph, v0: float | None = None) -> LinearVo
     """Assemble R, X from the 2x common-root-path impedance sums.
 
     ``R[i][j]`` is twice the total resistance on the shared portion of the
-    root paths of buses i+1 and j+1; X likewise with reactances.
+    root paths of buses i+1 and j+1, i.e. ``path.T @ diag(2r) @ path``; X
+    likewise with reactances.
     """
     if v0 is None:
         v0 = graph.v0
-    n = graph.n
-    R = np.zeros((n, n))
-    X = np.zeros((n, n))
-    # Every line contributes 2r to R[i][j] exactly when both i and j sit in
-    # its downstream subtree.
-    for child in graph.order:
-        ln = graph.line_to(child)
-        sub = _subtree(graph, child)
-        idx = np.array(sub) - 1
-        R[np.ix_(idx, idx)] += 2.0 * ln.r
-        X[np.ix_(idx, idx)] += 2.0 * ln.x
+    path = graph.path
+    R = (path.T * [2.0 * ln.r for ln in graph.lines]) @ path
+    X = (path.T * [2.0 * ln.x for ln in graph.lines]) @ path
     A = np.hstack([R, X])
     return LinearVoltageModel(R=R, X=X, A=A, v0=float(v0), a_norm=spectral_norm(A))
-
-
-def _subtree(graph: FeederGraph, root: int) -> list[int]:
-    out = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in graph.children[u]:
-            out.append(w)
-            stack.append(w)
-    return out
 
 
 def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_iters: int = 10000) -> float:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .controller import plant_voltage
 from .feeder import FeederGraph, LinearVoltageModel
-from .powerflow import InjectionState, solve_nonlinear
 from .scenario import ScenarioStep, cost_value
 
 
@@ -52,7 +52,7 @@ def solve_opf_linear(
     v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
     v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
     cost = step_data.cost
-    box = step_data.box
+    lo, hi = step_data.box.lo, step_data.box.hi
     floor = cost.floor
     two_w = 2.0 * cost.weight
     v_env = model.v0 + model.R @ step_data.p_u + model.X @ step_data.q_u
@@ -68,7 +68,7 @@ def solve_opf_linear(
     sigma = cost.weight / max(model.a_norm**2, 1e-12)
 
     def primal(ml, mh):
-        x = np.clip(floor - A.T @ (mh - ml) / two_w, box.lo, box.hi)
+        x = np.clip(floor - A.T @ (mh - ml) / two_w, lo, hi)
         v = A @ x + v_env
         return x, v
 
@@ -142,12 +142,7 @@ def baseline_step(
     Requires the complete voltage measurement, i.e. system-wide
     communication -- the contrast with the local policy controller.
     """
-    n = graph.n
-    s = InjectionState(p=state.x[:n], q=state.x[n:], p_u=step_data.p_u, q_u=step_data.q_u)
-    sol = solve_nonlinear(graph, s, model.v0)
-    if not sol.converged:
-        raise RuntimeError(f"baseline plant did not converge at t={step_data.t}")
-    v_hat = sol.v
+    v_hat = plant_voltage(state.x, step_data, model, graph, "nonlinear")
     mu_lo = np.maximum(state.mu_lo + state.sigma_b * (v_lo - v_hat), 0.0)
     mu_hi = np.maximum(state.mu_hi + state.sigma_b * (v_hat - v_hi), 0.0)
     cost = step_data.cost

@@ -1,8 +1,10 @@
 """Branch-flow power flow on radial feeders.
 
 ``solve_nonlinear`` runs a backward/forward sweep on the exact branch flow
-equations; ``solve_linear`` evaluates the LinDistFlow surrogate.  Both return
-squared voltage magnitudes in per-unit^2.
+equations in matrix form (BIBC/BCBV: both sweeps are products with the
+feeder's root-path incidence matrix), on one injection row or a batch of
+``(..., N)`` rows at once; ``solve_linear`` evaluates the LinDistFlow
+surrogate.  Both return squared voltage magnitudes in per-unit^2.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class VoltageCollapseError(RuntimeError):
 class InjectionState:
     """Controllable (p, q) and uncontrollable (p_u, q_u) injections, per-unit.
 
-    Loads enter as negative injections.
+    Loads enter as negative injections.  The four arrays share one shape,
+    ``(N,)`` for one operating point or ``(..., N)`` for a batch of rows.
     """
 
     p: np.ndarray
@@ -31,11 +34,13 @@ class InjectionState:
     q_u: np.ndarray
 
     def __post_init__(self):
-        n = len(self.p)
+        shape = np.shape(self.p)
+        if not shape:
+            raise ValueError("injections must have at least one dimension")
         for name in ("p", "q", "p_u", "q_u"):
             vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (n,):
-                raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+            if vec.shape != shape:
+                raise ValueError(f"{name} has shape {vec.shape}, expected {shape}")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vec)
@@ -43,12 +48,14 @@ class InjectionState:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
+    """Sweep result; arrays have the injections' shape, with a batch's rows first."""
+
     v: np.ndarray  # squared voltage magnitudes, per bus 1..N
     P: np.ndarray  # sending-end active power, per line (indexed by child bus - 1)
     Q: np.ndarray
     ell: np.ndarray  # squared current magnitudes per line
-    iterations: int
-    converged: bool
+    iterations: int  # sweeps run, shared by every row of a batch
+    converged: bool  # every row moved less than tol on the last sweep
 
 
 def solve_nonlinear(
@@ -60,62 +67,43 @@ def solve_nonlinear(
 ) -> PowerFlowSolution:
     """Backward/forward sweep fixed point of the branch flow equations.
 
-    The backward pass accumulates line flows including the r*ell / x*ell loss
-    terms (ell frozen from the previous pass); the forward pass propagates
-    squared voltages from the slack bus; ell is then refreshed from the
-    sending-end voltage.  Starts lossless (ell = 0).
+    The backward pass sums each line's downstream injections and r*ell /
+    x*ell losses (ell frozen from the previous pass) through ``path``; the
+    forward pass subtracts the line drops along each root path from the
+    slack voltage; ell is then refreshed from the sending-end voltage.
+    Starts lossless (ell = 0).  A batch sweeps until every row has
+    converged.
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
-    n = graph.n
     p_net = s.p + s.p_u
     q_net = s.q + s.q_u
     r = np.array([ln.r for ln in graph.lines])
     x = np.array([ln.x for ln in graph.lines])
     z2 = r * r + x * x
+    path = graph.path
     parent = np.array(graph.parent)
-    order = list(graph.order)  # parents before children
 
-    v = np.full(n, v0)
-    ell = np.zeros(n)
-    P = np.zeros(n)
-    Q = np.zeros(n)
+    v = np.full(p_net.shape, float(v0))
+    P = Q = ell = np.zeros(p_net.shape)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        # backward: leaves to root
-        P[:] = 0.0
-        Q[:] = 0.0
-        for j in reversed(order):
-            jj = j - 1
-            P[jj] += -p_net[jj] + r[jj] * ell[jj]
-            Q[jj] += -q_net[jj] + x[jj] * ell[jj]
-            pj = parent[jj]
-            if pj != 0:
-                P[pj - 1] += P[jj]
-                Q[pj - 1] += Q[jj]
-        # forward: root to leaves
-        v_new = np.empty(n)
-        for j in order:
-            jj = j - 1
-            pj = parent[jj]
-            v_up = v0 if pj == 0 else v_new[pj - 1]
-            v_new[jj] = v_up - 2.0 * (r[jj] * P[jj] + x[jj] * Q[jj]) + z2[jj] * ell[jj]
-            if v_new[jj] <= 0.0:
-                raise VoltageCollapseError(
-                    f"voltage collapse at bus {j} on iteration {iterations}"
-                )
+        P = (-p_net + r * ell) @ path.T
+        Q = (-q_net + x * ell) @ path.T
+        v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path
+        if np.any(v_new <= 0.0):
+            bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
+            raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
         # refresh squared currents from the sending-end voltage
-        v_send = np.where(parent == 0, v0, v_new[np.maximum(parent - 1, 0)])
+        v_send = np.where(parent == 0, v0, v_new[..., np.maximum(parent - 1, 0)])
         ell = (P * P + Q * Q) / v_send
-        delta = float(np.max(np.abs(v_new - v))) if n else 0.0
+        delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta < tol:
             converged = True
             break
-    return PowerFlowSolution(
-        v=v, P=P.copy(), Q=Q.copy(), ell=ell, iterations=iterations, converged=converged
-    )
+    return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
 
 
 def residual(

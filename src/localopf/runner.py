@@ -25,6 +25,7 @@ import yaml
 from . import __version__
 from .controller import (
     ControllerConfig,
+    ControllerError,
     ControllerState,
     check_stability,
     plant_voltage,
@@ -34,6 +35,7 @@ from .controller import (
 from .feeder import FeederGraph, LinearVoltageModel, build_sensitivities, load_feeder
 from .oracle import BaselineState, baseline_step, solve_opf_linear
 from .policy import save_policy
+from .powerflow import InjectionState, solve_nonlinear
 from .scenario import (
     GeneratorConfig,
     Scenario,
@@ -221,14 +223,17 @@ def run_controller(
 def run_no_control(
     scenario: Scenario, model: LinearVoltageModel, graph: FeederGraph
 ) -> Trajectory:
-    """Hold every controllable setpoint at zero; record the plant response."""
+    """Hold every controllable setpoint at zero; record the plant response in one batched solve."""
     n = graph.n
-    x = np.zeros(2 * n)
-    rows_v, objs = [], []
-    for s in scenario.steps:
-        rows_v.append(plant_voltage(x, s, model, graph, "nonlinear"))
-        objs.append(cost_value(s.cost, x[:n], x[n:]))
-    return _trajectory(scenario, np.tile(x, (len(scenario.steps), 1)), rows_v, objs)
+    steps = scenario.steps
+    zeros = np.zeros((len(steps), n))
+    s = InjectionState(p=zeros, q=zeros, p_u=np.array([st.p_u for st in steps]),
+                       q_u=np.array([st.q_u for st in steps]))
+    sol = solve_nonlinear(graph, s, model.v0)
+    if not sol.converged:
+        raise ControllerError("nonlinear plant did not converge without control")
+    objs = [cost_value(st.cost, zeros[0], zeros[0]) for st in steps]
+    return _trajectory(scenario, np.zeros((len(steps), 2 * n)), sol.v, objs)
 
 
 def run_baseline(
@@ -505,6 +510,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
             "baseline": report_summary(base_report),
             "stability": {
                 "rho": report_stab.rho,
+                "contraction_ok": report_stab.contraction_ok,
                 "L_theta": report_stab.L_theta,
                 "c3_bound": report_stab.c3_bound,
                 "alpha": tr_cfg.alpha,

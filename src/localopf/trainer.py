@@ -220,8 +220,9 @@ def zo_voltage_jacobian(
 ) -> np.ndarray:
     """2n-point central-difference estimate of dv/dx around ``x_dag``.
 
-    ``plant`` maps a length-2N setpoint to the length-N squared voltages;
-    the default queries the nonlinear branch-flow solver.
+    ``plant`` maps (rows, 2N) setpoints to (rows, N) squared voltages and is
+    called once, on the 4N probe rows ``[x + hE; x - hE]``; the default
+    queries the nonlinear branch-flow solver.
     """
     if zo_step <= 0.0:
         raise ValueError("zo_step must be positive")
@@ -229,23 +230,17 @@ def zo_voltage_jacobian(
 
     if plant is None:
         def plant(x):
-            s = InjectionState(p=x[:n], q=x[n:], p_u=step_data.p_u, q_u=step_data.q_u)
+            rows = (len(x), n)
+            s = InjectionState(p=x[:, :n], q=x[:, n:], p_u=np.broadcast_to(step_data.p_u, rows),
+                               q_u=np.broadcast_to(step_data.q_u, rows))
             sol = solve_nonlinear(graph, s, v0)
             if not sol.converged:
-                raise RuntimeError("power flow failed inside the gradient estimator")
+                raise RuntimeError("perturbed power flow failed inside the gradient estimator")
             return sol.v
 
-    jac = np.zeros((n, 2 * n))
-    for kcol in range(2 * n):
-        e = np.zeros(2 * n)
-        e[kcol] = zo_step
-        try:
-            v_plus = plant(x_dag + e)
-            v_minus = plant(x_dag - e)
-        except RuntimeError as exc:
-            raise RuntimeError(f"perturbed power flow failed at column {kcol}") from exc
-        jac[:, kcol] = (v_plus - v_minus) / (2.0 * zo_step)
-    return jac
+    probes = zo_step * np.eye(2 * n)
+    v = plant(np.concatenate([x_dag + probes, x_dag - probes]))
+    return ((v[:2 * n] - v[2 * n:]) / (2.0 * zo_step)).T
 
 
 # ---------------------------------------------------------------------------

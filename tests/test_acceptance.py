@@ -239,7 +239,7 @@ def test_acceptance_6_zeroth_order(graph8, model8):
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
     v_env = env_voltage(model8, stp.p_u, stp.q_u)
     jac = zo_voltage_jacobian(graph8, stp, stp.box.midpoint, zo_step=1e-3,
-                              plant=lambda x: model8.A @ x + v_env)
+                              plant=lambda x: x @ model8.A.T + v_env)
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
 
     # O(eps^2) self-consistency on the nonlinear plant around eps = 1e-3

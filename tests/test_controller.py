@@ -112,6 +112,20 @@ def test_check_stability_passes_for_clamped_policy(graph8, model8):
     assert rep.step_bound == pytest.approx(2.0 * M / XI**2)
 
 
+def test_contraction_ok_separate_from_uniqueness(graph8, model8):
+    # gains at the C3 clamp keep the equilibrium unique but rho > 1
+    k_max = compute_k_max(ALPHA, M, XI, model8.a_norm)
+    pol = init_policy(graph8, [3, 5, 7], k_max=k_max, seed=0)
+    pol.k[:] = k_max
+    rep = check_stability(M, XI, model8.a_norm, pol, ALPHA)
+    assert rep.all_ok and rep.rho > 1.0
+    assert rep.contraction_ok is False
+    rep = check_stability(M, XI, model8.a_norm, _random_policy(graph8, np.random.default_rng(3)),
+                          ALPHA)
+    assert rep.all_ok and rep.rho < 1.0
+    assert rep.contraction_ok is True
+
+
 def test_check_stability_rejects_negative_gain(graph8, model8):
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
     pol.k[0] = -0.05

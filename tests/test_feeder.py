@@ -1,7 +1,7 @@
 """Topology validation and sensitivity-matrix correctness.
 
-The R/X oracle here is deliberately independent of the library's subtree
-accumulation: it intersects explicit root-path line sets per node pair.
+The R/X oracle here is deliberately independent of the library's path-matrix
+product: it intersects explicit root-path line sets per node pair.
 """
 
 import numpy as np
@@ -51,6 +51,16 @@ def test_sensitivities_symmetric_positive_definite(fixture, request):
 def test_spectral_norm_matches_svd(model37):
     assert model37.a_norm == pytest.approx(np.linalg.svd(model37.A, compute_uv=False)[0],
                                            rel=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_path_marks_root_path_lines(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    assert graph.path.shape == (graph.n, graph.n)
+    assert set(np.unique(graph.path)) == {0.0, 1.0}
+    for j in range(1, graph.n + 1):
+        on_path = {ln.to_bus - 1 for ln in path_to_root(graph, j)}
+        assert set(np.flatnonzero(graph.path[:, j - 1])) == on_path
 
 
 def test_lines_indexed_by_child(graph8):

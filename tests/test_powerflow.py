@@ -2,6 +2,8 @@
 
 The 2-bus oracle is a polar Newton-Raphson on the bus admittance matrix --
 a completely different formulation from the library's branch-flow sweep.
+``loop_sweep`` is the same sweep written bus by bus over the tree; it is the
+reference for the library's matrix form.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from localopf import (
     InjectionState,
+    PowerFlowSolution,
     VoltageCollapseError,
     env_voltage,
     residual,
@@ -42,6 +45,54 @@ def newton_raphson_2bus(r, x, p_net, q_net, v0=1.0, tol=1e-12):
         th += step[0]
         V += step[1]
     return V * V
+
+
+def loop_sweep(graph, s, v0, tol=1e-10, max_iters=500):
+    """Bus-by-bus backward/forward sweep on one injection row; returns (v, P, Q, ell)."""
+    n = graph.n
+    p_net = s.p + s.p_u
+    q_net = s.q + s.q_u
+    r = np.array([ln.r for ln in graph.lines])
+    x = np.array([ln.x for ln in graph.lines])
+    z2 = r * r + x * x
+    parent = np.array(graph.parent)
+    order = list(graph.order)  # parents before children
+    v = np.full(n, v0)
+    ell = np.zeros(n)
+    P = np.zeros(n)
+    Q = np.zeros(n)
+    for _ in range(max_iters):
+        # backward: leaves to root
+        P[:] = 0.0
+        Q[:] = 0.0
+        for j in reversed(order):
+            jj = j - 1
+            P[jj] += -p_net[jj] + r[jj] * ell[jj]
+            Q[jj] += -q_net[jj] + x[jj] * ell[jj]
+            if parent[jj] != 0:
+                P[parent[jj] - 1] += P[jj]
+                Q[parent[jj] - 1] += Q[jj]
+        # forward: root to leaves
+        v_new = np.empty(n)
+        for j in order:
+            jj = j - 1
+            v_up = v0 if parent[jj] == 0 else v_new[parent[jj] - 1]
+            v_new[jj] = v_up - 2.0 * (r[jj] * P[jj] + x[jj] * Q[jj]) + z2[jj] * ell[jj]
+        v_send = np.where(parent == 0, v0, v_new[np.maximum(parent - 1, 0)])
+        ell = (P * P + Q * Q) / v_send
+        delta = np.max(np.abs(v_new - v))
+        v = v_new
+        if delta < tol:
+            return v, P, Q, ell
+    raise AssertionError("reference sweep did not converge")
+
+
+def _random_rows(n, rng, rows=()):
+    """Controllable generation and uncontrollable load of the tests' usual magnitudes."""
+    return InjectionState(p=rng.uniform(0.0, 0.5, (*rows, n)),
+                          q=rng.uniform(0.0, 0.3, (*rows, n)),
+                          p_u=-rng.uniform(0.0, 0.02, (*rows, n)),
+                          q_u=-rng.uniform(0.0, 0.012, (*rows, n)))
 
 
 def two_bus_graph(r=0.05, x=0.1):
@@ -121,3 +172,56 @@ def test_injection_state_validation():
     with pytest.raises(ValueError):
         InjectionState(p=np.array([np.nan]), q=np.zeros(1),
                        p_u=np.zeros(1), q_u=np.zeros(1))
+
+
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_matrix_sweep_matches_loop_reference(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        s = _random_rows(graph.n, rng)
+        sol = solve_nonlinear(graph, s, 1.0)
+        assert sol.converged
+        for got, want in zip((sol.v, sol.P, sol.Q, sol.ell), loop_sweep(graph, s, 1.0)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_batched_rows_match_single_solves(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    s = _random_rows(graph.n, np.random.default_rng(8), rows=(12,))
+    sol = solve_nonlinear(graph, s, 1.0)
+    assert sol.converged and isinstance(sol.converged, bool)
+    assert isinstance(sol.iterations, int)
+    assert sol.v.shape == sol.P.shape == sol.ell.shape == (12, graph.n)
+    for k in range(12):
+        row = InjectionState(p=s.p[k], q=s.q[k], p_u=s.p_u[k], q_u=s.q_u[k])
+        single = solve_nonlinear(graph, row, 1.0)
+        np.testing.assert_allclose(sol.v[k], single.v, rtol=0.0, atol=1e-9)
+        batched = PowerFlowSolution(v=sol.v[k], P=sol.P[k], Q=sol.Q[k], ell=sol.ell[k],
+                                    iterations=sol.iterations, converged=sol.converged)
+        assert residual(graph, row, batched, 1.0) <= 1e-8
+
+
+def test_batch_with_one_collapsing_row_raises():
+    g = two_bus_graph(r=0.3, x=0.6)
+    s = InjectionState(p=np.zeros((3, 1)), q=np.zeros((3, 1)),
+                       p_u=np.array([[-0.1], [-5.0], [-0.2]]),
+                       q_u=np.array([[-0.05], [-3.0], [-0.1]]))
+    with pytest.raises(VoltageCollapseError):
+        solve_nonlinear(g, s, 1.0)
+
+
+def test_injection_state_accepts_rows_and_rejects_mismatched_shapes():
+    s = InjectionState(p=np.zeros((4, 3)), q=np.zeros((4, 3)),
+                       p_u=np.zeros((4, 3)), q_u=np.zeros((4, 3)))
+    assert s.p_u.shape == (4, 3)
+    with pytest.raises(ValueError):
+        InjectionState(p=np.zeros((4, 3)), q=np.zeros((4, 3)),
+                       p_u=np.zeros(3), q_u=np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        InjectionState(p=np.zeros((4, 3)), q=np.zeros((2, 3)),
+                       p_u=np.zeros((4, 3)), q_u=np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        InjectionState(p=np.float64(0.0), q=np.float64(0.0),
+                       p_u=np.float64(0.0), q_u=np.float64(0.0))

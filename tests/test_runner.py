@@ -231,6 +231,23 @@ def test_cli_check_conditions_fails_on_big_alpha(tmp_path, capsys):
     assert out["step_ok"] is False
 
 
+def test_contraction_reported_apart_from_all_ok(run_dir, capsys):
+    rep = json.loads((run_dir / "report.json").read_text())["stability"]
+    assert rep["contraction_ok"] is (rep["rho"] < 1.0)
+    assert main(["check-conditions", str(CONFIG8), "--policy",
+                 str(run_dir / "policy.npz")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rho"] == rep["rho"]
+    assert out["contraction_ok"] is rep["contraction_ok"]
+
+
+def test_cli_usage_error_exit_code(capsys):
+    assert main(["run", str(CONFIG8), "--bogus"]) == 1
+    assert main(["no-such-command"]) == 1
+    assert main(["run", str(CONFIG8), "-o", "trainer.typo_key=1"]) == STAGE_EXIT["config"]
+    assert main(["--help"]) == 0
+
+
 def test_cli_evaluate(run_dir, capsys):
     code = main(["evaluate", str(run_dir / "controller_trajectory.csv"),
                  str(run_dir / "oracle_trajectory.csv"),

@@ -249,7 +249,7 @@ def test_zo_jacobian_exact_on_linear_plant(graph8, model8):
     v_env = env_voltage(model8, stp.p_u, stp.q_u)
 
     def plant(x):
-        return model8.A @ x + v_env
+        return x @ model8.A.T + v_env
 
     jac = zo_voltage_jacobian(graph8, stp, stp.box.midpoint, zo_step=1e-3, plant=plant)
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
