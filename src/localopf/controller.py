@@ -19,7 +19,7 @@ from .scenario import ScenarioStep, cost_grad, project_box
 
 
 class ControllerError(RuntimeError):
-    """Plant or equilibrium failure; carries the time index when known."""
+    """Nonlinear plant or equilibrium failure; carries only a message."""
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ControllerConfig:
 @dataclass(frozen=True)
 class ControllerState:
     x: np.ndarray  # stacked (p, q), length 2N
-    v_hat: np.ndarray  # squared voltages after applying x
+    v_hat: np.ndarray | None  # squared voltages after applying x; None before the first slot
     t: int
 
 
@@ -56,19 +56,24 @@ class Equilibrium:
 
 def plant_voltage(
     x: np.ndarray,
-    step_data: ScenarioStep,
+    p_u: np.ndarray,
+    q_u: np.ndarray,
     model: LinearVoltageModel,
     graph: FeederGraph,
     plant: str,
 ) -> np.ndarray:
-    """Squared voltages produced by applying x under the current injections."""
-    n = model.R.shape[0]
+    """Squared voltages produced by applying setpoints x under the injections (p_u, q_u).
+
+    ``x`` is ``(..., 2N)`` and the injections ``(..., N)``; the nonlinear
+    plant solves every row in one power-flow call.
+    """
     if plant == "linear":
-        return model.A @ x + model.v0 + model.R @ step_data.p_u + model.X @ step_data.q_u
-    s = InjectionState(p=x[:n], q=x[n:], p_u=step_data.p_u, q_u=step_data.q_u)
-    sol = solve_nonlinear(graph, s, model.v0)
+        return x @ model.A.T + (model.v0 + p_u @ model.R.T + q_u @ model.X.T)
+    n = graph.n
+    sol = solve_nonlinear(graph, InjectionState(p=x[..., :n], q=x[..., n:], p_u=p_u, q_u=q_u),
+                          model.v0)
     if not sol.converged:
-        raise ControllerError(f"nonlinear plant did not converge at t={step_data.t}")
+        raise ControllerError("nonlinear plant did not converge")
     return sol.v
 
 
@@ -88,14 +93,14 @@ def step(
     Each node's update reads only its own measurement, injection, cost, box,
     and channels (all operations below are elementwise in the node index).
     """
-    v_hat = plant_voltage(state.x, step_data, model, graph, cfg.plant)
+    v_hat = plant_voltage(state.x, step_data.p_u, step_data.q_u, model, graph, cfg.plant)
     u = forward_all(policy, v_hat, step_data.p_u, step_data.q_u)
     n = graph.n
     g = state.x - cfg.alpha * (
         cost_grad(step_data.cost, state.x[:n], state.x[n:]) + u
     )
     x_new = project_box(g, step_data.box)
-    v_new = plant_voltage(x_new, step_data, model, graph, cfg.plant)
+    v_new = plant_voltage(x_new, step_data.p_u, step_data.q_u, model, graph, cfg.plant)
     return ControllerState(x=x_new, v_hat=v_new, t=step_data.t)
 
 
@@ -143,7 +148,7 @@ def solve_equilibrium(
     p_u, q_u = step_data.p_u[None], step_data.q_u[None]
 
     def plant(x):
-        return plant_voltage(x[0], step_data, model, graph, cfg.plant)[None]
+        return plant_voltage(x[0], step_data.p_u, step_data.q_u, model, graph, cfg.plant)[None]
 
     def feedback(v):
         u = forward_all(policy, v, p_u, q_u)
@@ -164,21 +169,22 @@ def solve_equilibria_batch(
     box,
     policy: PolicyParams,
     model: LinearVoltageModel,
-    alpha: float,
-    eq_tol: float = 1e-9,
-    max_iters: int = 2000,
+    graph: FeederGraph,
+    cfg: ControllerConfig,
     x0: np.ndarray | None = None,
 ):
-    """Vectorized fixed-point solve on the linear plant for S scenario samples.
+    """Fixed points of the frozen-scenario dynamics on ``cfg.plant`` for S scenario samples.
 
-    ``p_u``, ``q_u`` have shape (S, N); returns (x (S,2N), v (S,N),
-    converged (S,), iterations).  Rows share the cost and box.
+    ``p_u``, ``q_u`` have shape (S, N); each Picard iteration makes one plant
+    call on all rows.  Starts every row at the box midpoint unless ``x0``
+    (S, 2N) is given.  Returns (x (S,2N), v (S,N), converged (S,),
+    iterations).  Rows share the cost and box.
     """
-    v_env = model.v0 + p_u @ model.R.T + q_u @ model.X.T
     x = np.tile(box.midpoint, (len(p_u), 1)) if x0 is None else np.array(x0, dtype=float)
     x, v, conv, _, iterations = _picard(
-        x, lambda x: x @ model.A.T + v_env, lambda v: forward_all(policy, v, p_u, q_u),
-        cost, box, alpha, eq_tol, max_iters,
+        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant),
+        lambda v: forward_all(policy, v, p_u, q_u),
+        cost, box, cfg.alpha, cfg.eq_tol, cfg.eq_max_iters,
     )
     return x, v, conv, iterations
 

@@ -142,7 +142,7 @@ def baseline_step(
     Requires the complete voltage measurement, i.e. system-wide
     communication -- the contrast with the local policy controller.
     """
-    v_hat = plant_voltage(state.x, step_data, model, graph, "nonlinear")
+    v_hat = plant_voltage(state.x, step_data.p_u, step_data.q_u, model, graph, "nonlinear")
     mu_lo = np.maximum(state.mu_lo + state.sigma_b * (v_lo - v_hat), 0.0)
     mu_hi = np.maximum(state.mu_hi + state.sigma_b * (v_hat - v_hi), 0.0)
     cost = step_data.cost

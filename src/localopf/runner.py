@@ -25,7 +25,6 @@ import yaml
 from . import __version__
 from .controller import (
     ControllerConfig,
-    ControllerError,
     ControllerState,
     check_stability,
     plant_voltage,
@@ -35,7 +34,6 @@ from .controller import (
 from .feeder import FeederGraph, LinearVoltageModel, build_sensitivities, load_feeder
 from .oracle import BaselineState, baseline_step, solve_opf_linear
 from .policy import save_policy
-from .powerflow import InjectionState, solve_nonlinear
 from .scenario import (
     GeneratorConfig,
     Scenario,
@@ -205,9 +203,7 @@ def run_controller(
     first = scenario.steps[0]
     n = graph.n
     x = first.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    state = ControllerState(
-        x=x, v_hat=plant_voltage(x, first, model, graph, cfg.plant), t=-1
-    )
+    state = ControllerState(x=x, v_hat=None, t=-1)  # step measures before it moves
     rows_x, rows_v, objs = [], [], []
     elapsed = 0.0
     for s in scenario.steps:
@@ -226,14 +222,11 @@ def run_no_control(
     """Hold every controllable setpoint at zero; record the plant response in one batched solve."""
     n = graph.n
     steps = scenario.steps
-    zeros = np.zeros((len(steps), n))
-    s = InjectionState(p=zeros, q=zeros, p_u=np.array([st.p_u for st in steps]),
-                       q_u=np.array([st.q_u for st in steps]))
-    sol = solve_nonlinear(graph, s, model.v0)
-    if not sol.converged:
-        raise ControllerError("nonlinear plant did not converge without control")
-    objs = [cost_value(st.cost, zeros[0], zeros[0]) for st in steps]
-    return _trajectory(scenario, np.zeros((len(steps), 2 * n)), sol.v, objs)
+    x = np.zeros((len(steps), 2 * n))
+    v = plant_voltage(x, np.array([st.p_u for st in steps]), np.array([st.q_u for st in steps]),
+                      model, graph, "nonlinear")
+    objs = [cost_value(st.cost, x[0, :n], x[0, n:]) for st in steps]
+    return _trajectory(scenario, x, v, objs)
 
 
 def run_baseline(
@@ -259,7 +252,7 @@ def run_baseline(
     for s in scenario.steps:
         state = baseline_step(state, s, model, graph, v_lo, v_hi)
         rows_x.append(state.x)
-        rows_v.append(plant_voltage(state.x, s, model, graph, "nonlinear"))
+        rows_v.append(plant_voltage(state.x, s.p_u, s.q_u, model, graph, "nonlinear"))
         objs.append(cost_value(s.cost, state.x[:n], state.x[n:]))
     return _trajectory(scenario, rows_x, rows_v, objs)
 

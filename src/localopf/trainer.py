@@ -1,11 +1,12 @@
 """Stochastic primal-dual training of the feedback policies.
 
 The trainer minimizes the batch Lagrangian of the chance-constrained policy
-optimization: equilibria are solved per sample (linear plant for the analytic
-gradients, nonlinear plant with a finite-difference voltage Jacobian in
-gradient-free mode), policy parameters descend via Adam, auxiliary offsets
-optionally descend, and the voltage-limit multipliers ascend with projection
-onto the nonnegative orthant.
+optimization: each minibatch's equilibria are solved as one batch of rows
+(on the linear plant for the analytic gradients, on the nonlinear plant with
+a finite-difference voltage Jacobian in gradient-free mode), policy
+parameters descend via Adam, auxiliary offsets optionally descend, and the
+voltage-limit multipliers ascend with projection onto the nonnegative
+orthant.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import (
-    ControllerConfig,
-    check_stability,
-    solve_equilibria_batch,
-    solve_equilibrium,
-)
+from .controller import ControllerConfig, check_stability, solve_equilibria_batch
 from .feeder import FeederGraph, LinearVoltageModel
 from .powerflow import InjectionState, solve_nonlinear
 from .policy import (
@@ -369,8 +365,7 @@ def train(
         for start in range(0, len(pool), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
             samples = [pool[i] for i in chunk]
-            batch, x_warm = _solve_batch(samples, state.policy, model, graph, ctrl_cfg,
-                                         cfg.mode, x_warm)
+            batch, x_warm = _solve_batch(samples, state.policy, model, graph, ctrl_cfg, x_warm)
             skipped += batch.skipped
             jac = None
             if cfg.mode == "gradient_free":
@@ -405,31 +400,18 @@ def train(
     return state, log
 
 
-def _solve_batch(samples, policy, model, graph, ctrl_cfg, mode, x_warm):
-    """Equilibria for one minibatch, and the warm start for the next one.
+def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
+    """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
-    The linear plant is solved for all rows at once; the nonlinear plant row
-    by row, each warm-started from the last converged row.
+    Every row starts from ``x_warm`` and all rows are solved as one batch;
+    the next minibatch starts from the last row.
     """
     p_u = np.array([s.p_u for s in samples])
     q_u = np.array([s.q_u for s in samples])
-    if mode == "gradient":
-        x, v, conv, _ = solve_equilibria_batch(
-            p_u, q_u, samples[0].cost, samples[0].box, policy, model, ctrl_cfg.alpha,
-            ctrl_cfg.eq_tol, ctrl_cfg.eq_max_iters, np.tile(x_warm, (len(samples), 1)),
-        )
-        x_next = x[-1] if np.any(conv) else x_warm
-    else:
-        eqs = []
-        for s in samples:
-            eq = solve_equilibrium(s, policy, model, graph, ctrl_cfg, x0=x_warm)
-            if eq.converged:
-                x_warm = eq.x_dag
-            eqs.append(eq)
-        x = np.array([e.x_dag for e in eqs])
-        v = np.array([e.v_dag for e in eqs])
-        conv = np.array([e.converged for e in eqs])
-        x_next = x_warm
+    x, v, conv, _ = solve_equilibria_batch(
+        p_u, q_u, samples[0].cost, samples[0].box, policy, model, graph, ctrl_cfg,
+        np.tile(x_warm, (len(samples), 1)),
+    )
     if not np.any(conv):
         raise ValueError(
             f"no equilibrium of the {len(samples)}-sample minibatch converged within "
@@ -437,4 +419,4 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, mode, x_warm):
         )
     batch = Batch(p_u=p_u[conv], q_u=q_u[conv], x=x[conv], v=v[conv],
                   cost=samples[0].cost, box=samples[0].box, skipped=int(np.sum(~conv)))
-    return batch, x_next
+    return batch, x[-1]

@@ -324,8 +324,8 @@ def test_acceptance_7_chance_surrogate(desk):
     for beta in (0.05, 0.1, 0.5):
         pol = desk["states"][(beta, 0)].policy
         _, v, conv, _ = solve_equilibria_batch(
-            p_u, q_u, pool[0].cost, pool[0].box, pol, model, desk["alpha"],
-            eq_tol=1e-9, max_iters=5000,
+            p_u, q_u, pool[0].cost, pool[0].box, pol, model, graph,
+            ControllerConfig(alpha=desk["alpha"], eq_tol=1e-9, eq_max_iters=5000),
         )
         assert conv.all()
         freq = np.mean((v < desk["v_lo"]) | (v > desk["v_hi"]), axis=0)

@@ -1,5 +1,7 @@
 """Closed-loop dynamics: equilibrium uniqueness, contraction, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from localopf import (
     step,
     tracking_bound,
 )
-from localopf.controller import solve_equilibria_batch
+from localopf.controller import plant_voltage, solve_equilibria_batch
+from localopf.powerflow import InjectionState, residual, solve_nonlinear
 from localopf.scenario import cost_grad, project_box
 from conftest import make_step
 
@@ -192,7 +195,33 @@ def test_step_converges_to_equilibrium(graph8, model8):
     assert np.linalg.norm(st.x - eq.x_dag) < 1e-9
 
 
-def test_batch_equilibria_match_per_sample(graph8, model8):
+@pytest.mark.parametrize("plant", ["linear", "nonlinear"])
+@pytest.mark.parametrize("feeder", ["8", "37"])
+def test_plant_voltage_rows_match_single_rows(feeder, plant, request):
+    graph = request.getfixturevalue(f"graph{feeder}")
+    model = request.getfixturevalue(f"model{feeder}")
+    rng = np.random.default_rng(500)
+    n, S = graph.n, 10
+    x = np.concatenate([rng.uniform(0.0, 0.5, (S, n)), rng.uniform(0.0, 0.3, (S, n))], axis=1)
+    p_u = -rng.uniform(0.0, 0.02, (S, n))
+    q_u = -rng.uniform(0.0, 0.012, (S, n))
+    v = plant_voltage(x, p_u, q_u, model, graph, plant)
+    assert v.shape == (S, n)
+    for k in range(S):
+        single = plant_voltage(x[k], p_u[k], q_u[k], model, graph, plant)
+        if plant == "linear":  # matrix-matrix and matrix-vector products sum in other orders
+            np.testing.assert_allclose(v[k], single, rtol=1e-14, atol=0.0)
+            continue
+        # a row solved alone stops sweeping once it moves < 1e-10; in a batch it
+        # sweeps on until the slowest row converges
+        np.testing.assert_allclose(v[k], single, rtol=0.0, atol=1e-9)
+        row = InjectionState(p=x[k, :n], q=x[k, n:], p_u=p_u[k], q_u=q_u[k])
+        sol = solve_nonlinear(graph, row, model.v0)
+        assert residual(graph, row, dataclasses.replace(sol, v=v[k]), model.v0) <= 1e-8
+
+
+@pytest.mark.parametrize("plant", ["linear", "nonlinear"])
+def test_batch_equilibria_match_per_sample(graph8, model8, plant):
     rng = np.random.default_rng(300)
     pol = _random_policy(graph8, rng)
     n = graph8.n
@@ -200,11 +229,11 @@ def test_batch_equilibria_match_per_sample(graph8, model8):
     steps = [_random_step(graph8, rng) for _ in range(S)]
     p_u = np.array([s.p_u for s in steps])
     q_u = np.array([s.q_u for s in steps])
+    cfg = ControllerConfig(alpha=ALPHA, plant=plant, eq_tol=1e-11)
     x, v, conv, _ = solve_equilibria_batch(
-        p_u, q_u, steps[0].cost, steps[0].box, pol, model8, ALPHA, eq_tol=1e-11
+        p_u, q_u, steps[0].cost, steps[0].box, pol, model8, graph8, cfg
     )
     assert conv.all()
-    cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
     for s in range(S):
         eq = solve_equilibrium(steps[s], pol, model8, graph8, cfg)
         np.testing.assert_allclose(x[s], eq.x_dag, atol=1e-8)

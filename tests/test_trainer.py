@@ -371,6 +371,31 @@ def test_train_gradient_free_mode_runs(graph8, model8):
     assert log[0]["skipped"] == 0
 
 
+def test_train_gradient_free_solves_each_minibatch_as_one_batch(graph8, model8, monkeypatch):
+    from localopf import controller, trainer
+
+    calls = {"batch": 0, "single": 0}
+    batch_solve, single_solve = trainer.solve_equilibria_batch, controller.solve_equilibrium
+
+    def counted_batch(*args, **kwargs):
+        calls["batch"] += 1
+        assert args[7].plant == "nonlinear"
+        return batch_solve(*args, **kwargs)
+
+    def counted_single(*args, **kwargs):
+        calls["single"] += 1
+        return single_solve(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "solve_equilibria_batch", counted_batch)
+    monkeypatch.setattr(controller, "solve_equilibrium", counted_single)
+    monkeypatch.setattr(trainer, "solve_equilibrium", counted_single, raising=False)
+    scn = _train_scenario(graph8, horizon=20)
+    cfg = TrainerConfig(mode="gradient_free", epochs=2, batch_size=8,
+                        v_lo=0.9604, v_hi=1.0816)
+    train(scn, cfg, graph8, model8)
+    assert calls == {"batch": 2 * 3, "single": 0}  # 20 samples: minibatches of 8, 8, 4
+
+
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
 def test_train_rejects_minibatch_without_converged_equilibrium(graph8, model8, mode):
     scn = _train_scenario(graph8, horizon=8)
