@@ -1,9 +1,10 @@
 """Ground-truth solvers for benchmarking.
 
-``solve_opf_linear`` computes the per-slot optimum of the box- and
-voltage-constrained quadratic OPF under the linearized plant, certified by an
-explicit KKT residual.  ``baseline_step`` is the standard communication-heavy
-feedback primal-dual controller used as the comparison method.
+``solve_opf_linear`` computes the exact per-slot optimum of the box- and
+voltage-constrained quadratic OPF under the linearized plant by a finite NNLS
+active set in numpy alone (scipy would add tens of MB to a run's peak memory),
+certified by an explicit KKT residual.  ``baseline_step`` is the standard
+communication-heavy feedback primal-dual controller used as the comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .controller import plant_voltage
 from .feeder import FeederGraph, LinearVoltageModel
+from .powerflow import env_voltage
 from .scenario import ScenarioStep, cost_value
 
 
@@ -32,78 +34,81 @@ class OpfSolution:
     mu_hi: np.ndarray | None = None
 
 
+def _nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lawson-Hanson active set for min ||E u - f|| over u >= 0; returns (u, additions)."""
+    m = E.shape[1]
+    tol = 10.0 * np.finfo(float).eps * np.abs(E).sum(axis=0).max() * max(E.shape)
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    for additions in range(3 * m + 1):  # finite; the bound only stops a rounding cycle
+        grad = np.where(passive, -np.inf, E.T @ (f - E @ u))
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            s = np.zeros(m)
+            s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+            if np.all(s[passive] > 0.0):
+                break
+            neg = passive & (s <= 0.0)
+            u += np.min(u[neg] / (u[neg] - s[neg])) * (s - u)
+            passive &= u > tol
+        u = s
+    return u, additions
+
+
 def solve_opf_linear(
     step_data: ScenarioStep,
     model: LinearVoltageModel,
     v_lo: np.ndarray,
     v_hi: np.ndarray,
-    tol: float = 1e-8,
-    cap: int = 200_000,
-    warm_duals: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> OpfSolution:
-    """Projected dual ascent with momentum on the voltage-limit multipliers.
+    """Exact optimum as a least-distance program (Lawson & Hanson 1974, ch. 23).
 
-    The box-constrained inner minimization has the closed form
-    x(mu) = proj_box(floor - A^T (mu_hi - mu_lo) / (2w)), so primal
-    stationarity holds exactly at every iterate; the loop runs until primal
-    feasibility and complementary slackness drop below ``tol``.
+    Coordinates with a degenerate box (``lo == hi``) are fixed at ``lo``.  On
+    the free ones ``z = x - floor`` minimizes ``||z||`` subject to ``G z >= h``
+    (rows: box-hi, box-lo, voltage-hi, voltage-lo).  With ``u`` the NNLS
+    solution of ``[G^T; h^T] u ~ e_last`` and ``r`` its residual,
+    ``z = -r[:-1] / r[-1]`` and the row multipliers are ``2w u / -r[-1]``.
+    Feasible rows give ``-r[-1] = 1 / (1 + ||z||^2)``; infeasible ones give
+    ``r = 0``.  Raises ``RuntimeError`` if the KKT certificate exceeds 1e-8.
     """
     n = model.R.shape[0]
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
     cost = step_data.cost
     lo, hi = step_data.box.lo, step_data.box.hi
-    floor = cost.floor
-    two_w = 2.0 * cost.weight
-    v_env = model.v0 + model.R @ step_data.p_u + model.X @ step_data.q_u
+    v_env = env_voltage(model, step_data.p_u, step_data.q_u)
     A = model.A
 
-    if warm_duals is not None:
-        mu_lo, mu_hi = (np.array(warm_duals[0], copy=True), np.array(warm_duals[1], copy=True))
-    else:
-        mu_lo = np.zeros(n)
-        mu_hi = np.zeros(n)
-    y_lo, y_hi = mu_lo.copy(), mu_hi.copy()
-    t_mom = 1.0
-    sigma = cost.weight / max(model.a_norm**2, 1e-12)
+    free = lo < hi
+    x0 = np.where(free, cost.floor, lo)
+    v0 = A @ x0 + v_env
+    k = int(free.sum())
+    G = np.vstack([-np.eye(k), np.eye(k), -A[:, free], A[:, free]])
+    h = np.concatenate([(x0 - hi)[free], (lo - x0)[free], v0 - v_hi, v_lo - v0])
+    E = np.vstack([G.T, h])
+    f = np.append(np.zeros(k), 1.0)
+    u, iterations = _nnls(E, f)
+    r = E @ u - f
+    if not -r[-1] > np.sqrt(np.finfo(float).eps):
+        raise InfeasibleError("voltage limits unattainable within the capability boxes")
+    x = x0.copy()
+    x[free] = np.clip(x0[free] - r[:-1] / r[-1], lo[free], hi[free])
+    v = A @ x + v_env
+    mu_v = 2.0 * cost.weight * u[2 * k:] / -r[-1]
+    mu_hi, mu_lo = mu_v[:n], mu_v[n:]
 
-    def primal(ml, mh):
-        x = np.clip(floor - A.T @ (mh - ml) / two_w, lo, hi)
-        v = A @ x + v_env
-        return x, v
-
-    x, v = primal(mu_lo, mu_hi)
-    kkt = np.inf
-    iterations = 0
-    for iterations in range(1, cap + 1):
-        x, v = primal(y_lo, y_hi)
-        g_lo = v_lo - v
-        g_hi = v - v_hi
-        new_lo = np.maximum(y_lo + sigma * g_lo, 0.0)
-        new_hi = np.maximum(y_hi + sigma * g_hi, 0.0)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        y_lo = new_lo + (t_mom - 1.0) / t_next * (new_lo - mu_lo)
-        y_hi = new_hi + (t_mom - 1.0) / t_next * (new_hi - mu_hi)
-        # gradient restart: momentum against the ascent direction
-        if (new_lo - mu_lo) @ g_lo + (new_hi - mu_hi) @ g_hi < 0.0:
-            y_lo, y_hi = new_lo.copy(), new_hi.copy()
-            t_next = 1.0
-        mu_lo, mu_hi, t_mom = new_lo, new_hi, t_next
-        x, v = primal(mu_lo, mu_hi)
-        g_lo = v_lo - v
-        g_hi = v - v_hi
-        feas = max(float(np.max(g_lo, initial=0.0)), float(np.max(g_hi, initial=0.0)), 0.0)
-        comp = max(float(np.max(np.abs(mu_lo * g_lo))), float(np.max(np.abs(mu_hi * g_hi))))
-        kkt = max(feas, comp)
-        if kkt <= tol:
-            break
-        if max(np.max(mu_lo), np.max(mu_hi)) > 1e9:
-            raise InfeasibleError("voltage limits unattainable (duals diverging)")
+    grad = 2.0 * cost.weight * (x - cost.floor) + A.T @ (mu_hi - mu_lo)
+    slack = np.concatenate([v_hi - v, v - v_lo])
+    kkt = max(float(np.max(np.abs(x - np.clip(x - grad, lo, hi)))),
+              float(np.max(-slack, initial=0.0)), float(np.max(np.abs(mu_v * slack))))
+    if kkt > 1e-8:
+        raise RuntimeError(f"oracle KKT certificate {kkt:.3g} exceeds 1e-8")
     return OpfSolution(
         x_star=x,
         v_star=v,
         objective=cost_value(cost, x[:n], x[n:]),
-        kkt_residual=float(kkt),
+        kkt_residual=kkt,
         iterations=iterations,
         mu_lo=mu_lo,
         mu_hi=mu_hi,

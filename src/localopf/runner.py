@@ -142,18 +142,17 @@ def evaluate(
     v_hi,
     mean_step_time: float = 0.0,
     config_echo: dict | None = None,
-    zero_tol: float = 0.0,
 ) -> EvaluationReport:
     """Horizon-averaged gap and voltage-violation statistics.
 
-    Steps where the oracle objective is zero (<= ``zero_tol``) are excluded
-    from the relative gap and counted in ``excluded_steps``.
+    Steps where the oracle objective is zero are excluded from the relative
+    gap and counted in ``excluded_steps``.
     """
     if controlled.horizon != oracle_traj.horizon:
         raise ValueError("trajectories must share the horizon")
     gap = np.abs(controlled.objective - oracle_traj.objective)
     denom = oracle_traj.objective
-    nonzero = denom > zero_tol
+    nonzero = denom > 0.0
     rel = gap[nonzero] / denom[nonzero]
     viol = volt_violation_series(controlled.v, v_lo, v_hi)
     return EvaluationReport(
@@ -262,17 +261,11 @@ def run_oracle(
     model: LinearVoltageModel,
     v_lo,
     v_hi,
-    tol: float = 1e-8,
 ) -> Trajectory:
-    """Per-slot ground-truth optima under the linearized plant, warm-started."""
-    n = model.R.shape[0]
-    v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
-    v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
-    warm = None
+    """Per-slot exact optima under the linearized plant."""
     rows_x, rows_v, objs = [], [], []
     for s in scenario.steps:
-        sol = solve_opf_linear(s, model, v_lo, v_hi, tol=tol, warm_duals=warm)
-        warm = (sol.mu_lo, sol.mu_hi)
+        sol = solve_opf_linear(s, model, v_lo, v_hi)
         rows_x.append(sol.x_star)
         rows_v.append(sol.v_star)
         objs.append(sol.objective)
@@ -528,7 +521,6 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
             "epochs": tr_cfg.epochs,
             "batch_size": tr_cfg.batch_size,
             "x0": ",".join(repr(float(xx)) for xx in x0),
-            "rho": repr(float(report_stab.rho)),
         })
     return out
 

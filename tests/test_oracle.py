@@ -1,5 +1,10 @@
 """Ground-truth OPF solver and the centralized comparator controller."""
 
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,9 +17,9 @@ from localopf import (
     solve_opf_linear,
 )
 from localopf.feeder import Bus, Line, build_graph
-from localopf.oracle import OpfSolution
+from localopf.oracle import OpfSolution, _nnls
 from localopf.powerflow import env_voltage
-from conftest import make_step
+from conftest import DATA, make_step
 
 
 def two_bus_setup(r=0.2, x=0.3):
@@ -26,7 +31,7 @@ def grid_search_2bus(model, stp, v_lo, v_hi, coarse=201, refine=3):
     """Brute-force minimizer of the single-node voltage-constrained QP.
 
     Progressive grid refinement around the incumbent; completely independent
-    of the dual-ascent solver.
+    of the active-set solver.
     """
     p_lo, p_hi = stp.box.p_lo[0], stp.box.p_hi[0]
     q_lo, q_hi = stp.box.q_lo[0], stp.box.q_hi[0]
@@ -109,21 +114,82 @@ def test_kkt_certificate_random_instances(fixture, request):
         assert np.all(sol.mu_lo >= 0) and np.all(sol.mu_hi >= 0)
 
 
-def test_warm_duals_accepted(graph8, model8):
-    n = graph8.n
-    stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
-    cold = solve_opf_linear(stp, model8, 0.9604, 1.0201)
-    warm = solve_opf_linear(stp, model8, 0.9604, 1.0201,
-                            warm_duals=(cold.mu_lo, cold.mu_hi))
-    assert warm.iterations <= cold.iterations
-    np.testing.assert_allclose(warm.x_star, cold.x_star, atol=1e-6)
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_pinned_coordinates_exact_and_kkt_tight(fixture, request):
+    graph = request.getfixturevalue(fixture)
+    model = build_sensitivities(graph)
+    n = graph.n
+    rng = np.random.default_rng(61)
+    for _ in range(5):
+        stp = make_step(n, -rng.uniform(0.002, 0.01, n), -rng.uniform(0.001, 0.006, n),
+                        [3, 5, 7], p_cap=0.3, q_cap=0.2)
+        v_lo, v_hi = 0.9604, 1.0201
+        sol = solve_opf_linear(stp, model, v_lo, v_hi)
+        lo, hi = stp.box.lo, stp.box.hi
+        pinned = lo == hi
+        np.testing.assert_array_equal(sol.x_star[pinned], lo[pinned])
+        assert kkt_witness(sol, model, stp, v_lo, v_hi) <= 1e-12
+
+
+def nnls_brute_force(E, f):
+    """Best nonnegative least-squares fit over every column support."""
+    best_res, best_u = np.linalg.norm(f), np.zeros(E.shape[1])
+    for size in range(1, E.shape[1] + 1):
+        for support in itertools.combinations(range(E.shape[1]), size):
+            cols = list(support)
+            sub = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+            if np.all(sub >= 0.0):
+                u = np.zeros(E.shape[1])
+                u[cols] = sub
+                res = np.linalg.norm(E @ u - f)
+                if res < best_res:
+                    best_res, best_u = res, u
+    return best_u
+
+
+def test_nnls_matches_brute_force():
+    rng = np.random.default_rng(62)
+    for _ in range(60):
+        rows, m = rng.integers(1, 8), rng.integers(1, 8)
+        E = rng.normal(size=(rows, m))
+        f = rng.normal(size=rows)
+        u, additions = _nnls(E, f)
+        ref = nnls_brute_force(E, f)
+        assert np.all(u >= 0.0)
+        assert additions >= np.count_nonzero(u)
+        # the fitted point E u is unique even where u is not
+        np.testing.assert_allclose(E @ u, E @ ref, atol=1e-10)
 
 
 def test_infeasible_limits_raise():
     graph, model = two_bus_setup()
     stp = make_step(1, np.array([-0.2]), np.array([-0.1]), [1], p_cap=0.05, q_cap=0.05)
-    with pytest.raises(InfeasibleError):
-        solve_opf_linear(stp, model, 1.5, 1.6)  # voltage floor unreachable
+    # attainable v is [0.86, 0.91]: first the floor, then the ceiling is unreachable
+    for v_lo, v_hi in ((1.5, 1.6), (0.4, 0.5)):
+        with pytest.raises(InfeasibleError):
+            solve_opf_linear(stp, model, v_lo, v_hi)
+
+
+def test_oracle_loads_no_scipy():
+    """Importing scipy would add tens of MB to every run's peak memory."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import localopf",
+        "from localopf import BoxLimits, CostModel, ScenarioStep",
+        f"graph = localopf.load_feeder({str(DATA / 'feeder_8bus.txt')!r})",
+        "model = localopf.build_sensitivities(graph)",
+        "z, cap = np.zeros(graph.n), np.full(graph.n, 0.2)",
+        "stp = ScenarioStep(0, 6.0, np.full(graph.n, -0.05), np.full(graph.n, -0.03),",
+        "                   CostModel(z, z), BoxLimits(z, cap, z, cap))",
+        "localopf.solve_opf_linear(stp, model, 0.9604, 1.0201)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(DATA.parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_gamma_estimate():

@@ -153,7 +153,8 @@ def test_run_experiment_artifacts(run_dir):
         (run_dir / "manifest.txt").read_text().strip().splitlines()
     )
     assert manifest["n_bus"] == "7"
-    assert "config_hash" in manifest and "rho" in manifest
+    assert "config_hash" in manifest and "rho" not in manifest
+    assert "rho" in rep["stability"]
 
 
 def test_run_experiment_deterministic(run_dir, tmp_path):
