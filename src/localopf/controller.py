@@ -14,7 +14,7 @@ import numpy as np
 
 from .feeder import FeederGraph, LinearVoltageModel
 from .powerflow import InjectionState, solve_nonlinear
-from .policy import PolicyParams, forward_all
+from .policy import PolicyParams, forward_all, output
 from .scenario import ScenarioStep, cost_grad, project_box
 
 
@@ -94,7 +94,7 @@ def step(
     and channels (all operations below are elementwise in the node index).
     """
     v_hat = plant_voltage(state.x, step_data.p_u, step_data.q_u, model, graph, cfg.plant)
-    u = forward_all(policy, v_hat, step_data.p_u, step_data.q_u)
+    u = output(policy.gain, forward_all(policy, step_data.p_u, step_data.q_u), v_hat)
     n = graph.n
     g = state.x - cfg.alpha * (
         cost_grad(step_data.cost, state.x[:n], state.x[n:]) + u
@@ -104,21 +104,22 @@ def step(
     return ControllerState(x=x_new, v_hat=v_new, t=step_data.t)
 
 
-def _picard(x, plant, feedback, cost, box, alpha, eq_tol, max_iters, gaps=None):
+def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=None):
     """Picard iteration of the frozen-scenario dynamics on (S, 2N) setpoint rows.
 
-    ``plant`` maps setpoint rows to squared-voltage rows and ``feedback`` maps
-    those voltages to policy outputs.  Stops once every row moved less than
-    ``eq_tol``; appends the largest row step of each iteration to ``gaps``
-    when given.  Returns (x, v, converged (S,), gap (S,), iterations).
+    ``plant`` maps setpoint rows to squared-voltage rows v; the policy output
+    is ``output(gain, offset, v)`` with the MLP term ``offset`` (S, 2N) fixed.
+    Stops once every row moved less than ``eq_tol``; appends the largest row
+    step of each iteration to ``gaps`` when given.  Returns (x, v, converged
+    (S,), gap (S,), iterations).
     """
     floor, lo, hi = cost.floor, box.lo, box.hi
     two_w = 2.0 * cost.weight
     gap = np.full(len(x), np.inf)
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        u = feedback(plant(x))
-        x_new = np.clip(x - alpha * (two_w * (x - floor) + u), lo, hi)
+        v = plant(x)
+        x_new = np.clip(x - alpha * (two_w * (x - floor) + output(gain, offset, v)), lo, hi)
         gap = np.linalg.norm(x_new - x, axis=1)
         x = x_new
         if gaps is not None:
@@ -135,28 +136,21 @@ def solve_equilibrium(
     graph: FeederGraph,
     cfg: ControllerConfig,
     x0: np.ndarray | None = None,
-    output_offset: np.ndarray | None = None,
     return_gaps: bool = False,
 ):
     """Fixed point of the frozen-scenario dynamics on ``cfg.plant``.
 
-    Starts at the box midpoint unless ``x0`` is given.  ``output_offset``
-    adds a constant to the policy output (used by the sensitivity probe).
-    With ``return_gaps`` also returns the step length of every iteration.
+    Starts at the box midpoint unless ``x0`` is given.  With ``return_gaps``
+    also returns the step length of every iteration.
     """
     x = np.array(step_data.box.midpoint if x0 is None else x0, dtype=float, ndmin=2)
     p_u, q_u = step_data.p_u[None], step_data.q_u[None]
-
-    def plant(x):
-        return plant_voltage(x[0], step_data.p_u, step_data.q_u, model, graph, cfg.plant)[None]
-
-    def feedback(v):
-        u = forward_all(policy, v, p_u, q_u)
-        return u if output_offset is None else u + output_offset
-
     gaps = [] if return_gaps else None
-    x, v, conv, gap, iterations = _picard(x, plant, feedback, step_data.cost, step_data.box,
-                                          cfg.alpha, cfg.eq_tol, cfg.eq_max_iters, gaps)
+    x, v, conv, gap, iterations = _picard(
+        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant),
+        forward_all(policy, p_u, q_u), policy.gain, step_data.cost, step_data.box,
+        cfg.alpha, cfg.eq_tol, cfg.eq_max_iters, gaps,
+    )
     eq = Equilibrium(x_dag=x[0], v_dag=v[0], iterations=iterations,
                      converged=bool(conv[0]), residual=float(gap[0]))
     return (eq, gaps) if return_gaps else eq
@@ -165,6 +159,7 @@ def solve_equilibrium(
 def solve_equilibria_batch(
     p_u: np.ndarray,
     q_u: np.ndarray,
+    offset: np.ndarray,
     cost,
     box,
     policy: PolicyParams,
@@ -175,15 +170,15 @@ def solve_equilibria_batch(
 ):
     """Fixed points of the frozen-scenario dynamics on ``cfg.plant`` for S scenario samples.
 
-    ``p_u``, ``q_u`` have shape (S, N); each Picard iteration makes one plant
-    call on all rows.  Starts every row at the box midpoint unless ``x0``
-    (S, 2N) is given.  Returns (x (S,2N), v (S,N), converged (S,),
-    iterations).  Rows share the cost and box.
+    ``p_u``, ``q_u`` have shape (S, N), ``offset`` = ``forward_all(policy,
+    p_u, q_u)``; each Picard iteration makes one plant call on all rows.
+    Starts every row at the box midpoint unless ``x0`` (S, 2N) is given.
+    Returns (x (S,2N), v (S,N), converged (S,), iterations).  Rows share the
+    cost and box.
     """
     x = np.tile(box.midpoint, (len(p_u), 1)) if x0 is None else np.array(x0, dtype=float)
     x, v, conv, _, iterations = _picard(
-        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant),
-        lambda v: forward_all(policy, v, p_u, q_u),
+        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant), offset, policy.gain,
         cost, box, cfg.alpha, cfg.eq_tol, cfg.eq_max_iters,
     )
     return x, v, conv, iterations
@@ -277,21 +272,18 @@ def lemma1_check(
 ) -> float:
     """Measured equilibrium sensitivity to a constant policy-output probe.
 
-    Perturbs every controllable channel output by ``probe_scale``, re-solves
-    the equilibrium, and returns ||dx|| / ||probe||.
+    Solves the equilibrium with and without ``probe_scale`` added to every
+    controllable channel output, as one batch, and returns ||dx|| / ||probe||.
     """
     if probe_scale == 0.0:
         return 0.0
-    eq0 = solve_equilibrium(step_data, policy, model, graph, cfg)
-    if not eq0.converged:
-        raise ControllerError("base equilibrium did not converge")
-    n = graph.n
-    idx = policy.node_index
-    delta = np.zeros(2 * n)
-    delta[idx] = probe_scale
-    delta[n + idx] = probe_scale
-    eq1 = solve_equilibrium(step_data, policy, model, graph, cfg, x0=eq0.x_dag,
-                            output_offset=delta)
-    if not eq1.converged:
-        raise ControllerError("probed equilibrium did not converge")
-    return float(np.linalg.norm(eq1.x_dag - eq0.x_dag) / np.linalg.norm(delta))
+    delta = np.zeros(2 * graph.n)
+    delta[policy.columns] = probe_scale
+    p_u, q_u = np.tile(step_data.p_u, (2, 1)), np.tile(step_data.q_u, (2, 1))
+    offset = forward_all(policy, p_u, q_u)
+    offset[1] += delta
+    x, _, conv, _ = solve_equilibria_batch(p_u, q_u, offset, step_data.cost, step_data.box,
+                                           policy, model, graph, cfg)
+    if not np.all(conv):
+        raise ControllerError("base or probed equilibrium did not converge")
+    return float(np.linalg.norm(x[1] - x[0]) / np.linalg.norm(delta))

@@ -2,15 +2,17 @@
 
 Each controllable node owns two channels (active and reactive): a small ReLU
 MLP on the local uncontrollable injection plus a monotone linear gain k on the
-local squared voltage.  The voltage path is kept linear so the policy's
-Lipschitz constant in v is exactly max(k), which the stability conditions
-clamp.  Parameters are stored stacked across channels so batched forward and
-backward passes are plain einsums.
+local squared voltage, kept linear so the Lipschitz constant in v is exactly
+max(k).  The output is :func:`output` of ``params.gain``, the MLP term
+``forward_all(params, p_u, q_u)`` and v; the MLP term reads only the
+injections, so callers run it once per batch.  All
+parameters live in one vector ``theta``; ``weights``, ``biases`` and ``k`` are
+views into it laid out by :func:`param_views`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,31 +24,58 @@ class PolicyParams:
     """Per-node policy parameters, stacked channel-major.
 
     Channel order: active channels for ``nodes`` in ascending id, then the
-    reactive channels in the same order.  ``weights[l]`` has shape
-    (C, n_l, n_{l-1}) with C = 2 * len(nodes).
+    reactive channels in the same order.  ``theta`` holds every layer's
+    weights then its biases, in layer order, then ``k``; ``weights[l]`` is a
+    (C, n_l, n_{l-1}) view into it with C = 2 * len(nodes).
     """
 
     nodes: tuple[int, ...]
     arch: tuple[int, int]  # (hidden layer count L, width)
     k_max: float
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    k: np.ndarray  # (C,)
+    theta: np.ndarray  # flat parameter vector, laid out as param_views reads it
     d_scale: np.ndarray  # (C,)
     n_bus: int  # number of non-root buses N
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+    k: np.ndarray = field(init=False, repr=False)  # (C,)
+    columns: np.ndarray = field(init=False, repr=False)  # (C,) channel positions in (p, q)
+
+    def __post_init__(self):
+        self.weights, self.biases, self.k = param_views(self, self.theta)
+        idx = np.array(self.nodes, dtype=int) - 1
+        self.columns = np.concatenate([idx, self.n_bus + idx])
 
     @property
     def n_channels(self) -> int:
         return 2 * len(self.nodes)
 
     @property
-    def node_index(self) -> np.ndarray:
-        """0-based vector indices of the controllable nodes."""
-        return np.array(self.nodes, dtype=int) - 1
+    def gain(self) -> np.ndarray:
+        """(2N,) voltage gains: ``k`` on ``columns``, zero elsewhere."""
+        g = np.zeros(2 * self.n_bus)
+        g[self.columns] = self.k
+        return g
 
     def lipschitz_v(self) -> float:
         """Policy Lipschitz constant in v: the voltage path is linear in k."""
         return float(np.max(self.k)) if self.n_channels else 0.0
+
+
+def param_views(params: PolicyParams, flat: np.ndarray):
+    """(weights, biases, k) as views into ``flat``, a vector laid out like ``params.theta``."""
+    C, (L, width) = params.n_channels, params.arch
+    dims = [1] + [width] * L + [1]
+    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((C, o, i), (C, o))] + [(C,)]
+    ends = np.cumsum([np.prod(s) for s in shapes])
+    if flat.shape != (ends[-1],):
+        raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({ends[-1]},)")
+    views = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    return views[:-1:2], views[1:-1:2], views[-1]
+
+
+def _flatten(weights, biases, k) -> np.ndarray:
+    """Pack per-layer arrays into one vector in ``theta`` order."""
+    return np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb] + [np.ravel(k)])
 
 
 def compute_k_max(alpha: float, m: float, xi: float, a_norm: float, margin: float = 0.95) -> float:
@@ -88,9 +117,7 @@ def init_policy(
         nodes=nodes,
         arch=(L, width),
         k_max=float(k_max),
-        weights=weights,
-        biases=biases,
-        k=np.full(C, 0.5 * k_max),
+        theta=_flatten(weights, biases, np.full(C, 0.5 * k_max)),
         d_scale=np.ones(C),
         n_bus=graph.n,
     )
@@ -98,12 +125,9 @@ def init_policy(
 
 def set_input_scale(params: PolicyParams, scenario) -> None:
     """Normalize MLP inputs by the scenario-wide std of the local injection."""
-    idx = params.node_index
-    p_u = np.array([s.p_u[idx] for s in scenario.steps])
-    q_u = np.array([s.q_u[idx] for s in scenario.steps])
-    sp = np.std(p_u, axis=0)
-    sq = np.std(q_u, axis=0)
-    params.d_scale = np.concatenate([np.where(sp > 0, sp, 1.0), np.where(sq > 0, sq, 1.0)])
+    d = np.array([np.concatenate([s.p_u, s.q_u])[params.columns] for s in scenario.steps])
+    sd = np.std(d, axis=0)
+    params.d_scale = np.where(sd > 0, sd, 1.0)
 
 
 def enforce_conditions(params: PolicyParams, k_max: float | None = None) -> PolicyParams:
@@ -121,66 +145,58 @@ def enforce_conditions(params: PolicyParams, k_max: float | None = None) -> Poli
 # ---------------------------------------------------------------------------
 # Stacked forward/backward across all channels, with optional batch dims.
 
-def forward_all(params: PolicyParams, v: np.ndarray, p_u: np.ndarray, q_u: np.ndarray,
-                with_tape: bool = False):
-    """Policy output for every node, scattered into a length-2N vector.
+def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tape: bool = False):
+    """MLP term of every channel, scattered into a length-2N vector.
 
-    ``v``, ``p_u``, ``q_u`` have shape (..., N); returns u of shape (..., 2N)
-    with zeros at non-controllable coordinates (their boxes are degenerate).
-    Internally the batch is processed channel-major so every layer is a
-    BLAS-batched matmul.
+    ``p_u``, ``q_u`` have shape (..., N); returns shape (..., 2N) with each
+    channel at its ``params.columns`` entry and zeros at non-controllable
+    coordinates (their boxes are degenerate).  :func:`output` adds the
+    voltage term.  Internally the batch is
+    processed channel-major so every layer is a BLAS-batched matmul.
     """
-    idx = params.node_index
     C = params.n_channels
-    v = np.asarray(v, dtype=float)
-    batch_shape = v.shape[:-1]
-    d = np.concatenate([np.asarray(p_u)[..., idx], np.asarray(q_u)[..., idx]], axis=-1)
-    v_sel = np.concatenate([v[..., idx], v[..., idx]], axis=-1)  # (..., C)
+    batch_shape = np.shape(p_u)[:-1]
+    d = np.concatenate([p_u, q_u], axis=-1)[..., params.columns]
     # channel-major (C, S, n) layout
     h = (d / params.d_scale).reshape(-1, C).T[..., None]  # (C, S, 1)
     pre, hs = [], [h]
-    n_layers = len(params.weights)
-    for l in range(n_layers - 1):
+    for l in range(len(params.weights) - 1):
         z = h @ params.weights[l].transpose(0, 2, 1) + params.biases[l][:, None, :]
         pre.append(z)
         h = np.maximum(z, 0.0)
         hs.append(h)
     out = h @ params.weights[-1].transpose(0, 2, 1) + params.biases[-1][:, None, :]
-    u_ch = out[:, :, 0].T.reshape(batch_shape + (C,)) + params.k * v_sel
     u = np.zeros(batch_shape + (2 * params.n_bus,))
-    nc = len(params.nodes)
-    u[..., idx] = u_ch[..., :nc]
-    u[..., params.n_bus + idx] = u_ch[..., nc:]
-    if not with_tape:
-        return u
-    tape = {"pre": pre, "hs": hs, "v_sel": v_sel}
-    return u, tape
+    u[..., params.columns] = out[:, :, 0].T.reshape(batch_shape + (C,))
+    return (u, {"pre": pre, "hs": hs}) if with_tape else u
 
 
-def backward_all(params: PolicyParams, tape, upstream: np.ndarray):
-    """Parameter gradients summed over batch dims.
+def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Policy output on (..., 2N) rows: the MLP term ``offset`` plus ``gain * [v, v]``."""
+    return offset + gain * np.concatenate([v, v], axis=-1)
 
-    ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample.
-    Returns dict with "weights", "biases" (stacked like the params) and "k".
+
+def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Parameter gradient of the policy output, summed over batch dims.
+
+    ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample;
+    ``v`` (..., N) holds the squared voltages the gain term read.  Returns a
+    vector laid out like ``params.theta``.
     """
     C = params.n_channels
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
     pre, hs = tape["pre"], tape["hs"]  # channel-major (C, S, n)
-    v_sel = tape["v_sel"].reshape(-1, C)
-    n_layers = len(params.weights)
-    dW: list[np.ndarray] = [np.empty(0)] * n_layers
-    db: list[np.ndarray] = [np.empty(0)] * n_layers
-    delta = up.T[..., None]  # (C, S, 1)
-    dW[-1] = delta.transpose(0, 2, 1) @ hs[-1]
-    db[-1] = delta.sum(axis=1)
-    d_h = delta @ params.weights[-1]  # (C, S, n_L)
-    for l in range(n_layers - 2, -1, -1):
-        delta = d_h * (pre[l] > 0.0)
-        dW[l] = delta.transpose(0, 2, 1) @ hs[l]
-        db[l] = delta.sum(axis=1)
-        d_h = delta @ params.weights[l]
-    dk = (up * v_sel).sum(axis=0)
-    return {"weights": dW, "biases": db, "k": dk}
+    v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
+    grad = np.empty_like(params.theta)
+    dW, db, dk = param_views(params, grad)
+    delta = up.T[..., None]  # (C, S, fan-out of layer l)
+    for l in range(len(params.weights) - 1, -1, -1):
+        np.matmul(delta.transpose(0, 2, 1), hs[l], out=dW[l])
+        np.sum(delta, axis=1, out=db[l])
+        if l:
+            delta = (delta @ params.weights[l]) * (pre[l - 1] > 0.0)
+    np.sum(up * v_sel, axis=0, out=dk)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +233,8 @@ def load_policy(path) -> PolicyParams:
             nodes=tuple(int(i) for i in data["nodes"]),
             arch=arch,  # type: ignore[arg-type]
             k_max=float(data["k_max"]),
-            weights=[data[f"W{l}"].copy() for l in range(n_layers)],
-            biases=[data[f"b{l}"].copy() for l in range(n_layers)],
-            k=data["k"].copy(),
+            theta=_flatten([data[f"W{l}"] for l in range(n_layers)],
+                           [data[f"b{l}"] for l in range(n_layers)], data["k"]),
             d_scale=data["d_scale"].copy(),
             n_bus=int(data["n_bus"]),
         )

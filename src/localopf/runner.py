@@ -116,6 +116,8 @@ def load_trajectory(path) -> Trajectory:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """Horizon statistics; ``relative_gap`` = sum|f - f*| / sum f* over f* > 0 (a ratio of sums)."""
+
     absolute_gap: float
     relative_gap: float
     volt_violation: float
@@ -153,11 +155,11 @@ def evaluate(
     gap = np.abs(controlled.objective - oracle_traj.objective)
     denom = oracle_traj.objective
     nonzero = denom > 0.0
-    rel = gap[nonzero] / denom[nonzero]
+    rel = np.sum(gap[nonzero]) / np.sum(denom[nonzero]) if np.any(nonzero) else 0.0
     viol = volt_violation_series(controlled.v, v_lo, v_hi)
     return EvaluationReport(
         absolute_gap=float(np.mean(gap)),
-        relative_gap=float(np.mean(rel)) if np.any(nonzero) else 0.0,
+        relative_gap=float(rel),
         volt_violation=float(np.mean(viol)),
         excluded_steps=int(np.sum(~nonzero)),
         mean_step_time=mean_step_time,

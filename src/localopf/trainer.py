@@ -25,6 +25,7 @@ from .policy import (
     enforce_conditions,
     forward_all,
     init_policy,
+    output,
     set_input_scale,
 )
 from .scenario import (
@@ -69,26 +70,15 @@ class ChanceConfig:
 
 @dataclass
 class AdamState:
-    """Per-array first/second moment accumulators for the policy update."""
+    """First/second moment accumulators laid out like the policy's ``theta``."""
 
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    m_k: np.ndarray
-    v_k: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, policy: PolicyParams) -> "AdamState":
-        return cls(
-            m_w=[np.zeros_like(w) for w in policy.weights],
-            v_w=[np.zeros_like(w) for w in policy.weights],
-            m_b=[np.zeros_like(b) for b in policy.biases],
-            v_b=[np.zeros_like(b) for b in policy.biases],
-            m_k=np.zeros_like(policy.k),
-            v_k=np.zeros_like(policy.k),
-        )
+        return cls(m=np.zeros_like(policy.theta), v=np.zeros_like(policy.theta))
 
 
 @dataclass
@@ -109,13 +99,17 @@ class Batch:
     """Converged equilibria of one minibatch, stacked row-wise.
 
     Every row shares ``cost`` and ``box``; ``skipped`` counts the samples
-    left out because their equilibrium solve did not converge.
+    left out because their equilibrium solve did not converge.  ``offset``
+    and ``tape`` come from the solve's one ``forward_all`` pass, so the
+    gradient reuses them; like ``x`` they hold only the converged rows.
     """
 
     p_u: np.ndarray  # (S, N)
     q_u: np.ndarray  # (S, N)
     x: np.ndarray  # (S, 2N) equilibrium setpoints
     v: np.ndarray  # (S, N) equilibrium squared voltages
+    offset: np.ndarray  # (S, 2N) MLP term of the policy output
+    tape: dict  # forward_all tape of ``offset``, channel-major
     cost: CostModel
     box: BoxLimits
     skipped: int = 0
@@ -154,10 +148,11 @@ def grad_policy(
     injection through the sensitivity rows of R and X (or the supplied
     finite-difference Jacobian in gradient-free mode); the equilibrium
     derivative factor is -1/(2w) where the pre-projection point is interior
-    and 0 where the box projection is active.
+    and 0 where the box projection is active.  Reuses ``batch.offset`` and
+    ``batch.tape``; returns a vector laid out like ``state.policy.theta``.
     """
     x, v = batch.x, batch.v
-    S, n = v.shape
+    S = len(v)
     ch = state.chance
     ind_lo = indicator(ch.lambda_lo + v_lo - v)  # (S, N)
     ind_hi = indicator(ch.lambda_hi + v - v_hi)
@@ -170,16 +165,11 @@ def grad_policy(
     grad_f = 2.0 * weight * (x - batch.cost.floor)
     bracket = bracket_pq + grad_f
 
-    u, tape = forward_all(state.policy, v, batch.p_u, batch.q_u, with_tape=True)
-    g = x - alpha * (grad_f + u)
+    g = x - alpha * (grad_f + output(state.policy.gain, batch.offset, v))
     interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
 
-    upstream_full = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
-    idx = state.policy.node_index
-    upstream = np.concatenate(
-        [upstream_full[:, idx], upstream_full[:, n + idx]], axis=1
-    )  # (S, C)
-    return backward_all(state.policy, tape, upstream)
+    upstream = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
+    return backward_all(state.policy, batch.tape, upstream[:, state.policy.columns], v)
 
 
 def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
@@ -272,24 +262,21 @@ class TrainerConfig:
             raise ValueError(f"unknown mode '{self.mode}'")
 
 
-def adam_update(policy: PolicyParams, grads, adam: AdamState, lr: float,
+def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place adaptive-moment descent step on every policy array."""
+    """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``."""
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
-
-    def upd(param, grad, m, v):
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-    for l in range(len(policy.weights)):
-        upd(policy.weights[l], grads["weights"][l], adam.m_w[l], adam.v_w[l])
-        upd(policy.biases[l], grads["biases"][l], adam.m_b[l], adam.v_b[l])
-    upd(policy.k, grads["k"], adam.m_k, adam.v_k)
+    m, v = adam.m, adam.v
+    tmp = np.multiply(grad, 1.0 - beta2)  # sole scratch: temporaries cost more than the math
+    v *= beta2
+    v += np.multiply(tmp, grad, out=tmp)  # (1 - b2) * g * g
+    m *= beta1
+    m += np.multiply(grad, 1.0 - beta1, out=grad)
+    np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+    np.multiply(np.divide(m, bc1, out=grad), lr, out=grad)
+    policy.theta -= np.divide(grad, tmp, out=grad)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
 
 
 def controllable_nodes(step_data: ScenarioStep) -> tuple[int, ...]:
@@ -408,8 +395,9 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
     """
     p_u = np.array([s.p_u for s in samples])
     q_u = np.array([s.q_u for s in samples])
+    offset, tape = forward_all(policy, p_u, q_u, with_tape=True)
     x, v, conv, _ = solve_equilibria_batch(
-        p_u, q_u, samples[0].cost, samples[0].box, policy, model, graph, ctrl_cfg,
+        p_u, q_u, offset, samples[0].cost, samples[0].box, policy, model, graph, ctrl_cfg,
         np.tile(x_warm, (len(samples), 1)),
     )
     if not np.any(conv):
@@ -417,6 +405,7 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
             f"no equilibrium of the {len(samples)}-sample minibatch converged within "
             f"{ctrl_cfg.eq_max_iters} iterations (tolerance {ctrl_cfg.eq_tol:g})"
         )
-    batch = Batch(p_u=p_u[conv], q_u=q_u[conv], x=x[conv], v=v[conv],
+    batch = Batch(p_u=p_u[conv], q_u=q_u[conv], x=x[conv], v=v[conv], offset=offset[conv],
+                  tape={key: [a[:, conv] for a in arrays] for key, arrays in tape.items()},
                   cost=samples[0].cost, box=samples[0].box, skipped=int(np.sum(~conv)))
     return batch, x[-1]

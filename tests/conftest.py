@@ -15,6 +15,7 @@ from localopf import (
     load_feeder,
     solve_equilibrium,
 )
+from localopf.policy import forward_all
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "localopf" / "data"
 
@@ -68,11 +69,16 @@ def solved_batch(samples, policy, model, graph, cfg):
     """Training batch of per-sample equilibria; every sample must converge."""
     eqs = [solve_equilibrium(s, policy, model, graph, cfg) for s in samples]
     assert all(e.converged for e in eqs)
+    p_u = np.array([s.p_u for s in samples])
+    q_u = np.array([s.q_u for s in samples])
+    offset, tape = forward_all(policy, p_u, q_u, with_tape=True)
     return Batch(
-        p_u=np.array([s.p_u for s in samples]),
-        q_u=np.array([s.q_u for s in samples]),
+        p_u=p_u,
+        q_u=q_u,
         x=np.array([e.x_dag for e in eqs]),
         v=np.array([e.v_dag for e in eqs]),
+        offset=offset,
+        tape=tape,
         cost=samples[0].cost,
         box=samples[0].box,
     )

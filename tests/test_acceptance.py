@@ -33,6 +33,7 @@ from localopf import (
     zo_voltage_jacobian,
 )
 from localopf.controller import solve_equilibria_batch
+from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
 from localopf.runner import (
     generator_config,
@@ -196,15 +197,15 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
     samples = [interior_step(graph8, rng) for _ in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=50_000)
 
-    grads = grad_policy(solved_batch(samples, pol, model8, graph8, cfg), state, model8,
-                        v_lo, v_hi, ALPHA)
+    batch = solved_batch(samples, pol, model8, graph8, cfg)
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, v_lo, v_hi, ALPHA))
 
     def lag():
         return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, v_lo, v_hi)
 
     eps = 1e-6
-    arrays = [(grads["weights"][l], pol.weights[l]) for l in range(len(pol.weights))]
-    arrays += [(grads["biases"][l], pol.biases[l]) for l in range(len(pol.biases))]
+    arrays = [(grad_w[l], pol.weights[l]) for l in range(len(pol.weights))]
+    arrays += [(grad_b[l], pol.biases[l]) for l in range(len(pol.biases))]
     rng2 = np.random.default_rng(56)
     ok = 0
     tested = 0
@@ -324,7 +325,7 @@ def test_acceptance_7_chance_surrogate(desk):
     for beta in (0.05, 0.1, 0.5):
         pol = desk["states"][(beta, 0)].policy
         _, v, conv, _ = solve_equilibria_batch(
-            p_u, q_u, pool[0].cost, pool[0].box, pol, model, graph,
+            p_u, q_u, forward_all(pol, p_u, q_u), pool[0].cost, pool[0].box, pol, model, graph,
             ControllerConfig(alpha=desk["alpha"], eq_tol=1e-9, eq_max_iters=5000),
         )
         assert conv.all()

@@ -18,6 +18,7 @@ from localopf import (
     tracking_bound,
 )
 from localopf.controller import plant_voltage, solve_equilibria_batch
+from localopf.policy import forward_all
 from localopf.powerflow import InjectionState, residual, solve_nonlinear
 from localopf.scenario import cost_grad, project_box
 from conftest import make_step
@@ -231,7 +232,8 @@ def test_batch_equilibria_match_per_sample(graph8, model8, plant):
     q_u = np.array([s.q_u for s in steps])
     cfg = ControllerConfig(alpha=ALPHA, plant=plant, eq_tol=1e-11)
     x, v, conv, _ = solve_equilibria_batch(
-        p_u, q_u, steps[0].cost, steps[0].box, pol, model8, graph8, cfg
+        p_u, q_u, forward_all(pol, p_u, q_u), steps[0].cost, steps[0].box, pol, model8, graph8,
+        cfg,
     )
     assert conv.all()
     for s in range(S):

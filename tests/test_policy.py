@@ -16,7 +16,7 @@ from localopf import (
     load_policy,
     save_policy,
 )
-from localopf.policy import backward_all, forward_all, set_input_scale
+from localopf.policy import backward_all, forward_all, output, param_views, set_input_scale
 
 
 @dataclass
@@ -172,7 +172,7 @@ def test_forward_all_matches_scalar_loop(policy, graph8):
     v = rng.uniform(0.9, 1.1, (3, n))
     p_u = rng.normal(size=(3, n))
     q_u = rng.normal(size=(3, n))
-    u = forward_all(policy, v, p_u, q_u)
+    u = output(policy.gain, forward_all(policy, p_u, q_u), v)
     assert u.shape == (3, 2 * n)
     for s in range(3):
         for i in range(n):
@@ -196,8 +196,8 @@ def test_backward_all_matches_scalar_loop(policy, graph8):
     p_u = rng.normal(size=(S, n))
     q_u = rng.normal(size=(S, n))
     upstream = rng.normal(size=(S, C))
-    _, tape = forward_all(policy, v, p_u, q_u, with_tape=True)
-    grads = backward_all(policy, tape, upstream)
+    _, tape = forward_all(policy, p_u, q_u, with_tape=True)
+    grad_w, grad_b, grad_k = param_views(policy, backward_all(policy, tape, upstream, v))
     nc = len(policy.nodes)
     for c in range(C):
         node = policy.nodes[c % nc]
@@ -216,9 +216,9 @@ def test_backward_all_matches_scalar_loop(policy, graph8):
                 acc_b[l] += g1["biases"][l]
             acc_k += g1["k"]
         for l in range(len(acc_w)):
-            np.testing.assert_allclose(grads["weights"][l][c], acc_w[l], atol=1e-12)
-            np.testing.assert_allclose(grads["biases"][l][c], acc_b[l], atol=1e-12)
-        assert grads["k"][c] == pytest.approx(acc_k, abs=1e-12)
+            np.testing.assert_allclose(grad_w[l][c], acc_w[l], atol=1e-12)
+            np.testing.assert_allclose(grad_b[l][c], acc_b[l], atol=1e-12)
+        assert grad_k[c] == pytest.approx(acc_k, abs=1e-12)
 
 
 def test_init_policy_contract(graph8):
@@ -273,6 +273,37 @@ def test_set_input_scale(graph8):
     p_u = np.array([s.p_u for s in scn.steps])
     assert pol.d_scale[0] == pytest.approx(np.std(p_u[:, 2]))
     assert np.all(pol.d_scale > 0)
+
+
+def test_theta_layout(policy, tmp_path):
+    theta = policy.theta
+    base = theta.__array_interface__["data"][0]
+    pos = 0
+    # every layer's weights then its biases, in layer order, then k: no gap, no overlap
+    for a in [a for wb in zip(policy.weights, policy.biases) for a in wb] + [policy.k]:
+        assert np.shares_memory(a, theta) and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] - base == pos * theta.itemsize
+        pos += a.size
+    assert pos == theta.size
+    policy.k[:] = np.linspace(-0.5, 0.5, policy.n_channels)
+    enforce_conditions(policy, k_max=0.2)
+    np.testing.assert_array_equal(theta[-policy.n_channels:],
+                                  np.clip(np.linspace(-0.5, 0.5, policy.n_channels), 0.0, 0.2))
+    save_policy(policy, tmp_path / "pol.npz")
+    assert load_policy(tmp_path / "pol.npz").theta.tobytes() == theta.tobytes()
+    # a checkpoint written key by key, as before the flat layout, loads unchanged
+    payload = {"version": np.array(1), "nodes": np.array(policy.nodes),
+               "arch": np.array(policy.arch), "k_max": np.array(policy.k_max),
+               "k": policy.k.copy(), "d_scale": policy.d_scale.copy(),
+               "n_bus": np.array(policy.n_bus)}
+    for l, (w, b) in enumerate(zip(policy.weights, policy.biases)):
+        payload[f"W{l}"], payload[f"b{l}"] = w.copy(), b.copy()
+    np.savez(tmp_path / "old.npz", **payload)
+    old = load_policy(tmp_path / "old.npz")
+    for a, b in zip(old.weights + old.biases + [old.k],
+                    policy.weights + policy.biases + [policy.k]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(old.theta, theta)
 
 
 def test_save_load_round_trip(policy, tmp_path):

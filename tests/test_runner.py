@@ -61,6 +61,16 @@ def test_evaluate_hand_built_two_step():
     assert rep.per_step["absolute_gap"] == [1.0, 3.0]
 
 
+def test_evaluate_relative_gap_is_ratio_of_sums():
+    # a near-zero optimum must not dominate: a per-step mean would read ~5e6
+    v = np.ones((2, 1))
+    ctrl = _traj([0, 1], np.zeros((2, 2)), v, [1e-10 + 1e-3, 1.1])
+    orac = _traj([0, 1], np.zeros((2, 2)), v, [1e-10, 1.0])
+    rep = evaluate(ctrl, orac, 0.81, 1.21)
+    assert rep.relative_gap == pytest.approx((1e-3 + 0.1) / (1.0 + 1e-10), rel=1e-9)
+    assert rep.excluded_steps == 0
+
+
 def test_evaluate_rejects_horizon_mismatch():
     a = _traj([0], np.zeros((1, 2)), np.ones((1, 1)), [0.0])
     b = _traj([0, 1], np.zeros((2, 2)), np.ones((2, 1)), [0.0, 0.0])

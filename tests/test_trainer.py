@@ -23,6 +23,7 @@ from localopf import (
     train,
     zo_voltage_jacobian,
 )
+from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
 from localopf.trainer import AdamState, adam_update, controllable_nodes, indicator
 from conftest import interior_step, make_step, solved_batch
@@ -78,16 +79,22 @@ def _tiny_state(n, policy, beta=0.5, lam=0.1, mu=0.7, sigma_mu=2.0,
     )
 
 
-def _fabricated_batch(n, ctrl):
+def _fabricated_batch(policy):
+    n, ctrl = policy.n_bus, policy.nodes
     steps = [
         make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), ctrl),
         make_step(n, -0.02 * np.ones(n), -0.01 * np.ones(n), ctrl, t=1),
     ]
+    p_u = np.array([s.p_u for s in steps])
+    q_u = np.array([s.q_u for s in steps])
+    offset, tape = forward_all(policy, p_u, q_u, with_tape=True)
     return Batch(
-        p_u=np.array([s.p_u for s in steps]),
-        q_u=np.array([s.q_u for s in steps]),
+        p_u=p_u,
+        q_u=q_u,
         x=np.array([np.full(2 * n, 0.1), np.full(2 * n, 0.2)]),
         v=np.array([np.full(n, 0.96), np.full(n, 1.01)]),
+        offset=offset,
+        tape=tape,
         cost=steps[0].cost,
         box=steps[0].box,
     )
@@ -97,7 +104,7 @@ def test_lagrangian_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
     state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7)
-    batch = _fabricated_batch(n, [3])
+    batch = _fabricated_batch(pol)
     v_lo, v_hi = 0.9604, 1.0 ** 2  # 0.98^2 and 1.0
     # cost: weight 1, floor 0 => mean over samples of ||x||^2
     cost = 0.5 * (2 * n * 0.1**2 + 2 * n * 0.2**2)
@@ -113,7 +120,7 @@ def test_dual_update_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
     state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7, sigma_mu=2.0)
-    batch = _fabricated_batch(n, [3])
+    batch = _fabricated_batch(pol)
     new = dual_update(state, batch, 0.9604, 1.0)
     asc_lo = 0.5 * (0.1004 + 0.0504) - 0.5 * 0.1
     asc_hi = 0.5 * (0.06 + 0.11) - 0.5 * 0.1
@@ -133,7 +140,7 @@ def test_grad_lambda_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
     state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7, lambda_mode="learned")
-    batch = _fabricated_batch(n, [3])
+    batch = _fabricated_batch(pol)
     g_lo, g_hi = grad_lambda(batch, state, 0.9604, 1.0)
     # both samples violate both offset constraints => indicator mean 1
     np.testing.assert_allclose(g_lo, 0.7 * (1.0 - 0.5), atol=1e-15)
@@ -164,7 +171,7 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=20_000)
 
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    grads = grad_policy(batch, state, model8, v_lo, v_hi, ALPHA)
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, v_lo, v_hi, ALPHA))
 
     def lag():
         return lagrangian(solved_batch(samples, pol, model8, graph8, cfg),
@@ -183,7 +190,7 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
             dn = lag()
             flat[j] = orig
             fd = (up - dn) / (2 * eps)
-            assert grads["weights"][l].reshape(-1)[j] == pytest.approx(fd, abs=2e-6), (
+            assert grad_w[l].reshape(-1)[j] == pytest.approx(fd, abs=2e-6), (
                 f"layer {l} weight {j}"
             )
             checked += 1
@@ -197,7 +204,7 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
         dn = lag()
         flat[j] = orig
         fd = (up - dn) / (2 * eps)
-        assert grads["biases"][l].reshape(-1)[j] == pytest.approx(fd, abs=2e-6)
+        assert grad_b[l].reshape(-1)[j] == pytest.approx(fd, abs=2e-6)
         checked += 1
     assert checked >= 10
 
@@ -214,10 +221,7 @@ def test_grad_policy_with_explicit_jacobian_matches_linear(graph8, model8):
     g0 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
     jac = np.concatenate([model8.R, model8.X], axis=1)
     g1 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA, voltage_jacobian=jac)
-    for l in range(len(g0["weights"])):
-        np.testing.assert_allclose(g1["weights"][l], g0["weights"][l], atol=1e-14)
-        np.testing.assert_allclose(g1["biases"][l], g0["biases"][l], atol=1e-14)
-    np.testing.assert_allclose(g1["k"], g0["k"], atol=1e-14)
+    np.testing.assert_allclose(g1, g0, atol=1e-14)
 
 
 def test_grad_policy_zero_where_projection_active(graph8, model8):
@@ -231,12 +235,12 @@ def test_grad_policy_zero_where_projection_active(graph8, model8):
                for t in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    assert np.all(np.abs(batch.x[:, pol.node_index]) < 1e-9)  # pinned at zero
+    assert np.all(np.abs(batch.x[:, np.array(pol.nodes) - 1]) < 1e-9)  # pinned at zero
     state = _tiny_state(n, pol, mu=0.7)
-    grads = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
-    for l in range(len(grads["weights"])):
-        np.testing.assert_allclose(grads["weights"][l], 0.0, atol=1e-15)
-    np.testing.assert_allclose(grads["k"], 0.0, atol=1e-15)
+    grad_w, _, grad_k = param_views(pol, grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA))
+    for l in range(len(grad_w)):
+        np.testing.assert_allclose(grad_w[l], 0.0, atol=1e-15)
+    np.testing.assert_allclose(grad_k, 0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +290,13 @@ def test_adam_first_step_is_signed_lr(graph8):
     pol = init_policy(graph8, [3], arch=(1, 2), k_max=0.1, seed=0)
     before = [w.copy() for w in pol.weights]
     adam = AdamState.zeros_like(pol)
-    grads = {
-        "weights": [np.ones_like(w) for w in pol.weights],
-        "biases": [np.full_like(b, -1.0) for b in pol.biases],
-        "k": np.zeros_like(pol.k),
-    }
-    adam_update(pol, grads, adam, lr=0.01)
+    grad = np.zeros_like(pol.theta)
+    grad_w, grad_b, _ = param_views(pol, grad)
+    for w in grad_w:
+        w[...] = 1.0
+    for b in grad_b:
+        b[...] = -1.0
+    adam_update(pol, grad, adam, lr=0.01)
     # first Adam step moves every coordinate by ~lr against the gradient sign
     for w, w0 in zip(pol.weights, before):
         np.testing.assert_allclose(w, w0 - 0.01 * (1.0 / (1.0 + 1e-8)), atol=1e-9)
@@ -299,6 +304,22 @@ def test_adam_first_step_is_signed_lr(graph8):
         np.testing.assert_allclose(b, 0.01 * (1.0 / (1.0 + 1e-8)), atol=1e-9)
     np.testing.assert_array_equal(pol.k, np.full(2, 0.05))  # zero grad: unchanged
     assert adam.t == 1
+
+
+def test_adam_update_allocates_one_scratch_array(graph8):
+    import tracemalloc
+
+    pol = init_policy(graph8, [3, 5, 7], arch=(3, 64), k_max=0.1, seed=0)
+    adam = AdamState.zeros_like(pol)
+    grad = np.random.default_rng(3).normal(size=pol.theta.size)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_update(pol, grad, adam, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * pol.theta.nbytes  # one theta-sized scratch, not one per operation
 
 
 def test_controllable_nodes(graph8):
@@ -379,7 +400,7 @@ def test_train_gradient_free_solves_each_minibatch_as_one_batch(graph8, model8, 
 
     def counted_batch(*args, **kwargs):
         calls["batch"] += 1
-        assert args[7].plant == "nonlinear"
+        assert args[8].plant == "nonlinear"
         return batch_solve(*args, **kwargs)
 
     def counted_single(*args, **kwargs):
@@ -394,6 +415,59 @@ def test_train_gradient_free_solves_each_minibatch_as_one_batch(graph8, model8, 
                         v_lo=0.9604, v_hi=1.0816)
     train(scn, cfg, graph8, model8)
     assert calls == {"batch": 2 * 3, "single": 0}  # 20 samples: minibatches of 8, 8, 4
+
+
+@pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
+def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode):
+    from localopf import controller, trainer
+
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(len(args[1]))
+        return forward_all(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_all", counted)
+    monkeypatch.setattr(controller, "forward_all", counted)
+    scn = _train_scenario(graph8, horizon=20)
+    cfg = TrainerConfig(mode=mode, epochs=2, batch_size=8, v_lo=0.9604, v_hi=1.0816)
+    train(scn, cfg, graph8, model8)
+    assert rows == [8, 8, 4] * 2  # one MLP pass per minibatch, none inside Picard or grad
+
+
+def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
+    """A row dropped as not converged leaves offset, tape and gradient on the kept rows."""
+    from localopf import trainer
+
+    rng = np.random.default_rng(41)
+    pol = init_policy(graph8, [3, 5, 7], arch=(1, 5), k_max=0.1, seed=4)
+    samples = [interior_step(graph8, rng, t) for t in range(4)]
+    cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=20_000)
+    solve = trainer.solve_equilibria_batch
+
+    def drop_row_1(*args, **kwargs):
+        x, v, conv, iterations = solve(*args, **kwargs)
+        conv = conv.copy()
+        conv[1] = False
+        return x, v, conv, iterations
+
+    monkeypatch.setattr(trainer, "solve_equilibria_batch", drop_row_1)
+    batch, _ = trainer._solve_batch(samples, pol, model8, graph8, cfg, samples[0].box.midpoint)
+    kept = [samples[i] for i in (0, 2, 3)]
+    assert batch.skipped == 1
+    np.testing.assert_array_equal(batch.p_u, [s.p_u for s in kept])
+    offset, tape = forward_all(pol, batch.p_u, batch.q_u, with_tape=True)
+    np.testing.assert_allclose(batch.offset, offset, rtol=1e-14, atol=0.0)
+    for key in ("pre", "hs"):
+        assert len(batch.tape[key]) == len(tape[key])
+        for a, b in zip(batch.tape[key], tape[key]):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+    state = _tiny_state(graph8.n, pol, beta=0.3, lam=0.02, mu=0.7)
+    grad = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
+    ref = grad_policy(solved_batch(kept, pol, model8, graph8, cfg), state, model8, 0.9604, 1.0,
+                      ALPHA)
+    assert np.any(ref != 0.0)
+    np.testing.assert_allclose(grad, ref, atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
