@@ -50,6 +50,9 @@ class FeederGraph:
     unique line feeding bus ``j``.  ``order`` lists non-root buses so that
     every parent appears before its children.  ``path[l, j]`` is 1 when line
     ``l`` (feeding bus ``l+1``) lies on the root path of bus ``j+1``, else 0.
+    ``r``, ``x`` and ``z2`` = r² + x² hold the line impedances indexed like
+    ``lines``; ``send[l]`` is the sending-end bus of line ``l`` as a 0-based
+    voltage index (0 for the ``root_lines``, which the slack bus feeds).
     """
 
     buses: tuple[Bus, ...]
@@ -60,6 +63,11 @@ class FeederGraph:
     parent: tuple[int, ...] = field(default=())  # parent[j-1] for bus j
     order: tuple[int, ...] = field(default=())  # root-to-leaf bus order
     path: np.ndarray = field(default=None, repr=False, compare=False)  # (N, N) incidence
+    r: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
+    x: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
+    z2: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
+    send: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
+    root_lines: np.ndarray = field(default=None, repr=False, compare=False)  # (N,) bool
 
     @property
     def n(self) -> int:
@@ -134,6 +142,9 @@ def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
         if parent[w - 1] != 0:
             path[:, w - 1] = path[:, parent[w - 1] - 1]
         path[w - 1, w - 1] = 1.0
+    r = np.array([ln.r for ln in oriented])
+    x = np.array([ln.x for ln in oriented])
+    up = np.array(parent)
 
     return FeederGraph(
         buses=buses,
@@ -144,6 +155,11 @@ def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
         parent=tuple(parent),
         order=tuple(order),
         path=path,
+        r=r,
+        x=x,
+        z2=r * r + x * x,
+        send=np.maximum(up - 1, 0),
+        root_lines=up == 0,
     )
 
 
@@ -265,8 +281,8 @@ def build_sensitivities(graph: FeederGraph, v0: float | None = None) -> LinearVo
     if v0 is None:
         v0 = graph.v0
     path = graph.path
-    R = (path.T * [2.0 * ln.r for ln in graph.lines]) @ path
-    X = (path.T * [2.0 * ln.x for ln in graph.lines]) @ path
+    R = (path.T * (2.0 * graph.r)) @ path
+    X = (path.T * (2.0 * graph.x)) @ path
     A = np.hstack([R, X])
     return LinearVoltageModel(R=R, X=X, A=A, v0=float(v0), a_norm=spectral_norm(A))
 

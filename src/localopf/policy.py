@@ -5,9 +5,11 @@ MLP on the local uncontrollable injection plus a monotone linear gain k on the
 local squared voltage, kept linear so the Lipschitz constant in v is exactly
 max(k).  The output is :func:`output` of ``params.gain``, the MLP term
 ``forward_all(params, p_u, q_u)`` and v; the MLP term reads only the
-injections, so callers run it once per batch.  All
-parameters live in one vector ``theta``; ``weights``, ``biases`` and ``k`` are
-views into it laid out by :func:`param_views`.
+injections, so callers run it once per batch.  A forward pass can keep a tape
+of its post-activations, from which :func:`backward_all` writes the
+parameter gradient into a caller's buffer.  All parameters live in one vector
+``theta``; ``weights``, ``biases`` and ``k`` are views into it, sliced by
+:func:`param_views` from a layout computed once per ``PolicyParams``.
 """
 
 from __future__ import annotations
@@ -39,8 +41,14 @@ class PolicyParams:
     biases: list[np.ndarray] = field(init=False, repr=False)
     k: np.ndarray = field(init=False, repr=False)  # (C,)
     columns: np.ndarray = field(init=False, repr=False)  # (C,) channel positions in (p, q)
+    layout: list = field(init=False, repr=False)  # (start, stop, shape) of each theta block
 
     def __post_init__(self):
+        C, (L, width) = self.n_channels, self.arch
+        dims = [1] + [width] * L + [1]
+        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((C, o, i), (C, o))] + [(C,)]
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+        self.layout = [(int(a), int(b), s) for a, b, s in zip(ends, ends[1:], shapes)]
         self.weights, self.biases, self.k = param_views(self, self.theta)
         idx = np.array(self.nodes, dtype=int) - 1
         self.columns = np.concatenate([idx, self.n_bus + idx])
@@ -63,13 +71,10 @@ class PolicyParams:
 
 def param_views(params: PolicyParams, flat: np.ndarray):
     """(weights, biases, k) as views into ``flat``, a vector laid out like ``params.theta``."""
-    C, (L, width) = params.n_channels, params.arch
-    dims = [1] + [width] * L + [1]
-    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((C, o, i), (C, o))] + [(C,)]
-    ends = np.cumsum([np.prod(s) for s in shapes])
-    if flat.shape != (ends[-1],):
-        raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({ends[-1]},)")
-    views = [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    size = params.layout[-1][1]
+    if flat.shape != (size,):
+        raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({size},)")
+    views = [flat[a:b].reshape(s) for a, b, s in params.layout]
     return views[:-1:2], views[1:-1:2], views[-1]
 
 
@@ -151,24 +156,28 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     ``p_u``, ``q_u`` have shape (..., N); returns shape (..., 2N) with each
     channel at its ``params.columns`` entry and zeros at non-controllable
     coordinates (their boxes are degenerate).  :func:`output` adds the
-    voltage term.  Internally the batch is
-    processed channel-major so every layer is a BLAS-batched matmul.
+    voltage term.  Internally the batch is processed channel-major so every
+    layer is a BLAS-batched matmul; the fan-in-1 first layer is a broadcast
+    product.  With ``with_tape`` it also returns ``{"hs": hs}``, the scaled
+    input and every hidden layer's post-activation, channel-major (C, S, n),
+    which is all :func:`backward_all` reads.
     """
     C = params.n_channels
     batch_shape = np.shape(p_u)[:-1]
     d = np.concatenate([p_u, q_u], axis=-1)[..., params.columns]
     # channel-major (C, S, n) layout
     h = (d / params.d_scale).reshape(-1, C).T[..., None]  # (C, S, 1)
-    pre, hs = [], [h]
+    hs = [h]
     for l in range(len(params.weights) - 1):
-        z = h @ params.weights[l].transpose(0, 2, 1) + params.biases[l][:, None, :]
-        pre.append(z)
-        h = np.maximum(z, 0.0)
+        w = params.weights[l]
+        h = h * w[:, None, :, 0] if l == 0 else h @ w.transpose(0, 2, 1)
+        h += params.biases[l][:, None, :]
+        np.maximum(h, 0.0, out=h)
         hs.append(h)
     out = h @ params.weights[-1].transpose(0, 2, 1) + params.biases[-1][:, None, :]
     u = np.zeros(batch_shape + (2 * params.n_bus,))
     u[..., params.columns] = out[:, :, 0].T.reshape(batch_shape + (C,))
-    return (u, {"pre": pre, "hs": hs}) if with_tape else u
+    return (u, {"hs": hs}) if with_tape else u
 
 
 def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -176,25 +185,31 @@ def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
     return offset + gain * np.concatenate([v, v], axis=-1)
 
 
-def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray) -> np.ndarray:
+def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Parameter gradient of the policy output, summed over batch dims.
 
     ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample;
-    ``v`` (..., N) holds the squared voltages the gain term read.  Returns a
-    vector laid out like ``params.theta``.
+    ``v`` (..., N) holds the squared voltages the gain term read; ``tape`` is
+    the forward pass's post-activations, whose sign is the ReLU mask.  The
+    gradient, laid out like ``params.theta``, is written into ``out`` when
+    given (and returned), else into a fresh vector.
     """
     C = params.n_channels
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
-    pre, hs = tape["pre"], tape["hs"]  # channel-major (C, S, n)
+    hs = tape["hs"]  # channel-major (C, S, n)
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
-    grad = np.empty_like(params.theta)
+    grad = np.empty_like(params.theta) if out is None else out
     dW, db, dk = param_views(params, grad)
     delta = up.T[..., None]  # (C, S, fan-out of layer l)
-    for l in range(len(params.weights) - 1, -1, -1):
+    last = len(params.weights) - 1
+    for l in range(last, -1, -1):
         np.matmul(delta.transpose(0, 2, 1), hs[l], out=dW[l])
         np.sum(delta, axis=1, out=db[l])
         if l:
-            delta = (delta @ params.weights[l]) * (pre[l - 1] > 0.0)
+            w = params.weights[l]
+            delta = delta * w[:, 0, None, :] if l == last else delta @ w
+            delta *= hs[l] > 0.0
     np.sum(up * v_sel, axis=0, out=dk)
     return grad
 

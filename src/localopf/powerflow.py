@@ -76,27 +76,24 @@ def solve_nonlinear(
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
-    p_net = s.p + s.p_u
-    q_net = s.q + s.q_u
-    r = np.array([ln.r for ln in graph.lines])
-    x = np.array([ln.x for ln in graph.lines])
-    z2 = r * r + x * x
-    path = graph.path
-    parent = np.array(graph.parent)
+    neg_p = -(s.p + s.p_u)
+    neg_q = -(s.q + s.q_u)
+    r, x, z2, path = graph.r, graph.x, graph.z2, graph.path
 
-    v = np.full(p_net.shape, float(v0))
-    P = Q = ell = np.zeros(p_net.shape)
+    v = np.full(neg_p.shape, float(v0))
+    P = Q = ell = np.zeros(neg_p.shape)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        P = (-p_net + r * ell) @ path.T
-        Q = (-q_net + x * ell) @ path.T
+        P = (neg_p + r * ell) @ path.T
+        Q = (neg_q + x * ell) @ path.T
         v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path
         if np.any(v_new <= 0.0):
             bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
             raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
         # refresh squared currents from the sending-end voltage
-        v_send = np.where(parent == 0, v0, v_new[..., np.maximum(parent - 1, 0)])
+        v_send = v_new[..., graph.send]
+        v_send[..., graph.root_lines] = v0
         ell = (P * P + Q * Q) / v_send
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new

@@ -12,6 +12,7 @@ orthant.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .scenario import (
 )
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
+ADAM_BLOCK = 32768  # elements per Adam block: a cache-sized scratch instead of a theta-sized one
 
 
 class StabilityError(ValueError):
@@ -114,8 +116,9 @@ class Batch:
     box: BoxLimits
     skipped: int = 0
 
+    @cached_property
     def mean_cost(self) -> float:
-        """Generation cost averaged over the rows."""
+        """Generation cost averaged over the rows, computed on first read."""
         n = self.v.shape[1]
         return float(np.mean([cost_value(self.cost, xi[:n], xi[n:]) for xi in self.x]))
 
@@ -124,7 +127,7 @@ def lagrangian(batch: Batch, state: TrainerState, v_lo, v_hi) -> float:
     """Empirical Lagrangian: batch-mean cost plus dual-weighted surrogates."""
     v = batch.v
     ch = state.chance
-    mean_cost = batch.mean_cost()
+    mean_cost = batch.mean_cost
     hinge_lo = hinge_surrogate(ch.lambda_lo, v_lo - v).mean(axis=0)
     hinge_hi = hinge_surrogate(ch.lambda_hi, v - v_hi).mean(axis=0)
     val = mean_cost
@@ -141,6 +144,7 @@ def grad_policy(
     v_hi,
     alpha: float,
     voltage_jacobian: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """Batch policy gradient via the chain rule through the equilibrium map.
 
@@ -149,7 +153,8 @@ def grad_policy(
     finite-difference Jacobian in gradient-free mode); the equilibrium
     derivative factor is -1/(2w) where the pre-projection point is interior
     and 0 where the box projection is active.  Reuses ``batch.offset`` and
-    ``batch.tape``; returns a vector laid out like ``state.policy.theta``.
+    ``batch.tape``; returns a vector laid out like ``state.policy.theta``,
+    written into ``out`` when given.
     """
     x, v = batch.x, batch.v
     S = len(v)
@@ -169,7 +174,7 @@ def grad_policy(
     interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
 
     upstream = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
-    return backward_all(state.policy, batch.tape, upstream[:, state.policy.columns], v)
+    return backward_all(state.policy, batch.tape, upstream[:, state.policy.columns], v, out=out)
 
 
 def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
@@ -264,19 +269,29 @@ class TrainerConfig:
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``."""
+    """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
+
+    Runs over ``ADAM_BLOCK``-element blocks with one block-sized scratch, so
+    every operand of a block stays in cache; each element sees the same
+    operations as a whole-vector update.
+    """
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
-    m, v = adam.m, adam.v
-    tmp = np.multiply(grad, 1.0 - beta2)  # sole scratch: temporaries cost more than the math
-    v *= beta2
-    v += np.multiply(tmp, grad, out=tmp)  # (1 - b2) * g * g
-    m *= beta1
-    m += np.multiply(grad, 1.0 - beta1, out=grad)
-    np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
-    np.multiply(np.divide(m, bc1, out=grad), lr, out=grad)
-    policy.theta -= np.divide(grad, tmp, out=grad)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    theta = policy.theta
+    scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
+    for start in range(0, theta.size, ADAM_BLOCK):
+        blk = slice(start, start + ADAM_BLOCK)
+        g, m, v = grad[blk], adam.m[blk], adam.v[blk]
+        tmp = scratch[:g.size]
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        v *= beta2
+        v += np.multiply(tmp, g, out=tmp)  # (1 - b2) * g * g
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=g)
+        np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+        np.multiply(np.divide(m, bc1, out=g), lr, out=g)
+        theta[blk] -= np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
 
 
 def controllable_nodes(step_data: ScenarioStep) -> tuple[int, ...]:
@@ -341,6 +356,7 @@ def train(
         eq_max_iters=cfg.eq_max_iters,
     )
     x_warm = first.box.midpoint
+    grad = np.empty_like(policy.theta)  # every minibatch's gradient, overwritten by Adam
     log = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(pool))
@@ -360,11 +376,11 @@ def train(
                 row = replace(samples[0], p_u=batch.p_u[0], q_u=batch.q_u[0])
                 jac = zo_voltage_jacobian(graph, row, batch.x[0], cfg.zo_step, model.v0)
             ep_lag.append(lagrangian(batch, state, v_lo, v_hi))
-            ep_cost.append(batch.mean_cost())
+            ep_cost.append(batch.mean_cost)
             ep_viol_lo.append(np.mean(batch.v < v_lo))
             ep_viol_hi.append(np.mean(batch.v > v_hi))
-            grads = grad_policy(batch, state, model, v_lo, v_hi, cfg.alpha, jac)
-            adam_update(state.policy, grads, state.adam_state, cfg.sigma_phi)
+            grad_policy(batch, state, model, v_lo, v_hi, cfg.alpha, jac, out=grad)
+            adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi)
             enforce_conditions(state.policy, k_max)
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = grad_lambda(batch, state, v_lo, v_hi)
@@ -391,7 +407,9 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
     """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
     Every row starts from ``x_warm`` and all rows are solved as one batch;
-    the next minibatch starts from the last row.
+    the next minibatch starts from the last row.  When every row converged
+    the batch holds the solve's arrays themselves; otherwise it holds copies
+    of the converged rows.
     """
     p_u = np.array([s.p_u for s in samples])
     q_u = np.array([s.q_u for s in samples])
@@ -405,7 +423,11 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
             f"no equilibrium of the {len(samples)}-sample minibatch converged within "
             f"{ctrl_cfg.eq_max_iters} iterations (tolerance {ctrl_cfg.eq_tol:g})"
         )
-    batch = Batch(p_u=p_u[conv], q_u=q_u[conv], x=x[conv], v=v[conv], offset=offset[conv],
-                  tape={key: [a[:, conv] for a in arrays] for key, arrays in tape.items()},
-                  cost=samples[0].cost, box=samples[0].box, skipped=int(np.sum(~conv)))
-    return batch, x[-1]
+    x_next = x[-1]
+    skipped = int(np.sum(~conv))
+    if skipped:
+        p_u, q_u, x, v, offset = p_u[conv], q_u[conv], x[conv], v[conv], offset[conv]
+        tape = {key: [a[:, conv] for a in arrays] for key, arrays in tape.items()}
+    batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
+                  cost=samples[0].cost, box=samples[0].box, skipped=skipped)
+    return batch, x_next

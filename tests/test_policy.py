@@ -221,6 +221,18 @@ def test_backward_all_matches_scalar_loop(policy, graph8):
         assert grad_k[c] == pytest.approx(acc_k, abs=1e-12)
 
 
+def test_backward_all_writes_into_out(policy, graph8):
+    rng = np.random.default_rng(6)
+    S, n = 3, graph8.n
+    v = rng.uniform(0.9, 1.1, (S, n))
+    _, tape = forward_all(policy, rng.normal(size=(S, n)), rng.normal(size=(S, n)),
+                          with_tape=True)
+    upstream = rng.normal(size=(S, policy.n_channels))
+    buf = np.full_like(policy.theta, np.nan)  # every entry must be overwritten
+    assert backward_all(policy, tape, upstream, v, out=buf) is buf
+    np.testing.assert_array_equal(buf, backward_all(policy, tape, upstream, v))
+
+
 def test_init_policy_contract(graph8):
     pol = init_policy(graph8, [3, 5], arch=(3, 64), k_max=0.2, seed=9)
     assert pol.n_channels == 4

@@ -25,7 +25,7 @@ from localopf import (
 )
 from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
-from localopf.trainer import AdamState, adam_update, controllable_nodes, indicator
+from localopf.trainer import ADAM_BLOCK, AdamState, adam_update, controllable_nodes, indicator
 from conftest import interior_step, make_step, solved_batch
 
 ALPHA = 0.48
@@ -224,6 +224,21 @@ def test_grad_policy_with_explicit_jacobian_matches_linear(graph8, model8):
     np.testing.assert_allclose(g1, g0, atol=1e-14)
 
 
+def test_grad_policy_returns_fresh_array_without_out(graph8, model8):
+    rng = np.random.default_rng(29)
+    pol = init_policy(graph8, [3, 5, 7], arch=(1, 4), k_max=0.1, seed=1)
+    state = _tiny_state(graph8.n, pol, beta=0.3, lam=0.02, mu=0.7)
+    samples = [interior_step(graph8, rng, t) for t in range(3)]
+    batch = solved_batch(samples, pol, model8, graph8, ControllerConfig(alpha=ALPHA, eq_tol=1e-11))
+    g0 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
+    g1 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
+    assert not np.shares_memory(g0, g1)
+    np.testing.assert_array_equal(g0, g1)
+    buf = np.empty_like(pol.theta)
+    assert grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA, out=buf) is buf
+    np.testing.assert_array_equal(buf, g0)
+
+
 def test_grad_policy_zero_where_projection_active(graph8, model8):
     """Channels whose equilibrium is pinned at the box get no gradient."""
     rng = np.random.default_rng(31)
@@ -319,7 +334,31 @@ def test_adam_update_allocates_one_scratch_array(graph8):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base < 1.5 * pol.theta.nbytes  # one theta-sized scratch, not one per operation
+    assert pol.theta.nbytes > 8 * ADAM_BLOCK
+    assert peak - base < 8 * ADAM_BLOCK + 16_384  # one block-sized scratch, not one per operation
+
+
+def _adam_one_shot(theta, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam step as whole-vector expressions, in adam_update's operation order."""
+    v = v * beta2 + (grad * (1.0 - beta2)) * grad
+    m = m * beta1 + grad * (1.0 - beta1)
+    step = (m / (1.0 - beta1**t)) * lr / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return theta - step, m, v
+
+
+def test_adam_blocks_match_one_shot_update(graph8):
+    pol = init_policy(graph8, [3, 5, 7], arch=(3, 64), k_max=0.1, seed=0)
+    assert pol.theta.size > ADAM_BLOCK and pol.theta.size % ADAM_BLOCK
+    rng = np.random.default_rng(8)
+    adam = AdamState(m=rng.normal(size=pol.theta.size), v=rng.uniform(0.0, 2.0, pol.theta.size))
+    theta, m, v = pol.theta.copy(), adam.m.copy(), adam.v.copy()
+    for t in (1, 2, 3):
+        grad = rng.normal(size=pol.theta.size)
+        theta, m, v = _adam_one_shot(theta, grad, m, v, t, lr=1e-3)
+        adam_update(pol, grad, adam, lr=1e-3)
+        np.testing.assert_array_equal(pol.theta, theta)
+        np.testing.assert_array_equal(adam.m, m)
+        np.testing.assert_array_equal(adam.v, v)
 
 
 def test_controllable_nodes(graph8):
@@ -458,7 +497,7 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
     np.testing.assert_array_equal(batch.p_u, [s.p_u for s in kept])
     offset, tape = forward_all(pol, batch.p_u, batch.q_u, with_tape=True)
     np.testing.assert_allclose(batch.offset, offset, rtol=1e-14, atol=0.0)
-    for key in ("pre", "hs"):
+    for key in tape:
         assert len(batch.tape[key]) == len(tape[key])
         for a, b in zip(batch.tape[key], tape[key]):
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
@@ -468,6 +507,32 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
                       ALPHA)
     assert np.any(ref != 0.0)
     np.testing.assert_allclose(grad, ref, atol=1e-10)
+
+
+def test_converged_batch_shares_the_forward_pass(graph8, model8, monkeypatch):
+    """With every row converged, the batch holds the solve's offset and tape, not copies."""
+    from localopf import trainer
+
+    rng = np.random.default_rng(43)
+    pol = init_policy(graph8, [3, 5, 7], arch=(2, 5), k_max=0.1, seed=4)
+    samples = [interior_step(graph8, rng, t) for t in range(4)]
+    cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
+    passes = []
+
+    def recorded(*args, **kwargs):
+        passes.append(forward_all(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(trainer, "forward_all", recorded)
+    batch, _ = trainer._solve_batch(samples, pol, model8, graph8, cfg, samples[0].box.midpoint)
+    assert batch.skipped == 0 and len(passes) == 1
+    offset, tape = passes[0]
+    assert np.shares_memory(batch.offset, offset)
+    assert batch.tape.keys() == tape.keys()
+    for key in tape:
+        assert len(batch.tape[key]) == len(tape[key])
+        for a, b in zip(batch.tape[key], tape[key]):
+            assert np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
