@@ -113,7 +113,7 @@ def cmd_check_conditions(args) -> int:
         scfg = cfg["scenario"]
         gen = generator_config(cfg, int(scfg.get("horizon_test", 10)))
         scn = generate_profile(graph, gen, int(scfg.get("test_seed", 1000)))
-        m, xi = convexity_constants(scn.steps[0].cost)
+        m, xi = convexity_constants(scn.cost)
         if args.policy:
             policy = load_policy(args.policy)
         else:

@@ -128,9 +128,10 @@ def init_policy(
     )
 
 
-def set_input_scale(params: PolicyParams, scenario) -> None:
-    """Normalize MLP inputs by the scenario-wide std of the local injection."""
-    d = np.array([np.concatenate([s.p_u, s.q_u])[params.columns] for s in scenario.steps])
+def set_input_scale(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray) -> None:
+    """Normalize MLP inputs by the std of each channel's local injection over the (T, N) rows."""
+    # take() gives a C-ordered copy ([:, columns] does not), which fixes np.std's summation order
+    d = np.concatenate([p_u, q_u], axis=1).take(params.columns, axis=1)
     sd = np.std(d, axis=0)
     params.d_scale = np.where(sd > 0, sd, 1.0)
 

@@ -3,7 +3,9 @@
 Reproduces the full pipeline — generate scenarios, train the local policies,
 operate the controller on the nonlinear plant, solve the per-slot ground
 truth, evaluate — and writes every artifact (trajectory CSVs, training log,
-evaluation report, flat manifest) to a run directory.  Reruns with an
+evaluation report, flat manifest) to a run directory.  A trajectory takes
+its slot labels and injections from the scenario's arrays and is written
+and read in the scenario module's long-format slot CSV.  Reruns with an
 identical config are bit-identical at the CSV level; wall-clock timings live
 only in the JSON report.
 """
@@ -40,6 +42,8 @@ from .scenario import (
     convexity_constants,
     cost_value,
     generate_profile,
+    read_slots,
+    write_slots,
 )
 from .trainer import StabilityError, TrainerConfig, train
 
@@ -67,51 +71,19 @@ class Trajectory:
 def save_trajectory(traj: Trajectory, path, with_objective: bool = False) -> None:
     """Long-format CSV `t,node,p,q,v,p_u,q_u[,objective]`; repr() floats."""
     n = traj.n
-    header = ["t", "node", "p", "q", "v", "p_u", "q_u"]
+    columns = {"p": traj.x[:, :n], "q": traj.x[:, n:], "v": traj.v,
+               "p_u": traj.p_u, "q_u": traj.q_u}
     if with_objective:
-        header.append("objective")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ti in range(traj.horizon):
-            for i in range(n):
-                row = [
-                    int(traj.t[ti]), i + 1,
-                    repr(float(traj.x[ti, i])), repr(float(traj.x[ti, n + i])),
-                    repr(float(traj.v[ti, i])),
-                    repr(float(traj.p_u[ti, i])), repr(float(traj.q_u[ti, i])),
-                ]
-                if with_objective:
-                    row.append(repr(float(traj.objective[ti])))
-                writer.writerow(row)
+        columns["objective"] = traj.objective
+    write_slots(path, traj.t, columns)
 
 
 def load_trajectory(path) -> Trajectory:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    ts = sorted({int(r["t"]) for r in rows})
-    n = max(int(r["node"]) for r in rows)
-    T = len(ts)
-    t_index = {t: i for i, t in enumerate(ts)}
-    x = np.zeros((T, 2 * n))
-    v = np.zeros((T, n))
-    p_u = np.zeros((T, n))
-    q_u = np.zeros((T, n))
-    obj = np.zeros(T)
-    has_obj = rows and "objective" in rows[0]
-    for r in rows:
-        ti = t_index[int(r["t"])]
-        i = int(r["node"]) - 1
-        x[ti, i] = float(r["p"])
-        x[ti, n + i] = float(r["q"])
-        v[ti, i] = float(r["v"])
-        p_u[ti, i] = float(r["p_u"])
-        q_u[ti, i] = float(r["q_u"])
-        if has_obj:
-            obj[ti] = float(r["objective"])
-    return Trajectory(t=np.array(ts), x=x, v=v, p_u=p_u, q_u=q_u, objective=obj)
+    """Inverse of :func:`save_trajectory`; objectives are zero when the file has none."""
+    t, cols = read_slots(path)
+    objective = cols["objective"][:, 0] if "objective" in cols else np.zeros(len(t))
+    return Trajectory(t=t, x=np.concatenate([cols["p"], cols["q"]], axis=1), v=cols["v"],
+                      p_u=cols["p_u"], q_u=cols["q_u"], objective=objective)
 
 
 @dataclass(frozen=True)
@@ -124,7 +96,6 @@ class EvaluationReport:
     excluded_steps: int  # relative-gap steps dropped for a zero oracle objective
     mean_step_time: float
     per_step: dict
-    config_echo: dict
 
 
 def volt_violation_series(v: np.ndarray, v_lo, v_hi) -> np.ndarray:
@@ -143,7 +114,6 @@ def evaluate(
     v_lo,
     v_hi,
     mean_step_time: float = 0.0,
-    config_echo: dict | None = None,
 ) -> EvaluationReport:
     """Horizon-averaged gap and voltage-violation statistics.
 
@@ -168,24 +138,18 @@ def evaluate(
             "absolute_gap": gap.tolist(),
             "volt_violation": viol.tolist(),
         },
-        config_echo=config_echo or {},
     )
 
 
 # ---------------------------------------------------------------------------
 # Trajectory producers.
 
-def _trajectory(scenario: Scenario, x, v, objective) -> Trajectory:
-    """Trajectory over ``scenario``'s slots from per-slot setpoints, voltages, objectives."""
-    steps = scenario.steps
-    return Trajectory(
-        t=np.array([s.t for s in steps]),
-        x=np.array(x),
-        v=np.array(v),
-        p_u=np.array([s.p_u for s in steps]),
-        q_u=np.array([s.q_u for s in steps]),
-        objective=np.array(objective),
-    )
+def _trajectory(scenario: Scenario, x, v) -> Trajectory:
+    """Trajectory over ``scenario``'s slots from per-slot setpoints and voltages."""
+    x = np.array(x)
+    n = x.shape[1] // 2
+    return Trajectory(t=scenario.t, x=x, v=np.array(v), p_u=scenario.p_u, q_u=scenario.q_u,
+                      objective=cost_value(scenario.cost, x[:, :n], x[:, n:]))
 
 
 def run_controller(
@@ -201,11 +165,9 @@ def run_controller(
     Returns (Trajectory, mean per-step wall time in seconds).  Starts from the
     box midpoint unless ``x0`` is given.
     """
-    first = scenario.steps[0]
-    n = graph.n
-    x = first.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = scenario.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     state = ControllerState(x=x, v_hat=None, t=-1)  # step measures before it moves
-    rows_x, rows_v, objs = [], [], []
+    rows_x, rows_v = [], []
     elapsed = 0.0
     for s in scenario.steps:
         t0 = time.perf_counter()
@@ -213,21 +175,15 @@ def run_controller(
         elapsed += time.perf_counter() - t0
         rows_x.append(state.x)
         rows_v.append(state.v_hat)
-        objs.append(cost_value(s.cost, state.x[:n], state.x[n:]))
-    return _trajectory(scenario, rows_x, rows_v, objs), elapsed / len(scenario.steps)
+    return _trajectory(scenario, rows_x, rows_v), elapsed / len(scenario)
 
 
-def run_no_control(
-    scenario: Scenario, model: LinearVoltageModel, graph: FeederGraph
-) -> Trajectory:
+def run_no_control(scenario: Scenario, model: LinearVoltageModel,
+                   graph: FeederGraph) -> Trajectory:
     """Hold every controllable setpoint at zero; record the plant response in one batched solve."""
-    n = graph.n
-    steps = scenario.steps
-    x = np.zeros((len(steps), 2 * n))
-    v = plant_voltage(x, np.array([st.p_u for st in steps]), np.array([st.q_u for st in steps]),
-                      model, graph, "nonlinear")
-    objs = [cost_value(st.cost, x[0, :n], x[0, n:]) for st in steps]
-    return _trajectory(scenario, x, v, objs)
+    x = np.zeros((len(scenario), 2 * graph.n))
+    v = plant_voltage(x, scenario.p_u, scenario.q_u, model, graph, "nonlinear")
+    return _trajectory(scenario, x, v)
 
 
 def run_baseline(
@@ -241,37 +197,25 @@ def run_baseline(
     x0: np.ndarray | None = None,
 ) -> Trajectory:
     """Operate the communication-heavy feedback primal-dual comparator."""
-    first = scenario.steps[0]
     n = graph.n
-    x = first.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = scenario.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     state = BaselineState(
         x=x, mu_lo=np.zeros(n), mu_hi=np.zeros(n), alpha_b=alpha_b, sigma_b=sigma_b
     )
     v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
     v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
-    rows_x, rows_v, objs = [], [], []
+    rows_x, rows_v = [], []
     for s in scenario.steps:
         state = baseline_step(state, s, model, graph, v_lo, v_hi)
         rows_x.append(state.x)
         rows_v.append(plant_voltage(state.x, s.p_u, s.q_u, model, graph, "nonlinear"))
-        objs.append(cost_value(s.cost, state.x[:n], state.x[n:]))
-    return _trajectory(scenario, rows_x, rows_v, objs)
+    return _trajectory(scenario, rows_x, rows_v)
 
 
-def run_oracle(
-    scenario: Scenario,
-    model: LinearVoltageModel,
-    v_lo,
-    v_hi,
-) -> Trajectory:
+def run_oracle(scenario: Scenario, model: LinearVoltageModel, v_lo, v_hi) -> Trajectory:
     """Per-slot exact optima under the linearized plant."""
-    rows_x, rows_v, objs = [], [], []
-    for s in scenario.steps:
-        sol = solve_opf_linear(s, model, v_lo, v_hi)
-        rows_x.append(sol.x_star)
-        rows_v.append(sol.v_star)
-        objs.append(sol.objective)
-    return _trajectory(scenario, rows_x, rows_v, objs)
+    sols = [solve_opf_linear(s, model, v_lo, v_hi) for s in scenario.steps]
+    return _trajectory(scenario, [sol.x_star for sol in sols], [sol.v_star for sol in sols])
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +405,12 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     write_training_log(log, out / "training_log.csv")
     save_policy(state.policy, out / "policy.npz")
 
-    m, xi = convexity_constants(test_scn.steps[0].cost)
+    m, xi = convexity_constants(test_scn.cost)
     report_stab = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
 
     v_lo, v_hi = tr_cfg.v_lo, tr_cfg.v_hi
     ctrl_cfg = ControllerConfig(alpha=tr_cfg.alpha, plant="nonlinear")
-    x0 = test_scn.steps[0].box.midpoint
+    x0 = test_scn.box.midpoint
     with stage("operate"):
         ctrl_traj, step_time = run_controller(test_scn, state.policy, model, graph,
                                               ctrl_cfg, x0=x0)
@@ -482,8 +426,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
         oracle_traj = run_oracle(test_scn, model, v_lo, v_hi)
 
     with stage("evaluate"):
-        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi,
-                          mean_step_time=step_time, config_echo=cfg)
+        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi, mean_step_time=step_time)
         nc_report = evaluate(nc_traj, oracle_traj, v_lo, v_hi)
         base_report = evaluate(base_traj, oracle_traj, v_lo, v_hi)
 

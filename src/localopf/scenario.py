@@ -3,12 +3,18 @@
 The generator produces per-slot uncontrollable injections from a slow trend
 (piecewise-linear daily profile) plus per-node Gaussian disturbances, mirroring
 how declining solar generation shifts net demand onto controllable resources.
+
+A :class:`Scenario` is a slot table: slot labels ``t`` (T,) and injections
+``p_u``/``q_u`` (T, N) with one cost and one box; ``Scenario.steps`` views it
+one slot at a time.  Scenarios and trajectories share one long-format CSV
+layout, ``t,node,<columns>``, written by :func:`write_slots` and read back
+exactly by :func:`read_slots`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -32,10 +38,17 @@ class CostModel:
         return np.concatenate([self.p_floor, self.q_floor])
 
 
-def cost_value(cost: CostModel, p: np.ndarray, q: np.ndarray) -> float:
+def cost_value(cost: CostModel, p: np.ndarray, q: np.ndarray):
+    """Cost of each (..., N) row of ``p``, ``q``; a float for a single row.
+
+    Each row's squared norm is a (1, N) @ (N, 1) matmul, which sums exactly
+    as the 1-D ``dp @ dp`` does (``np.sum`` and ``einsum`` do not).
+    """
     dp = p - cost.p_floor
     dq = q - cost.q_floor
-    return float(cost.weight * (dp @ dp + dq @ dq))
+    val = cost.weight * (dp[..., None, :] @ dp[..., :, None]
+                         + dq[..., None, :] @ dq[..., :, None])[..., 0, 0]
+    return val if val.ndim else float(val)
 
 
 def cost_grad(cost: CostModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -81,7 +94,7 @@ def project_box(x: np.ndarray, box: BoxLimits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioStep:
-    """One time slot of the moving OPF instance."""
+    """One time slot of the moving OPF instance: a row view of a :class:`Scenario`."""
 
     t: int
     tau: float  # slot length, seconds
@@ -93,12 +106,29 @@ class ScenarioStep:
 
 @dataclass(frozen=True)
 class Scenario:
-    steps: tuple[ScenarioStep, ...]
+    """T slots of uncontrollable injections sharing one cost and one box; row t is slot t."""
+
+    t: np.ndarray  # (T,) slot labels
+    p_u: np.ndarray  # (T, N)
+    q_u: np.ndarray  # (T, N)
+    tau: float  # slot length, seconds
+    cost: CostModel
+    box: BoxLimits
     seed: int
     provenance: str = ""
 
+    def __post_init__(self):
+        if not self.p_u.shape == self.q_u.shape == (len(self.t), len(self.box.p_lo)):
+            raise ValueError(f"injections must be (T, N) = ({len(self.t)}, {len(self.box.p_lo)})")
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.t)
+
+    @cached_property
+    def steps(self) -> tuple[ScenarioStep, ...]:
+        """The slots one at a time, for the consumers that take a single slot."""
+        return tuple(ScenarioStep(t, self.tau, p_u, q_u, self.cost, self.box)
+                     for t, p_u, q_u in zip(self.t.tolist(), self.p_u, self.q_u))
 
 
 @dataclass(frozen=True)
@@ -148,7 +178,8 @@ def generate_profile(graph: FeederGraph, cfg: GeneratorConfig, seed: int) -> Sce
 
     rng = np.random.default_rng(seed)
     base = graph.base_power
-    kappa_trend = trend_curve(cfg.trend, cfg.horizon, cfg.tau)
+    horizon = cfg.horizon
+    kappa_trend = trend_curve(cfg.trend, horizon, cfg.tau)[:, None]
 
     # Box: controllable nodes get [0, cap]; others are pinned to zero.
     p_hi = np.zeros(n)
@@ -158,71 +189,89 @@ def generate_profile(graph: FeederGraph, cfg: GeneratorConfig, seed: int) -> Sce
     box = BoxLimits(np.zeros(n), p_hi, np.zeros(n), q_hi)
     cost = CostModel(np.zeros(n), np.zeros(n), weight=cfg.cost_weight)
 
-    steps = []
-    for t in range(cfg.horizon):
-        p_u = -d_p / base
-        q_u = -d_q / base
-        draw_p = rng.normal(1.0, cfg.noise_sd, size=len(ci))
-        draw_q = draw_p if cfg.joint_noise else rng.normal(1.0, cfg.noise_sd, size=len(ci))
-        kappa_p = kappa_trend[t] + draw_p / np.sqrt(d_p[ci])
-        kappa_q = kappa_trend[t] + draw_q / np.sqrt(d_p[ci])
-        p_u[ci] = -kappa_p * d_p[ci] / base
-        q_u[ci] = -kappa_q * d_q[ci] / base
-        steps.append(
-            ScenarioStep(t=t, tau=cfg.tau, p_u=p_u, q_u=q_u, cost=cost, box=box)
-        )
-    return Scenario(steps=tuple(steps), seed=seed, provenance=f"synthetic(seed={seed})")
+    # Per slot: the p draw, then (unless joint) the q draw, one value per controllable node.
+    draws = rng.normal(1.0, cfg.noise_sd, size=(horizon, 1 if cfg.joint_noise else 2, len(ci)))
+    kappa_p = kappa_trend + draws[:, 0] / np.sqrt(d_p[ci])
+    kappa_q = kappa_trend + draws[:, -1] / np.sqrt(d_p[ci])
+    p_u = np.tile(-d_p / base, (horizon, 1))
+    q_u = np.tile(-d_q / base, (horizon, 1))
+    p_u[:, ci] = -kappa_p * d_p[ci] / base
+    q_u[:, ci] = -kappa_q * d_q[ci] / base
+    return Scenario(t=np.arange(horizon), p_u=p_u, q_u=q_u, tau=cfg.tau, cost=cost, box=box,
+                    seed=seed, provenance=f"synthetic(seed={seed})")
 
 
 # ---------------------------------------------------------------------------
-# File round-trip: CSV of injections plus a YAML sidecar.
+# Long-format slot CSV: one row per (slot, node), shared by scenarios and trajectories.
+
+def write_slots(path, t: np.ndarray, columns: dict) -> None:
+    """Write ``t,node,<columns>`` rows, slot-major with nodes 1..N.
+
+    Each column is (T, N), one value per node, or (T,), one value per slot
+    repeated on the slot's rows.  Floats are written with ``repr``, so they
+    read back exactly; lines end in ``\\r\\n``.  Formats one slot at a time.
+    """
+    n = next(c.shape[1] for c in columns.values() if c.ndim == 2)
+    nodes = [str(i) for i in range(1, n + 1)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(["t", "node", *columns]) + "\r\n")
+        for ti, label in enumerate(t.astype(int).tolist()):
+            cells = [map(repr, c[ti].tolist()) if c.ndim == 2 else [repr(c[ti].item())] * n
+                     for c in columns.values()]
+            fh.write("".join(f"{label},{row}\r\n" for row in map(",".join, zip(nodes, *cells))))
+
+
+def read_slots(path) -> tuple[np.ndarray, dict]:
+    """Slot labels (T,) and every further column as a (T, N) array, from :func:`write_slots`.
+
+    Raises ValueError unless the rows form a slot-major grid: each slot lists
+    nodes 1..N in order, and the integer slot labels increase.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if header[:2] != ["t", "node"] or data.shape[1:] != (len(header),) or not len(data):
+        raise ValueError(f"{path}: expected a header starting t,node and one value per "
+                         f"column on every row, got {header} and {data.shape[1:]} values")
+    t, node = data[:, 0], data[:, 1]
+    n = int(np.argmax(t != t[0])) or len(t)
+    horizon = len(t) // n
+    slots = t[::n].astype(int)
+    if not (horizon * n == len(t) and np.array_equal(node, np.tile(np.arange(1, n + 1), horizon))
+            and np.array_equal(t, np.repeat(slots, n)) and np.all(np.diff(slots) > 0)):
+        raise ValueError(f"{path}: rows must list nodes 1..N in order for each slot, "
+                         "with increasing integer slot labels")
+    cols = np.ascontiguousarray(data[:, 2:].T).reshape(-1, horizon, n)
+    return slots, dict(zip(header[2:], cols))
+
+
+_BOX_KEYS = ("p_lo", "p_hi", "q_lo", "q_hi")  # BoxLimits fields, in order
+
 
 def save_scenario(scn: Scenario, csv_path, sidecar_path) -> None:
-    first = scn.steps[0]
-    n = len(first.p_u)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "p_u", "q_u"])
-        for stp in scn.steps:
-            for i in range(n):
-                writer.writerow([stp.t, i + 1, repr(float(stp.p_u[i])), repr(float(stp.q_u[i]))])
+    """Injections as a ``t,node,p_u,q_u`` CSV; horizon, slot length, seed, cost and box in YAML."""
+    write_slots(csv_path, scn.t, {"p_u": scn.p_u, "q_u": scn.q_u})
     sidecar = {
-        "horizon": len(scn.steps),
-        "tau": first.tau,
+        "horizon": len(scn),
+        "tau": scn.tau,
         "seed": scn.seed,
         "provenance": scn.provenance,
-        "cost_weight": first.cost.weight,
-        "p_lo": first.box.p_lo.tolist(),
-        "p_hi": first.box.p_hi.tolist(),
-        "q_lo": first.box.q_lo.tolist(),
-        "q_hi": first.box.q_hi.tolist(),
+        "cost_weight": scn.cost.weight,
+        **{key: getattr(scn.box, key).tolist() for key in _BOX_KEYS},
     }
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(sidecar, fh, sort_keys=True)
 
 
 def load_scenario(csv_path, sidecar_path) -> Scenario:
+    """Inverse of :func:`save_scenario`; raises ValueError if the CSV disagrees with the sidecar."""
     with open(sidecar_path, encoding="utf-8") as fh:
         side = yaml.safe_load(fh)
-    box = BoxLimits(
-        np.array(side["p_lo"], dtype=float),
-        np.array(side["p_hi"], dtype=float),
-        np.array(side["q_lo"], dtype=float),
-        np.array(side["q_hi"], dtype=float),
-    )
+    box = BoxLimits(*(np.array(side[key], dtype=float) for key in _BOX_KEYS))
     n = len(box.p_lo)
     cost = CostModel(np.zeros(n), np.zeros(n), weight=float(side["cost_weight"]))
-    horizon = int(side["horizon"])
-    p_u = np.zeros((horizon, n))
-    q_u = np.zeros((horizon, n))
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t, node = int(row["t"]), int(row["node"])
-            p_u[t, node - 1] = float(row["p_u"])
-            q_u[t, node - 1] = float(row["q_u"])
-    steps = tuple(
-        ScenarioStep(t=t, tau=float(side["tau"]), p_u=p_u[t], q_u=q_u[t], cost=cost, box=box)
-        for t in range(horizon)
-    )
-    return Scenario(steps=steps, seed=int(side["seed"]), provenance=str(side.get("provenance", "")))
+    t, cols = read_slots(csv_path)
+    if len(t) != int(side["horizon"]):
+        raise ValueError(f"{csv_path} holds {len(t)} slots; {sidecar_path} says {side['horizon']}")
+    return Scenario(t=t, p_u=cols["p_u"], q_u=cols["q_u"], tau=float(side["tau"]), cost=cost,
+                    box=box, seed=int(side["seed"]), provenance=str(side.get("provenance", "")))

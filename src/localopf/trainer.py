@@ -11,7 +11,7 @@ orthant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +33,6 @@ from .scenario import (
     BoxLimits,
     CostModel,
     Scenario,
-    ScenarioStep,
     convexity_constants,
     cost_value,
 )
@@ -120,7 +119,7 @@ class Batch:
     def mean_cost(self) -> float:
         """Generation cost averaged over the rows, computed on first read."""
         n = self.v.shape[1]
-        return float(np.mean([cost_value(self.cost, xi[:n], xi[n:]) for xi in self.x]))
+        return float(np.mean(cost_value(self.cost, self.x[:, :n], self.x[:, n:])))
 
 
 def lagrangian(batch: Batch, state: TrainerState, v_lo, v_hi) -> float:
@@ -203,7 +202,8 @@ def dual_update(state: TrainerState, batch: Batch, v_lo, v_hi) -> TrainerState:
 
 def zo_voltage_jacobian(
     graph: FeederGraph,
-    step_data: ScenarioStep,
+    p_u: np.ndarray,
+    q_u: np.ndarray,
     x_dag: np.ndarray,
     zo_step: float = 1e-3,
     v0: float = 1.0,
@@ -211,9 +211,10 @@ def zo_voltage_jacobian(
 ) -> np.ndarray:
     """2n-point central-difference estimate of dv/dx around ``x_dag``.
 
-    ``plant`` maps (rows, 2N) setpoints to (rows, N) squared voltages and is
-    called once, on the 4N probe rows ``[x + hE; x - hE]``; the default
-    queries the nonlinear branch-flow solver.
+    The injections ``p_u``, ``q_u`` (N,) stay fixed.  ``plant`` maps
+    (rows, 2N) setpoints to (rows, N) squared voltages and is called once,
+    on the 4N probe rows ``[x + hE; x - hE]``; the default queries the
+    nonlinear branch-flow solver.
     """
     if zo_step <= 0.0:
         raise ValueError("zo_step must be positive")
@@ -222,8 +223,8 @@ def zo_voltage_jacobian(
     if plant is None:
         def plant(x):
             rows = (len(x), n)
-            s = InjectionState(p=x[:, :n], q=x[:, n:], p_u=np.broadcast_to(step_data.p_u, rows),
-                               q_u=np.broadcast_to(step_data.q_u, rows))
+            s = InjectionState(p=x[:, :n], q=x[:, n:], p_u=np.broadcast_to(p_u, rows),
+                               q_u=np.broadcast_to(q_u, rows))
             sol = solve_nonlinear(graph, s, v0)
             if not sol.converged:
                 raise RuntimeError("perturbed power flow failed inside the gradient estimator")
@@ -294,9 +295,8 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
         theta[blk] -= np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
 
 
-def controllable_nodes(step_data: ScenarioStep) -> tuple[int, ...]:
+def controllable_nodes(box: BoxLimits) -> tuple[int, ...]:
     """Nodes with a non-degenerate capability box."""
-    box = step_data.box
     free = (box.p_hi > box.p_lo) | (box.q_hi > box.q_lo)
     return tuple(int(i) + 1 for i in np.nonzero(free)[0])
 
@@ -308,24 +308,30 @@ def train(
     model: LinearVoltageModel,
     policy: PolicyParams | None = None,
 ):
-    """Primal-dual training over the pooled scenario steps.
+    """Primal-dual training over the pooled slots of ``scenarios``.
 
-    Returns (final TrainerState, per-epoch log list).  Deterministic for a
-    fixed config and seed.
+    Every scenario must share the first one's cost and box.  Returns (final
+    TrainerState, per-epoch log list).  Deterministic for a fixed config and
+    seed.
     """
-    if isinstance(scenarios, Scenario):
-        scenarios = [scenarios]
-    pool = [s for scn in scenarios for s in scn.steps]
-    if not pool:
+    scenarios = [scenarios] if isinstance(scenarios, Scenario) else list(scenarios)
+    if not sum(len(scn) for scn in scenarios):
         raise ValueError("empty training set")
-    first = pool[0]
+    cost, box = scenarios[0].cost, scenarios[0].box
+    for scn in scenarios[1:]:
+        for mine, ref in ((scn.cost, cost), (scn.box, box)):
+            if not all(np.array_equal(getattr(mine, f.name), getattr(ref, f.name))
+                       for f in fields(ref)):
+                raise ValueError(f"scenario seed {scn.seed}: its {type(ref).__name__} differs from "
+                                 "the first scenario's; training shares one cost and one box")
+    p_u = np.concatenate([scn.p_u for scn in scenarios])
+    q_u = np.concatenate([scn.q_u for scn in scenarios])
     n = graph.n
-    m, xi = convexity_constants(first.cost)
+    m, xi = convexity_constants(cost)
     k_max = compute_k_max(cfg.alpha, m, xi, model.a_norm, cfg.k_max_margin)
     if policy is None:
-        nodes = controllable_nodes(first)
-        policy = init_policy(graph, nodes, cfg.arch, k_max, cfg.seed)
-        set_input_scale(policy, Scenario(steps=tuple(pool), seed=cfg.seed))
+        policy = init_policy(graph, controllable_nodes(box), cfg.arch, k_max, cfg.seed)
+        set_input_scale(policy, p_u, q_u)
     report = check_stability(m, xi, model.a_norm, policy, cfg.alpha)
     if not report.all_ok:
         raise StabilityError(f"stability check failed before training: {report}")
@@ -355,26 +361,26 @@ def train(
         eq_tol=cfg.eq_tol,
         eq_max_iters=cfg.eq_max_iters,
     )
-    x_warm = first.box.midpoint
+    x_warm = box.midpoint
     grad = np.empty_like(policy.theta)  # every minibatch's gradient, overwritten by Adam
     log = []
     for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(pool))
+        perm = rng.permutation(len(p_u))
         ep_lag = []
         ep_cost = []
         ep_viol_lo = []
         ep_viol_hi = []
         skipped = 0
-        for start in range(0, len(pool), cfg.batch_size):
+        for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
-            samples = [pool[i] for i in chunk]
-            batch, x_warm = _solve_batch(samples, state.policy, model, graph, ctrl_cfg, x_warm)
+            batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
+                                         graph, ctrl_cfg, x_warm)
             skipped += batch.skipped
             jac = None
             if cfg.mode == "gradient_free":
                 # probe around the first converged row under its own injections
-                row = replace(samples[0], p_u=batch.p_u[0], q_u=batch.q_u[0])
-                jac = zo_voltage_jacobian(graph, row, batch.x[0], cfg.zo_step, model.v0)
+                jac = zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
+                                          cfg.zo_step, model.v0)
             ep_lag.append(lagrangian(batch, state, v_lo, v_hi))
             ep_cost.append(batch.mean_cost)
             ep_viol_lo.append(np.mean(batch.v < v_lo))
@@ -403,24 +409,23 @@ def train(
     return state, log
 
 
-def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
+def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm):
     """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
-    Every row starts from ``x_warm`` and all rows are solved as one batch;
-    the next minibatch starts from the last row.  When every row converged
-    the batch holds the solve's arrays themselves; otherwise it holds copies
-    of the converged rows.
+    ``p_u``, ``q_u`` are the minibatch's (S, N) rows.  Every row starts from
+    ``x_warm`` and all rows are solved as one batch; the next minibatch
+    starts from the last row.  When every row converged the batch holds the
+    solve's arrays themselves; otherwise it holds copies of the converged
+    rows.
     """
-    p_u = np.array([s.p_u for s in samples])
-    q_u = np.array([s.q_u for s in samples])
     offset, tape = forward_all(policy, p_u, q_u, with_tape=True)
     x, v, conv, _ = solve_equilibria_batch(
-        p_u, q_u, offset, samples[0].cost, samples[0].box, policy, model, graph, ctrl_cfg,
-        np.tile(x_warm, (len(samples), 1)),
+        p_u, q_u, offset, cost, box, policy, model, graph, ctrl_cfg,
+        np.tile(x_warm, (len(p_u), 1)),
     )
     if not np.any(conv):
         raise ValueError(
-            f"no equilibrium of the {len(samples)}-sample minibatch converged within "
+            f"no equilibrium of the {len(p_u)}-sample minibatch converged within "
             f"{ctrl_cfg.eq_max_iters} iterations (tolerance {ctrl_cfg.eq_tol:g})"
         )
     x_next = x[-1]
@@ -429,5 +434,5 @@ def _solve_batch(samples, policy, model, graph, ctrl_cfg, x_warm):
         p_u, q_u, x, v, offset = p_u[conv], q_u[conv], x[conv], v[conv], offset[conv]
         tape = {key: [a[:, conv] for a in arrays] for key, arrays in tape.items()}
     batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
-                  cost=samples[0].cost, box=samples[0].box, skipped=skipped)
+                  cost=cost, box=box, skipped=skipped)
     return batch, x_next

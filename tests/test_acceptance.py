@@ -239,16 +239,16 @@ def test_acceptance_6_zeroth_order(graph8, model8):
     n = graph8.n
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
     v_env = env_voltage(model8, stp.p_u, stp.q_u)
-    jac = zo_voltage_jacobian(graph8, stp, stp.box.midpoint, zo_step=1e-3,
+    jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=1e-3,
                               plant=lambda x: x @ model8.A.T + v_env)
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
 
     # O(eps^2) self-consistency on the nonlinear plant around eps = 1e-3
     x = stp.box.midpoint
-    j1 = zo_voltage_jacobian(graph8, stp, x, zo_step=4e-3)
-    j2 = zo_voltage_jacobian(graph8, stp, x, zo_step=2e-3)
-    j3 = zo_voltage_jacobian(graph8, stp, x, zo_step=1e-3)
-    ref = zo_voltage_jacobian(graph8, stp, x, zo_step=1e-5)
+    j1 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=4e-3)
+    j2 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=2e-3)
+    j3 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-3)
+    ref = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-5)
     e1 = np.max(np.abs(j1 - ref))
     e2 = np.max(np.abs(j2 - ref))
     e3 = np.max(np.abs(j3 - ref))
@@ -319,13 +319,14 @@ def test_acceptance_7_chance_surrogate(desk):
         assert np.all(hinge_surrogate(lam, g) >= lam * indicator(g) - 1e-15)
     # trained violation frequency on the training distribution
     graph, model = desk["graph"], desk["model"]
-    pool = [s for scn in desk["train_scns"] for s in scn.steps]
-    p_u = np.array([s.p_u for s in pool])
-    q_u = np.array([s.q_u for s in pool])
+    train_scns = desk["train_scns"]
+    first = train_scns[0]
+    p_u = np.concatenate([scn.p_u for scn in train_scns])
+    q_u = np.concatenate([scn.q_u for scn in train_scns])
     for beta in (0.05, 0.1, 0.5):
         pol = desk["states"][(beta, 0)].policy
         _, v, conv, _ = solve_equilibria_batch(
-            p_u, q_u, forward_all(pol, p_u, q_u), pool[0].cost, pool[0].box, pol, model, graph,
+            p_u, q_u, forward_all(pol, p_u, q_u), first.cost, first.box, pol, model, graph,
             ControllerConfig(alpha=desk["alpha"], eq_tol=1e-9, eq_max_iters=5000),
         )
         assert conv.all()

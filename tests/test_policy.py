@@ -281,9 +281,8 @@ def test_set_input_scale(graph8):
     )
     scn = generate_profile(graph8, cfg, seed=0)
     pol = init_policy(graph8, [3, 5], k_max=0.1, seed=0)
-    set_input_scale(pol, scn)
-    p_u = np.array([s.p_u for s in scn.steps])
-    assert pol.d_scale[0] == pytest.approx(np.std(p_u[:, 2]))
+    set_input_scale(pol, scn.p_u, scn.q_u)
+    assert pol.d_scale[0] == pytest.approx(np.std(scn.p_u[:, 2]))
     assert np.all(pol.d_scale > 0)
 
 

@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from localopf import Trajectory, evaluate
+from localopf import (
+    GeneratorConfig,
+    Trajectory,
+    build_sensitivities,
+    evaluate,
+    generate_profile,
+)
 from localopf.cli import STAGE_EXIT, main
 from localopf.runner import (
     config_hash,
@@ -15,6 +21,7 @@ from localopf.runner import (
     load_trajectory,
     resolve_config,
     run_experiment,
+    run_no_control,
     save_trajectory,
     trainer_config,
     volt_violation_series,
@@ -101,6 +108,92 @@ def test_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(back.p_u, traj.p_u)
     np.testing.assert_array_equal(back.q_u, traj.q_u)
     np.testing.assert_array_equal(back.objective, traj.objective)
+
+
+# Per-cell reference writer and reader: the trajectory CSV format as first
+# implemented, one csv row per (slot, node) and a DictReader per file.
+
+def _reference_save(traj, path, with_objective=False):
+    n = traj.n
+    header = ["t", "node", "p", "q", "v", "p_u", "q_u"]
+    if with_objective:
+        header.append("objective")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ti in range(traj.horizon):
+            for i in range(n):
+                row = [
+                    int(traj.t[ti]), i + 1,
+                    repr(float(traj.x[ti, i])), repr(float(traj.x[ti, n + i])),
+                    repr(float(traj.v[ti, i])),
+                    repr(float(traj.p_u[ti, i])), repr(float(traj.q_u[ti, i])),
+                ]
+                if with_objective:
+                    row.append(repr(float(traj.objective[ti])))
+                writer.writerow(row)
+
+
+def _reference_load(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    ts = sorted({int(r["t"]) for r in rows})
+    n = max(int(r["node"]) for r in rows)
+    T = len(ts)
+    t_index = {t: i for i, t in enumerate(ts)}
+    x = np.zeros((T, 2 * n))
+    v = np.zeros((T, n))
+    p_u = np.zeros((T, n))
+    q_u = np.zeros((T, n))
+    obj = np.zeros(T)
+    has_obj = rows and "objective" in rows[0]
+    for r in rows:
+        ti = t_index[int(r["t"])]
+        i = int(r["node"]) - 1
+        x[ti, i] = float(r["p"])
+        x[ti, n + i] = float(r["q"])
+        v[ti, i] = float(r["v"])
+        p_u[ti, i] = float(r["p_u"])
+        q_u[ti, i] = float(r["q_u"])
+        if has_obj:
+            obj[ti] = float(r["objective"])
+    return Trajectory(t=np.array(ts), x=x, v=v, p_u=p_u, q_u=q_u, objective=obj)
+
+
+AWKWARD = [1e-05, -0.0, 1e+16, 5e-324]
+
+
+def _awkward_trajectory(graph, seed):
+    """No-control day on ``graph`` with random setpoints and awkward floats in every column."""
+    n = graph.n
+    gen = GeneratorConfig(controllable=(2, 3), d_def_p_kva=np.full(n, 20.0),
+                          d_def_q_kva=np.full(n, 8.0), horizon=9)
+    traj = run_no_control(generate_profile(graph, gen, seed), build_sensitivities(graph), graph)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=0.1, size=traj.x.shape)
+    v, p_u, q_u = traj.v.copy(), traj.p_u.copy(), traj.q_u.copy()
+    for k, arr in enumerate((x, v, p_u, q_u)):
+        arr[k, :4] = AWKWARD
+    objective = rng.uniform(size=traj.horizon) ** 3
+    objective[-4:] = AWKWARD
+    return Trajectory(t=traj.t, x=x, v=v, p_u=p_u, q_u=q_u, objective=objective)
+
+
+@pytest.mark.parametrize("with_objective", [False, True])
+@pytest.mark.parametrize("graph_name", ["graph8", "graph37"])
+def test_trajectory_io_matches_reference(request, tmp_path, graph_name, with_objective):
+    traj = _awkward_trajectory(request.getfixturevalue(graph_name), seed=11)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    save_trajectory(traj, ours, with_objective=with_objective)
+    _reference_save(traj, ref, with_objective=with_objective)
+    assert ours.read_bytes() == ref.read_bytes()
+    back, expected = load_trajectory(ours), _reference_load(ref)
+    for name in ("t", "x", "v", "p_u", "q_u", "objective"):
+        a, b = getattr(back, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # bit-identical, signed zeros included
+    if with_objective:
+        assert back.objective.tobytes() == traj.objective.tobytes()
 
 
 def test_config_hash_stable_and_sensitive():
@@ -266,6 +359,20 @@ def test_cli_evaluate(run_dir, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["absolute_gap"] >= 0.0
+
+
+@pytest.mark.parametrize("damage", ["swap_nodes", "drop_node"])
+def test_cli_evaluate_rejects_malformed_grid(run_dir, tmp_path, capsys, damage):
+    lines = (run_dir / "controller_trajectory.csv").read_bytes().split(b"\r\n")
+    if damage == "swap_nodes":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        del lines[3]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    code = main(["evaluate", str(bad), str(run_dir / "oracle_trajectory.csv")])
+    assert code == STAGE_EXIT["evaluate"]
+    assert "nodes 1..N in order" in capsys.readouterr().err
 
 
 def test_cli_run_reports_stage_exit_code(tmp_path, capsys):

@@ -115,6 +115,15 @@ def test_scenario_round_trip(graph8, tmp_path):
         assert sa.tau == sb.tau
 
 
+def test_load_scenario_rejects_horizon_mismatch(graph8, tmp_path):
+    scn = generate_profile(graph8, _gen_cfg(graph8.n, horizon=3), seed=5)
+    csv_path, side = tmp_path / "scn.csv", tmp_path / "scn.yaml"
+    save_scenario(scn, csv_path, side)
+    side.write_text(side.read_text().replace("horizon: 3", "horizon: 4"))
+    with pytest.raises(ValueError, match="holds 3 slots"):
+        load_scenario(csv_path, side)
+
+
 # ---------------------------------------------------------------------------
 # Cost model
 
@@ -129,6 +138,20 @@ def test_cost_value_and_grad_hand_computed():
     np.testing.assert_allclose(
         g, 6.0 * np.array([0.2, 0.1, 0.2, 0.2]), atol=1e-15
     )
+
+
+def test_cost_value_rows_match_single_rows():
+    """A (..., N) batch gives each row's single-row value bit for bit."""
+    rng = np.random.default_rng(4)
+    cost = CostModel(rng.normal(size=37), rng.normal(size=37), weight=1.3)
+    p, q = rng.normal(size=(2, 5, 37)), rng.normal(size=(2, 5, 37))
+    rows = cost_value(cost, p, q)
+    assert rows.shape == (2, 5)
+    assert isinstance(cost_value(cost, p[0, 0], q[0, 0]), float)
+    for idx in np.ndindex(2, 5):
+        assert rows[idx] == cost_value(cost, p[idx], q[idx])
+        dp, dq = p[idx] - cost.p_floor, q[idx] - cost.q_floor
+        assert rows[idx] == 1.3 * (dp @ dp + dq @ dq)
 
 
 def test_cost_grad_matches_finite_difference():

@@ -270,7 +270,7 @@ def test_zo_jacobian_exact_on_linear_plant(graph8, model8):
     def plant(x):
         return x @ model8.A.T + v_env
 
-    jac = zo_voltage_jacobian(graph8, stp, stp.box.midpoint, zo_step=1e-3, plant=plant)
+    jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=1e-3, plant=plant)
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
 
 
@@ -279,10 +279,10 @@ def test_zo_jacobian_second_order_on_nonlinear_plant(graph8):
     n = graph8.n
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
     x = stp.box.midpoint
-    ref = zo_voltage_jacobian(graph8, stp, x, zo_step=1e-6)
+    ref = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-6)
     err = {}
     for h in (4e-2, 2e-2, 1e-2):
-        jac = zo_voltage_jacobian(graph8, stp, x, zo_step=h)
+        jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=h)
         err[h] = np.max(np.abs(jac - ref))
     r1 = err[4e-2] / err[2e-2]
     r2 = err[2e-2] / err[1e-2]
@@ -294,7 +294,7 @@ def test_zo_jacobian_rejects_bad_step(graph8):
     stp = make_step(graph8.n, -0.01 * np.ones(graph8.n),
                     -0.005 * np.ones(graph8.n), [3])
     with pytest.raises(ValueError):
-        zo_voltage_jacobian(graph8, stp, stp.box.midpoint, zo_step=0.0)
+        zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def test_adam_blocks_match_one_shot_update(graph8):
 def test_controllable_nodes(graph8):
     stp = make_step(graph8.n, -0.01 * np.ones(graph8.n),
                     -0.005 * np.ones(graph8.n), [3, 5, 7])
-    assert controllable_nodes(stp) == (3, 5, 7)
+    assert controllable_nodes(stp.box) == (3, 5, 7)
 
 
 def _train_scenario(graph, horizon=48, seed=1):
@@ -386,6 +386,16 @@ def test_train_zero_epochs_returns_initial_state(graph8, model8):
     assert state.epoch == 0
     np.testing.assert_array_equal(state.mu_lo, np.ones(graph8.n))
     assert state.policy.nodes == (3, 5, 7)
+
+
+def test_train_rejects_scenarios_with_different_boxes(graph8, model8):
+    scn = _train_scenario(graph8, horizon=8)
+    box = scn.box
+    other = dataclasses.replace(_train_scenario(graph8, horizon=8, seed=2),
+                                box=dataclasses.replace(box, p_hi=0.5 * box.p_hi))
+    cfg = TrainerConfig(epochs=1, batch_size=8)
+    with pytest.raises(ValueError, match="BoxLimits"):
+        train([scn, other], cfg, graph8, model8)
 
 
 def test_train_rejects_unstable_policy(graph8, model8):
@@ -474,6 +484,12 @@ def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode
     assert rows == [8, 8, 4] * 2  # one MLP pass per minibatch, none inside Picard or grad
 
 
+def _rows(samples):
+    """``_solve_batch``'s leading arguments for per-slot samples sharing one cost and box."""
+    return (np.array([s.p_u for s in samples]), np.array([s.q_u for s in samples]),
+            samples[0].cost, samples[0].box)
+
+
 def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
     """A row dropped as not converged leaves offset, tape and gradient on the kept rows."""
     from localopf import trainer
@@ -491,7 +507,8 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
         return x, v, conv, iterations
 
     monkeypatch.setattr(trainer, "solve_equilibria_batch", drop_row_1)
-    batch, _ = trainer._solve_batch(samples, pol, model8, graph8, cfg, samples[0].box.midpoint)
+    batch, _ = trainer._solve_batch(*_rows(samples), pol, model8, graph8, cfg,
+                                    samples[0].box.midpoint)
     kept = [samples[i] for i in (0, 2, 3)]
     assert batch.skipped == 1
     np.testing.assert_array_equal(batch.p_u, [s.p_u for s in kept])
@@ -524,7 +541,8 @@ def test_converged_batch_shares_the_forward_pass(graph8, model8, monkeypatch):
         return passes[-1]
 
     monkeypatch.setattr(trainer, "forward_all", recorded)
-    batch, _ = trainer._solve_batch(samples, pol, model8, graph8, cfg, samples[0].box.midpoint)
+    batch, _ = trainer._solve_batch(*_rows(samples), pol, model8, graph8, cfg,
+                                    samples[0].box.midpoint)
     assert batch.skipped == 0 and len(passes) == 1
     offset, tape = passes[0]
     assert np.shares_memory(batch.offset, offset)
