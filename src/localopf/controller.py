@@ -40,9 +40,17 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ControllerState:
+    """Setpoint applied in slot ``t``, its recorded voltages, and a measurement ahead.
+
+    ``measured`` is ``(slot, v)``: the squared voltages of ``x`` under the
+    injections of the next slot, solved in the same plant call as ``v_hat``;
+    :func:`step` reads it only when stepped on that very slot.
+    """
+
     x: np.ndarray  # stacked (p, q), length 2N
     v_hat: np.ndarray | None  # squared voltages after applying x; None before the first slot
     t: int
+    measured: tuple[ScenarioStep, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,46 @@ def plant_voltage(
     return sol.v
 
 
+def measure(
+    x: np.ndarray,
+    measured: tuple[ScenarioStep, np.ndarray] | None,
+    step_data: ScenarioStep,
+    model: LinearVoltageModel,
+    graph: FeederGraph,
+    plant: str,
+) -> np.ndarray:
+    """Squared voltages of the held setpoint ``x`` under ``step_data``'s injections.
+
+    Reuses ``measured`` = ``(slot, v)`` only when it was taken for this very
+    slot (the same ``ScenarioStep`` object); otherwise solves the plant.
+    """
+    if measured is not None and measured[0] is step_data:
+        return measured[1]
+    return plant_voltage(x, step_data.p_u, step_data.q_u, model, graph, plant)
+
+
+def apply_setpoint(
+    x: np.ndarray,
+    step_data: ScenarioStep,
+    next_step: ScenarioStep | None,
+    model: LinearVoltageModel,
+    graph: FeederGraph,
+    plant: str,
+):
+    """Record the applied setpoint ``x`` in its slot, measuring the next slot in the same call.
+
+    Returns ``(v, measured)``: the squared voltages of ``x`` under
+    ``step_data``'s injections, and ``(next_step, v_next)`` with ``x``'s
+    voltages under ``next_step``'s injections (None without ``next_step``).
+    With ``next_step`` the two are the rows of one plant call.
+    """
+    if next_step is None:
+        return plant_voltage(x, step_data.p_u, step_data.q_u, model, graph, plant), None
+    v = plant_voltage(np.stack((x, x)), np.stack((step_data.p_u, next_step.p_u)),
+                      np.stack((step_data.q_u, next_step.q_u)), model, graph, plant)
+    return v[0], (next_step, v[1])
+
+
 def step(
     state: ControllerState,
     step_data: ScenarioStep,
@@ -84,24 +132,31 @@ def step(
     model: LinearVoltageModel,
     graph: FeederGraph,
     cfg: ControllerConfig,
+    next_step: ScenarioStep | None = None,
 ) -> ControllerState:
     """One real-time update.
 
-    Measures voltages with the previous setpoint under the new injections,
+    Measures voltages with the previous setpoint under the new injections
+    (or takes the state's measurement when it was made for this slot),
     moves every node along its local gradient-plus-policy direction, projects
     onto the box, applies the new setpoint, and returns the refreshed state.
     Each node's update reads only its own measurement, injection, cost, box,
     and channels (all operations below are elementwise in the node index).
+    Given the following slot ``next_step``, the new setpoint's recorded
+    voltages and its measurement under ``next_step``'s injections come from
+    one two-row plant call; the latter is carried in the state for the next
+    update, which still reads only the setpoint it holds under its own slot's
+    injections.
     """
-    v_hat = plant_voltage(state.x, step_data.p_u, step_data.q_u, model, graph, cfg.plant)
+    v_hat = measure(state.x, state.measured, step_data, model, graph, cfg.plant)
     u = output(policy.gain, forward_all(policy, step_data.p_u, step_data.q_u), v_hat)
     n = graph.n
     g = state.x - cfg.alpha * (
         cost_grad(step_data.cost, state.x[:n], state.x[n:]) + u
     )
     x_new = project_box(g, step_data.box)
-    v_new = plant_voltage(x_new, step_data.p_u, step_data.q_u, model, graph, cfg.plant)
-    return ControllerState(x=x_new, v_hat=v_new, t=step_data.t)
+    v_new, measured = apply_setpoint(x_new, step_data, next_step, model, graph, cfg.plant)
+    return ControllerState(x=x_new, v_hat=v_new, t=step_data.t, measured=measured)
 
 
 def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=None):

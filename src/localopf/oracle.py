@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import plant_voltage
+from .controller import apply_setpoint, measure
 from .feeder import FeederGraph, LinearVoltageModel
 from .powerflow import env_voltage
 from .scenario import ScenarioStep, cost_value
@@ -125,13 +125,20 @@ def gamma_estimate(solutions) -> float:
 
 @dataclass(frozen=True)
 class BaselineState:
-    """Centralized feedback primal-dual controller state."""
+    """Centralized feedback primal-dual controller state.
+
+    ``v_hat`` holds the squared voltages recorded after applying ``x`` (None
+    before the first slot); ``measured`` is ``(slot, v)``, ``x``'s voltages
+    under the next slot's injections, as in ``ControllerState``.
+    """
 
     x: np.ndarray
     mu_lo: np.ndarray
     mu_hi: np.ndarray
     alpha_b: float
     sigma_b: float
+    v_hat: np.ndarray | None = None
+    measured: tuple[ScenarioStep, np.ndarray] | None = None
 
 
 def baseline_step(
@@ -141,17 +148,22 @@ def baseline_step(
     graph: FeederGraph,
     v_lo: np.ndarray,
     v_hi: np.ndarray,
+    next_step: ScenarioStep | None = None,
 ) -> BaselineState:
     """One comparator update: full-vector dual ascent then projected descent.
 
     Requires the complete voltage measurement, i.e. system-wide
-    communication -- the contrast with the local policy controller.
+    communication -- the contrast with the local policy controller.  Records
+    the new setpoint's voltages on the nonlinear plant; with ``next_step``
+    that call also measures it under the next slot's injections, as in
+    ``controller.step``.
     """
-    v_hat = plant_voltage(state.x, step_data.p_u, step_data.q_u, model, graph, "nonlinear")
+    v_hat = measure(state.x, state.measured, step_data, model, graph, "nonlinear")
     mu_lo = np.maximum(state.mu_lo + state.sigma_b * (v_lo - v_hat), 0.0)
     mu_hi = np.maximum(state.mu_hi + state.sigma_b * (v_hat - v_hi), 0.0)
     cost = step_data.cost
     grad = 2.0 * cost.weight * (state.x - cost.floor) + model.A.T @ (mu_hi - mu_lo)
     x = np.clip(state.x - state.alpha_b * grad, step_data.box.lo, step_data.box.hi)
-    return BaselineState(x=x, mu_lo=mu_lo, mu_hi=mu_hi,
-                         alpha_b=state.alpha_b, sigma_b=state.sigma_b)
+    v_new, measured = apply_setpoint(x, step_data, next_step, model, graph, "nonlinear")
+    return BaselineState(x=x, mu_lo=mu_lo, mu_hi=mu_hi, alpha_b=state.alpha_b,
+                         sigma_b=state.sigma_b, v_hat=v_new, measured=measured)

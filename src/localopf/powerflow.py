@@ -41,7 +41,7 @@ class InjectionState:
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != shape:
                 raise ValueError(f"{name} has shape {vec.shape}, expected {shape}")
-            if not np.all(np.isfinite(vec)):
+            if not np.isfinite(vec).all():
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vec)
 
@@ -88,14 +88,14 @@ def solve_nonlinear(
         P = (neg_p + r * ell) @ path.T
         Q = (neg_q + x * ell) @ path.T
         v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path
-        if np.any(v_new <= 0.0):
+        if v_new.min() <= 0.0:
             bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
             raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
         # refresh squared currents from the sending-end voltage
         v_send = v_new[..., graph.send]
         v_send[..., graph.root_lines] = v0
         ell = (P * P + Q * Q) / v_send
-        delta = float(np.max(np.abs(v_new - v)))
+        delta = np.abs(v_new - v).max()
         v = v_new
         if delta < tol:
             converged = True

@@ -94,6 +94,8 @@ class EvaluationReport:
     relative_gap: float
     volt_violation: float
     excluded_steps: int  # relative-gap steps dropped for a zero oracle objective
+    # seconds per controller step, plant included: one power-flow call per step
+    # (two rows but on the last slot), and one more on the first slot
     mean_step_time: float
     per_step: dict
 
@@ -152,6 +154,11 @@ def _trajectory(scenario: Scenario, x, v) -> Trajectory:
                       objective=cost_value(scenario.cost, x[:, :n], x[:, n:]))
 
 
+def _with_next(steps):
+    """Each slot with the one after it (None after the last)."""
+    return zip(steps, (*steps[1:], None))
+
+
 def run_controller(
     scenario: Scenario,
     policy,
@@ -163,15 +170,16 @@ def run_controller(
     """Operate the trained controller over a scenario.
 
     Returns (Trajectory, mean per-step wall time in seconds).  Starts from the
-    box midpoint unless ``x0`` is given.
+    box midpoint unless ``x0`` is given.  Each step is handed the following
+    slot, so one two-row plant call records a slot and measures the next.
     """
     x = scenario.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     state = ControllerState(x=x, v_hat=None, t=-1)  # step measures before it moves
     rows_x, rows_v = [], []
     elapsed = 0.0
-    for s in scenario.steps:
+    for s, nxt in _with_next(scenario.steps):
         t0 = time.perf_counter()
-        state = step(state, s, policy, model, graph, cfg)
+        state = step(state, s, policy, model, graph, cfg, next_step=nxt)
         elapsed += time.perf_counter() - t0
         rows_x.append(state.x)
         rows_v.append(state.v_hat)
@@ -205,10 +213,10 @@ def run_baseline(
     v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
     v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
     rows_x, rows_v = [], []
-    for s in scenario.steps:
-        state = baseline_step(state, s, model, graph, v_lo, v_hi)
+    for s, nxt in _with_next(scenario.steps):
+        state = baseline_step(state, s, model, graph, v_lo, v_hi, next_step=nxt)
         rows_x.append(state.x)
-        rows_v.append(plant_voltage(state.x, s.p_u, s.q_u, model, graph, "nonlinear"))
+        rows_v.append(state.v_hat)
     return _trajectory(scenario, rows_x, rows_v)
 
 
@@ -416,11 +424,11 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
                                               ctrl_cfg, x0=x0)
         nc_traj = run_no_control(test_scn, model, graph)
         bcfg = cfg.get("baseline", {})
-        base_traj = run_baseline(
-            test_scn, model, graph, v_lo, v_hi,
-            alpha_b=float(bcfg.get("alpha_b", tr_cfg.alpha)),
-            sigma_b=float(bcfg.get("sigma_b", 5.0)), x0=x0,
-        )
+        alpha_b = float(bcfg.get("alpha_b", tr_cfg.alpha))
+        # unless set, the dual step gives the loop gain alpha_b * sigma_b * ||A||^2 = 1
+        sigma_b = float(bcfg.get("sigma_b", 1.0 / (alpha_b * model.a_norm**2)))
+        base_traj = run_baseline(test_scn, model, graph, v_lo, v_hi,
+                                 alpha_b=alpha_b, sigma_b=sigma_b, x0=x0)
 
     with stage("oracle"):
         oracle_traj = run_oracle(test_scn, model, v_lo, v_hi)

@@ -1,0 +1,165 @@
+"""Operated slots with a measurement ahead: each step's record and the next slot's
+measurement share one plant call.
+
+``_reference_controller`` and ``_reference_baseline`` are the two-calls-per-slot
+loops written out in full: each slot measures the held setpoint under its own
+injections, updates, and records the new setpoint in a second call.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import localopf.controller as controller
+from localopf import ControllerConfig, ControllerState, generate_profile, init_policy, step
+from localopf.controller import plant_voltage
+from localopf.oracle import BaselineState, baseline_step
+from localopf.policy import forward_all, output
+from localopf.runner import (
+    _trajectory,
+    generator_config,
+    resolve_config,
+    run_baseline,
+    run_controller,
+)
+from localopf.scenario import cost_grad, project_box
+from conftest import DATA
+
+HORIZON = 24
+V_LO, V_HI = 0.9025, 1.1025
+
+
+def _reference_controller(scenario, policy, model, graph, cfg):
+    n = graph.n
+    x = scenario.box.midpoint.copy()
+    rows_x, rows_v = [], []
+    for s in scenario.steps:
+        v_hat = plant_voltage(x, s.p_u, s.q_u, model, graph, cfg.plant)
+        u = output(policy.gain, forward_all(policy, s.p_u, s.q_u), v_hat)
+        x = project_box(x - cfg.alpha * (cost_grad(s.cost, x[:n], x[n:]) + u), s.box)
+        rows_x.append(x)
+        rows_v.append(plant_voltage(x, s.p_u, s.q_u, model, graph, cfg.plant))
+    return _trajectory(scenario, rows_x, rows_v)
+
+
+def _reference_baseline(scenario, model, graph, alpha_b, sigma_b):
+    n = graph.n
+    x = scenario.box.midpoint.copy()
+    mu_lo, mu_hi = np.zeros(n), np.zeros(n)
+    rows_x, rows_v = [], []
+    for s in scenario.steps:
+        v_hat = plant_voltage(x, s.p_u, s.q_u, model, graph, "nonlinear")
+        mu_lo = np.maximum(mu_lo + sigma_b * (V_LO - v_hat), 0.0)
+        mu_hi = np.maximum(mu_hi + sigma_b * (v_hat - V_HI), 0.0)
+        grad = 2.0 * s.cost.weight * (x - s.cost.floor) + model.A.T @ (mu_hi - mu_lo)
+        x = np.clip(x - alpha_b * grad, s.box.lo, s.box.hi)
+        rows_x.append(x)
+        rows_v.append(plant_voltage(x, s.p_u, s.q_u, model, graph, "nonlinear"))
+    return _trajectory(scenario, rows_x, rows_v)
+
+
+def _setup(feeder, request):
+    """A held-out day of the shipped config, a policy with interior setpoints and the
+    comparator gains."""
+    graph = request.getfixturevalue(f"graph{feeder}")
+    model = request.getfixturevalue(f"model{feeder}")
+    cfg, _ = resolve_config(DATA / f"config_{feeder}bus.yaml")
+    scn = generate_profile(graph, generator_config(cfg, HORIZON), 1000)
+    nodes = cfg["scenario"]["controllable"]
+    pol = init_policy(graph, nodes, arch=(1, 8), k_max=0.5 / model.a_norm, seed=3)
+    # a constant MLP term that puts the setpoints about 0.05 pu inside the box
+    pol.weights[-1][:] = 0.0
+    pol.biases[-1][:, 0] = -pol.k - 0.1
+    ctrl_cfg = ControllerConfig(alpha=cfg["trainer"]["alpha"], plant="nonlinear")
+    gains = (cfg["baseline"]["alpha_b"], cfg["baseline"]["sigma_b"])
+    return graph, model, scn, pol, ctrl_cfg, gains
+
+
+def _count_plant_calls(monkeypatch):
+    calls = []
+    solve = controller.solve_nonlinear
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].p.shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "solve_nonlinear", counting)
+    return calls
+
+
+@pytest.mark.parametrize("feeder", ["8", "37"])
+def test_run_controller_matches_two_call_reference(feeder, request, monkeypatch):
+    graph, model, scn, pol, cfg, _ = _setup(feeder, request)
+    want = _reference_controller(scn, pol, model, graph, cfg)
+    calls = _count_plant_calls(monkeypatch)
+    got, _ = run_controller(scn, pol, model, graph, cfg)
+    assert len(calls) == HORIZON + 1
+    assert calls.count((2, graph.n)) == HORIZON - 1
+    np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(got.v, want.v, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("feeder", ["8", "37"])
+def test_run_baseline_matches_two_call_reference(feeder, request, monkeypatch):
+    graph, model, scn, _, _, (alpha_b, sigma_b) = _setup(feeder, request)
+    want = _reference_baseline(scn, model, graph, alpha_b, sigma_b)
+    calls = _count_plant_calls(monkeypatch)
+    got = run_baseline(scn, model, graph, V_LO, V_HI, alpha_b=alpha_b, sigma_b=sigma_b)
+    assert len(calls) == HORIZON + 1
+    assert calls.count((2, graph.n)) == HORIZON - 1
+    np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(got.v, want.v, rtol=0.0, atol=1e-10)
+
+
+def _stale_and_fresh(state, slot_a, slot_b, advance):
+    """States stepped on ``slot_b``: without a measurement, with one taken for
+    ``slot_a``, for an equal copy of ``slot_b``, and for ``slot_b`` itself."""
+    junk = np.full(slot_b.p_u.shape, -7.0)  # no plant gives this; reading it would show
+    fresh = advance(state, slot_b)
+    stale = [advance(dataclasses.replace(state, measured=(other, junk)), slot_b)
+             for other in (slot_a, dataclasses.replace(slot_b))]
+    used = advance(dataclasses.replace(state, measured=(slot_b, junk)), slot_b)
+    return fresh, stale, used
+
+
+def test_step_measures_afresh_on_a_stale_measurement(request):
+    graph, model, scn, pol, cfg, _ = _setup("8", request)
+    slot_a, slot_b = scn.steps[3], scn.steps[4]
+    state = ControllerState(x=scn.box.midpoint.copy(), v_hat=None, t=-1)
+    fresh, stale, used = _stale_and_fresh(
+        state, slot_a, slot_b, lambda st, s: step(st, s, pol, model, graph, cfg))
+    for st in stale:
+        np.testing.assert_array_equal(st.x, fresh.x)
+        np.testing.assert_array_equal(st.v_hat, fresh.v_hat)
+    assert not np.array_equal(used.x, fresh.x)
+
+
+def test_baseline_step_measures_afresh_on_a_stale_measurement(request):
+    graph, model, scn, _, _, (alpha_b, sigma_b) = _setup("8", request)
+    slot_a, slot_b = scn.steps[3], scn.steps[4]
+    n = graph.n
+    state = BaselineState(x=scn.box.midpoint.copy(), mu_lo=np.zeros(n), mu_hi=np.zeros(n),
+                          alpha_b=alpha_b, sigma_b=sigma_b)
+    v_lo, v_hi = np.full(n, V_LO), np.full(n, V_HI)
+    fresh, stale, used = _stale_and_fresh(
+        state, slot_a, slot_b, lambda st, s: baseline_step(st, s, model, graph, v_lo, v_hi))
+    for st in stale:
+        for name in ("x", "mu_lo", "mu_hi", "v_hat"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(fresh, name))
+    assert not np.array_equal(used.x, fresh.x)
+
+
+def test_step_carries_the_measurement_of_the_next_slot(request):
+    graph, model, scn, pol, cfg, _ = _setup("8", request)
+    now, nxt = scn.steps[5], scn.steps[6]
+    state = ControllerState(x=scn.box.midpoint.copy(), v_hat=None, t=-1)
+    ahead = step(state, now, pol, model, graph, cfg, next_step=nxt)
+    alone = step(state, now, pol, model, graph, cfg)
+    assert alone.measured is None
+    assert ahead.measured[0] is nxt
+    np.testing.assert_array_equal(ahead.x, alone.x)
+    np.testing.assert_allclose(ahead.v_hat, alone.v_hat, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(
+        ahead.measured[1], plant_voltage(ahead.x, nxt.p_u, nxt.q_u, model, graph, "nonlinear"),
+        rtol=0.0, atol=1e-10)

@@ -3,7 +3,9 @@
 The 2-bus oracle is a polar Newton-Raphson on the bus admittance matrix --
 a completely different formulation from the library's branch-flow sweep.
 ``loop_sweep`` is the same sweep written bus by bus over the tree; it is the
-reference for the library's matrix form.
+reference for the library's matrix form.  ``matrix_sweep`` is the matrix form
+with its per-iteration checks written as ``np.any``/``np.max`` reductions; the
+library's sweep must agree with it bit for bit.
 """
 
 import numpy as np
@@ -85,6 +87,33 @@ def loop_sweep(graph, s, v0, tol=1e-10, max_iters=500):
         if delta < tol:
             return v, P, Q, ell
     raise AssertionError("reference sweep did not converge")
+
+
+def matrix_sweep(graph, s, v0, tol=1e-10, max_iters=500):
+    """The library's sweep loop with ``np.any``/``np.max`` checks; returns a solution."""
+    neg_p = -(s.p + s.p_u)
+    neg_q = -(s.q + s.q_u)
+    r, x, z2, path = graph.r, graph.x, graph.z2, graph.path
+    v = np.full(neg_p.shape, float(v0))
+    P = Q = ell = np.zeros(neg_p.shape)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        P = (neg_p + r * ell) @ path.T
+        Q = (neg_q + x * ell) @ path.T
+        v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path
+        if np.any(v_new <= 0.0):
+            bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
+            raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
+        v_send = v_new[..., graph.send]
+        v_send[..., graph.root_lines] = v0
+        ell = (P * P + Q * Q) / v_send
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if delta < tol:
+            converged = True
+            break
+    return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
 
 
 def _random_rows(n, rng, rows=()):
@@ -225,3 +254,28 @@ def test_injection_state_accepts_rows_and_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         InjectionState(p=np.float64(0.0), q=np.float64(0.0),
                        p_u=np.float64(0.0), q_u=np.float64(0.0))
+
+
+@pytest.mark.parametrize("rows", [(), (2,), (32,), (2, 3)])
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_sweep_is_bit_identical_to_reference_loop(fixture, rows, request):
+    graph = request.getfixturevalue(fixture)
+    s = _random_rows(graph.n, np.random.default_rng(11), rows=rows)
+    got, want = solve_nonlinear(graph, s, 1.0), matrix_sweep(graph, s, 1.0)
+    assert got.converged == want.converged is True
+    assert got.iterations == want.iterations
+    for name in ("v", "P", "Q", "ell"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_collapse_names_the_same_bus_as_reference_loop(graph8):
+    rng = np.random.default_rng(12)
+    s = _random_rows(graph8.n, rng, rows=(3,))
+    s.p_u[1, 4:] = -2.0  # one row's far buses collapse
+    messages = []
+    for solve in (solve_nonlinear, matrix_sweep):
+        with pytest.raises(VoltageCollapseError) as err:
+            solve(graph8, s, 1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("voltage collapse at bus ")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from localopf import (
     GeneratorConfig,
@@ -268,6 +269,19 @@ def test_run_experiment_deterministic(run_dir, tmp_path):
         a = (run_dir / name).read_bytes()
         b = (again / name).read_bytes()
         assert a == b, f"{name} differs between identical reruns"
+
+
+def test_baseline_without_config_section_keeps_limits(tmp_path):
+    """Without a ``baseline:`` section the comparator's loop gain is one, not a fixed
+    dual step that makes it oscillate."""
+    cfg = yaml.safe_load(CONFIG8.read_text(encoding="utf-8"))
+    del cfg["baseline"]
+    cfg["feeder"] = str(DATA / cfg["feeder"])
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    out = run_experiment(path, output_dir=tmp_path / "run", overrides=["trainer.epochs=1"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["baseline"]["volt_violation"] <= 1e-3
 
 
 def test_run_experiment_missing_output_dir(monkeypatch):
