@@ -13,9 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import FeederGraph, LinearVoltageModel
-from .powerflow import InjectionState, solve_nonlinear
+from .powerflow import SWEEP_TOL, InjectionState, solve_nonlinear
 from .policy import PolicyParams, forward_all, output
 from .scenario import ScenarioStep, cost_grad, project_box
+
+
+# Inside a Picard solve each nonlinear plant call starts from the previous
+# iterate's power flow and sweeps only to this fraction of the previous
+# Picard step (never below ``SWEEP_TOL``).  A sweep shrinks its error about
+# tenfold (8 sweeps take it from ~1e-2 to 1e-10), so the voltage error stays
+# an order of magnitude below the step; once the step is below ``eq_tol``
+# (1e-9) the tolerance is back at about ``SWEEP_TOL``.
+PICARD_PF_TOL_FRACTION = 0.1
 
 
 class ControllerError(RuntimeError):
@@ -77,12 +86,17 @@ def plant_voltage(
     """
     if plant == "linear":
         return x @ model.A.T + (model.v0 + p_u @ model.R.T + q_u @ model.X.T)
+    return _nonlinear_plant(x, p_u, q_u, model, graph).v
+
+
+def _nonlinear_plant(x, p_u, q_u, model, graph, tol=SWEEP_TOL, start=None):
+    """Power flow of setpoints ``x`` (..., 2N) under (p_u, q_u); raises unless it converged."""
     n = graph.n
     sol = solve_nonlinear(graph, InjectionState(p=x[..., :n], q=x[..., n:], p_u=p_u, q_u=q_u),
-                          model.v0)
+                          model.v0, tol=tol, start=start)
     if not sol.converged:
         raise ControllerError("nonlinear plant did not converge")
-    return sol.v
+    return sol
 
 
 def measure(
@@ -159,29 +173,55 @@ def step(
     return ControllerState(x=x_new, v_hat=v_new, t=step_data.t, measured=measured)
 
 
+def _picard_plant(p_u, q_u, model, graph, plant):
+    """Plant of one Picard solve: ``plant(x, step)`` maps setpoint rows to squared voltages.
+
+    ``step`` is the largest row step of the previous Picard iteration (0 for
+    full precision).  The linear plant ignores it.  The nonlinear plant keeps
+    the solve's last power-flow solution, starts each sweep from it, and
+    stops at ``max(SWEEP_TOL, PICARD_PF_TOL_FRACTION * step)``.
+    """
+    if plant == "linear":
+        return lambda x, step: plant_voltage(x, p_u, q_u, model, graph, plant)
+    last = None
+
+    def solve(x, step):
+        nonlocal last
+        last = _nonlinear_plant(x, p_u, q_u, model, graph,
+                                max(SWEEP_TOL, PICARD_PF_TOL_FRACTION * step), last)
+        return last.v
+
+    return solve
+
+
 def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=None):
     """Picard iteration of the frozen-scenario dynamics on (S, 2N) setpoint rows.
 
-    ``plant`` maps setpoint rows to squared-voltage rows v; the policy output
-    is ``output(gain, offset, v)`` with the MLP term ``offset`` (S, 2N) fixed.
-    Stops once every row moved less than ``eq_tol``; appends the largest row
-    step of each iteration to ``gaps`` when given.  Returns (x, v, converged
-    (S,), gap (S,), iterations).
+    ``plant(x, step)`` maps setpoint rows to squared-voltage rows v, given
+    the largest row step of the previous iteration as ``step``: 0 on the
+    first call and on the final one, which returns the equilibrium's
+    voltages at full precision (see :func:`_picard_plant`).  The policy
+    output is ``output(gain, offset, v)`` with the MLP term ``offset``
+    (S, 2N) fixed.  Stops once every row moved less than ``eq_tol``; appends
+    the largest row step of each iteration to ``gaps`` when given.  Returns
+    (x, v, converged (S,), gap (S,), iterations).
     """
     floor, lo, hi = cost.floor, box.lo, box.hi
     two_w = 2.0 * cost.weight
     gap = np.full(len(x), np.inf)
+    step = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        v = plant(x)
+        v = plant(x, step)
         x_new = np.clip(x - alpha * (two_w * (x - floor) + output(gain, offset, v)), lo, hi)
         gap = np.linalg.norm(x_new - x, axis=1)
         x = x_new
+        step = float(np.max(gap))
         if gaps is not None:
-            gaps.append(float(np.max(gap)))
-        if np.max(gap) < eq_tol:
+            gaps.append(step)
+        if step < eq_tol:
             break
-    return x, plant(x), gap < eq_tol, gap, iterations
+    return x, plant(x, 0.0), gap < eq_tol, gap, iterations
 
 
 def solve_equilibrium(
@@ -202,7 +242,7 @@ def solve_equilibrium(
     p_u, q_u = step_data.p_u[None], step_data.q_u[None]
     gaps = [] if return_gaps else None
     x, v, conv, gap, iterations = _picard(
-        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant),
+        x, _picard_plant(p_u, q_u, model, graph, cfg.plant),
         forward_all(policy, p_u, q_u), policy.gain, step_data.cost, step_data.box,
         cfg.alpha, cfg.eq_tol, cfg.eq_max_iters, gaps,
     )
@@ -226,14 +266,16 @@ def solve_equilibria_batch(
     """Fixed points of the frozen-scenario dynamics on ``cfg.plant`` for S scenario samples.
 
     ``p_u``, ``q_u`` have shape (S, N), ``offset`` = ``forward_all(policy,
-    p_u, q_u)``; each Picard iteration makes one plant call on all rows.
+    p_u, q_u)``; each Picard iteration makes one plant call on all rows (on
+    the nonlinear plant, warm-started from the previous iteration's power
+    flow; see :func:`_picard_plant`).
     Starts every row at the box midpoint unless ``x0`` (S, 2N) is given.
     Returns (x (S,2N), v (S,N), converged (S,), iterations).  Rows share the
     cost and box.
     """
     x = np.tile(box.midpoint, (len(p_u), 1)) if x0 is None else np.array(x0, dtype=float)
     x, v, conv, _, iterations = _picard(
-        x, lambda x: plant_voltage(x, p_u, q_u, model, graph, cfg.plant), offset, policy.gain,
+        x, _picard_plant(p_u, q_u, model, graph, cfg.plant), offset, policy.gain,
         cost, box, cfg.alpha, cfg.eq_tol, cfg.eq_max_iters,
     )
     return x, v, conv, iterations

@@ -16,6 +16,9 @@ import numpy as np
 from .feeder import FeederGraph, LinearVoltageModel
 
 
+SWEEP_TOL = 1e-10  # default stop rule: every row moved less than this on the last sweep
+
+
 class VoltageCollapseError(RuntimeError):
     """Raised when the sweep drives a squared voltage nonpositive."""
 
@@ -48,7 +51,11 @@ class InjectionState:
 
 @dataclass(frozen=True)
 class PowerFlowSolution:
-    """Sweep result; arrays have the injections' shape, with a batch's rows first."""
+    """Sweep result; arrays have the injections' shape, with a batch's rows first.
+
+    A solution can seed a later sweep through ``solve_nonlinear(...,
+    start=sol)``, which begins from its ``v`` and ``ell``.
+    """
 
     v: np.ndarray  # squared voltage magnitudes, per bus 1..N
     P: np.ndarray  # sending-end active power, per line (indexed by child bus - 1)
@@ -62,8 +69,9 @@ def solve_nonlinear(
     graph: FeederGraph,
     s: InjectionState,
     v0: float,
-    tol: float = 1e-10,
+    tol: float = SWEEP_TOL,
     max_iters: int = 500,
+    start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
     """Backward/forward sweep fixed point of the branch flow equations.
 
@@ -71,8 +79,11 @@ def solve_nonlinear(
     x*ell losses (ell frozen from the previous pass) through ``path``; the
     forward pass subtracts the line drops along each root path from the
     slack voltage; ell is then refreshed from the sending-end voltage.
-    Starts lossless (ell = 0).  A batch sweeps until every row has
-    converged.
+    Starts lossless (ell = 0, v = v0) unless ``start``, an earlier solution
+    whose ``v`` and ``ell`` broadcast to the injections' shape, is given;
+    the sweep then begins from them, which saves sweeps when the injections
+    are close to those ``start`` solved.  The stop rule is the same either
+    way: a batch sweeps until every row moved less than ``tol``.
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
@@ -82,6 +93,13 @@ def solve_nonlinear(
 
     v = np.full(neg_p.shape, float(v0))
     P = Q = ell = np.zeros(neg_p.shape)
+    if start is not None:
+        try:
+            v = np.broadcast_to(start.v, neg_p.shape)
+            ell = np.broadcast_to(start.ell, neg_p.shape)
+        except ValueError:
+            raise ValueError(f"start of shape {np.shape(start.v)} does not broadcast to the "
+                             f"injections' shape {neg_p.shape}") from None
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):

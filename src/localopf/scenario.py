@@ -63,7 +63,11 @@ def convexity_constants(cost: CostModel) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoxLimits:
-    """Per-node capability box; non-controllable nodes carry degenerate [0, 0]."""
+    """Per-node capability box; non-controllable nodes carry degenerate [0, 0].
+
+    The stacked ``lo`` = [p_lo; q_lo] and ``hi`` = [p_hi; q_hi] are built once,
+    at construction, as read-only arrays.
+    """
 
     p_lo: np.ndarray
     p_hi: np.ndarray
@@ -73,14 +77,18 @@ class BoxLimits:
     def __post_init__(self):
         if np.any(self.p_lo > self.p_hi) or np.any(self.q_lo > self.q_hi):
             raise ValueError("box limits must satisfy lo <= hi elementwise")
+        for name, parts in (("_lo", (self.p_lo, self.q_lo)), ("_hi", (self.p_hi, self.q_hi))):
+            stacked = np.concatenate(parts)
+            stacked.flags.writeable = False
+            object.__setattr__(self, name, stacked)
 
     @property
     def lo(self) -> np.ndarray:
-        return np.concatenate([self.p_lo, self.q_lo])
+        return self._lo
 
     @property
     def hi(self) -> np.ndarray:
-        return np.concatenate([self.p_hi, self.q_hi])
+        return self._hi
 
     @property
     def midpoint(self) -> np.ndarray:

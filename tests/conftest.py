@@ -10,8 +10,10 @@ from localopf import (
     Batch,
     BoxLimits,
     CostModel,
+    GeneratorConfig,
     ScenarioStep,
     build_sensitivities,
+    generate_profile,
     load_feeder,
     solve_equilibrium,
 )
@@ -55,6 +57,18 @@ def make_step(n, p_u, q_u, ctrl, p_cap=0.5, q_cap=0.3, weight=1.0, t=0):
         cost=CostModel(np.zeros(n), np.zeros(n), weight=weight),
         box=BoxLimits(np.zeros(n), p_hi, np.zeros(n), q_hi),
     )
+
+
+def train_scenario(graph, horizon=48, seed=1):
+    """Generated training scenario on nodes 3, 5, 7 with the default demand profile."""
+    cfg = GeneratorConfig(
+        controllable=(3, 5, 7),
+        d_def_p_kva=np.full(graph.n, 15.0),
+        d_def_q_kva=np.full(graph.n, 9.0),
+        horizon=horizon,
+        trend=((0.0, 0.55), (0.05, 1.0)),
+    )
+    return generate_profile(graph, cfg, seed=seed)
 
 
 def interior_step(graph, rng, t=0):

@@ -197,3 +197,11 @@ def test_project_box_nonexpansive(x, y):
 def test_box_limits_rejects_inverted():
     with pytest.raises(ValueError):
         BoxLimits(np.array([1.0]), np.array([0.0]), np.zeros(1), np.zeros(1))
+
+
+def test_box_limits_stack_once_as_read_only_arrays():
+    np.testing.assert_array_equal(_box.lo, [-1.0, 0.0, 0.0, -2.0])
+    np.testing.assert_array_equal(_box.hi, [1.0, 0.5, 0.0, 2.0])
+    assert _box.lo is _box.lo and _box.hi is _box.hi
+    with pytest.raises(ValueError):
+        _box.lo[0] = 5.0

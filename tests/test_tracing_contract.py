@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from localopf import TrainerConfig, train
-from test_trainer import _train_scenario
+from conftest import train_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,7 +35,7 @@ def _bindings():
 
 def test_tracer_binds_every_target_and_restores(graph8, model8):
     tracing = _load_tracing()
-    scn = _train_scenario(graph8, horizon=20)
+    scn = train_scenario(graph8, horizon=20)
     cfg = TrainerConfig(epochs=1, batch_size=8, v_lo=0.9604, v_hi=1.0816)
     before = _bindings()
     box_cls = sys.modules["localopf.scenario"].BoxLimits

@@ -9,12 +9,10 @@ from localopf import (
     Batch,
     ChanceConfig,
     ControllerConfig,
-    GeneratorConfig,
     StabilityError,
     TrainerConfig,
     TrainerState,
     dual_update,
-    generate_profile,
     grad_lambda,
     grad_policy,
     hinge_surrogate,
@@ -26,7 +24,7 @@ from localopf import (
 from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
 from localopf.trainer import ADAM_BLOCK, AdamState, adam_update, controllable_nodes, indicator
-from conftest import interior_step, make_step, solved_batch
+from conftest import interior_step, make_step, solved_batch, train_scenario
 
 ALPHA = 0.48
 
@@ -367,19 +365,8 @@ def test_controllable_nodes(graph8):
     assert controllable_nodes(stp.box) == (3, 5, 7)
 
 
-def _train_scenario(graph, horizon=48, seed=1):
-    cfg = GeneratorConfig(
-        controllable=(3, 5, 7),
-        d_def_p_kva=np.full(graph.n, 15.0),
-        d_def_q_kva=np.full(graph.n, 9.0),
-        horizon=horizon,
-        trend=((0.0, 0.55), (0.05, 1.0)),
-    )
-    return generate_profile(graph, cfg, seed=seed)
-
-
 def test_train_zero_epochs_returns_initial_state(graph8, model8):
-    scn = _train_scenario(graph8, horizon=8)
+    scn = train_scenario(graph8, horizon=8)
     cfg = TrainerConfig(epochs=0, batch_size=8)
     state, log = train(scn, cfg, graph8, model8)
     assert log == []
@@ -389,9 +376,9 @@ def test_train_zero_epochs_returns_initial_state(graph8, model8):
 
 
 def test_train_rejects_scenarios_with_different_boxes(graph8, model8):
-    scn = _train_scenario(graph8, horizon=8)
+    scn = train_scenario(graph8, horizon=8)
     box = scn.box
-    other = dataclasses.replace(_train_scenario(graph8, horizon=8, seed=2),
+    other = dataclasses.replace(train_scenario(graph8, horizon=8, seed=2),
                                 box=dataclasses.replace(box, p_hi=0.5 * box.p_hi))
     cfg = TrainerConfig(epochs=1, batch_size=8)
     with pytest.raises(ValueError, match="BoxLimits"):
@@ -399,7 +386,7 @@ def test_train_rejects_scenarios_with_different_boxes(graph8, model8):
 
 
 def test_train_rejects_unstable_policy(graph8, model8):
-    scn = _train_scenario(graph8, horizon=8)
+    scn = train_scenario(graph8, horizon=8)
     pol = init_policy(graph8, [3, 5, 7], k_max=10.0, seed=0)
     pol.k[:] = 10.0
     with pytest.raises(StabilityError, match="stability"):
@@ -407,7 +394,7 @@ def test_train_rejects_unstable_policy(graph8, model8):
 
 
 def test_train_deterministic(graph8, model8):
-    scn = _train_scenario(graph8, horizon=24)
+    scn = train_scenario(graph8, horizon=24)
     cfg = TrainerConfig(epochs=3, batch_size=8, v_lo=0.9604, v_hi=1.0816)
     s1, log1 = train(scn, cfg, graph8, model8)
     s2, log2 = train(scn, cfg, graph8, model8)
@@ -418,7 +405,7 @@ def test_train_deterministic(graph8, model8):
 
 
 def test_train_respects_gain_clamp_and_logs(graph8, model8):
-    scn = _train_scenario(graph8, horizon=24)
+    scn = train_scenario(graph8, horizon=24)
     cfg = TrainerConfig(epochs=4, batch_size=8, v_lo=0.9604, v_hi=1.0816)
     state, log = train(scn, cfg, graph8, model8)
     assert len(log) == 4
@@ -433,7 +420,7 @@ def test_train_respects_gain_clamp_and_logs(graph8, model8):
 
 
 def test_train_gradient_free_mode_runs(graph8, model8):
-    scn = _train_scenario(graph8, horizon=8)
+    scn = train_scenario(graph8, horizon=8)
     cfg = TrainerConfig(mode="gradient_free", epochs=1, batch_size=8,
                         v_lo=0.9604, v_hi=1.0816)
     state, log = train(scn, cfg, graph8, model8)
@@ -459,7 +446,7 @@ def test_train_gradient_free_solves_each_minibatch_as_one_batch(graph8, model8, 
     monkeypatch.setattr(trainer, "solve_equilibria_batch", counted_batch)
     monkeypatch.setattr(controller, "solve_equilibrium", counted_single)
     monkeypatch.setattr(trainer, "solve_equilibrium", counted_single, raising=False)
-    scn = _train_scenario(graph8, horizon=20)
+    scn = train_scenario(graph8, horizon=20)
     cfg = TrainerConfig(mode="gradient_free", epochs=2, batch_size=8,
                         v_lo=0.9604, v_hi=1.0816)
     train(scn, cfg, graph8, model8)
@@ -478,7 +465,7 @@ def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode
 
     monkeypatch.setattr(trainer, "forward_all", counted)
     monkeypatch.setattr(controller, "forward_all", counted)
-    scn = _train_scenario(graph8, horizon=20)
+    scn = train_scenario(graph8, horizon=20)
     cfg = TrainerConfig(mode=mode, epochs=2, batch_size=8, v_lo=0.9604, v_hi=1.0816)
     train(scn, cfg, graph8, model8)
     assert rows == [8, 8, 4] * 2  # one MLP pass per minibatch, none inside Picard or grad
@@ -555,7 +542,7 @@ def test_converged_batch_shares_the_forward_pass(graph8, model8, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
 def test_train_rejects_minibatch_without_converged_equilibrium(graph8, model8, mode):
-    scn = _train_scenario(graph8, horizon=8)
+    scn = train_scenario(graph8, horizon=8)
     cfg = TrainerConfig(mode=mode, epochs=1, batch_size=8, eq_max_iters=1)
     with pytest.raises(ValueError, match="no equilibrium of the 8-sample minibatch converged"):
         train(scn, cfg, graph8, model8)
