@@ -50,7 +50,6 @@ from .policy import (
 )
 from .controller import (
     ControllerConfig,
-    ControllerState,
     Equilibrium,
     StabilityReport,
     check_stability,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import check_stability
-from .policy import compute_k_max, init_policy, load_policy, save_policy
+from .policy import compute_k_max, init_policy, load_policy
 from .runner import (
     STAGES,
     StageError,
@@ -26,13 +26,12 @@ from .runner import (
     report_summary,
     resolve_config,
     run_experiment,
+    run_training,
     stage,
     sweep_beta,
     trainer_config,
-    write_training_log,
 )
 from .scenario import convexity_constants, generate_profile, save_scenario
-from .trainer import train
 
 # exit codes: 1 = generic (usage errors included), 2.. = stage-specific
 STAGE_EXIT = {name: i + 2 for i, name in enumerate(STAGES)}
@@ -74,16 +73,9 @@ def cmd_train(args) -> int:
     with stage("config"):
         tr_cfg = trainer_config(cfg)
     graph, model = load_network(feeder_path)
-    with stage("scenario"):
-        scfg = cfg["scenario"]
-        gen = generator_config(cfg, int(scfg["horizon_train"]))
-        scns = [generate_profile(graph, gen, int(s)) for s in scfg.get("train_seeds", [1])]
-    with stage("train"):
-        state, log = train(scns, tr_cfg, graph, model)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    save_policy(state.policy, out / "policy.npz")
-    write_training_log(log, out / "training_log.csv")
+    _, log = run_training(cfg, tr_cfg, graph, model, out)
     print(f"trained {tr_cfg.epochs} epochs; final lagrangian "
           f"{log[-1]['lagrangian']:.6g}; artifacts in {out}")
     return 0

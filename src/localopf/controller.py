@@ -3,7 +3,9 @@
 Implements the per-slot update, the frozen-scenario equilibrium solve, and
 the stability/tracking diagnostics: the contraction factor rho(alpha), the
 gain clamp, the step-size condition, and an empirical check of the
-equilibrium-sensitivity bound.
+equilibrium-sensitivity bound.  The update :func:`step` is measurement in,
+setpoint out; the runner applies each setpoint to the plant
+(:func:`plant_voltage`) and measures it.
 """
 
 from __future__ import annotations
@@ -48,21 +50,6 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class ControllerState:
-    """Setpoint applied in slot ``t``, its recorded voltages, and a measurement ahead.
-
-    ``measured`` is ``(slot, v)``: the squared voltages of ``x`` under the
-    injections of the next slot, solved in the same plant call as ``v_hat``;
-    :func:`step` reads it only when stepped on that very slot.
-    """
-
-    x: np.ndarray  # stacked (p, q), length 2N
-    v_hat: np.ndarray | None  # squared voltages after applying x; None before the first slot
-    t: int
-    measured: tuple[ScenarioStep, np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     x_dag: np.ndarray
     v_dag: np.ndarray
@@ -99,78 +86,26 @@ def _nonlinear_plant(x, p_u, q_u, model, graph, tol=SWEEP_TOL, start=None):
     return sol
 
 
-def measure(
-    x: np.ndarray,
-    measured: tuple[ScenarioStep, np.ndarray] | None,
-    step_data: ScenarioStep,
-    model: LinearVoltageModel,
-    graph: FeederGraph,
-    plant: str,
-) -> np.ndarray:
-    """Squared voltages of the held setpoint ``x`` under ``step_data``'s injections.
-
-    Reuses ``measured`` = ``(slot, v)`` only when it was taken for this very
-    slot (the same ``ScenarioStep`` object); otherwise solves the plant.
-    """
-    if measured is not None and measured[0] is step_data:
-        return measured[1]
-    return plant_voltage(x, step_data.p_u, step_data.q_u, model, graph, plant)
-
-
-def apply_setpoint(
-    x: np.ndarray,
-    step_data: ScenarioStep,
-    next_step: ScenarioStep | None,
-    model: LinearVoltageModel,
-    graph: FeederGraph,
-    plant: str,
-):
-    """Record the applied setpoint ``x`` in its slot, measuring the next slot in the same call.
-
-    Returns ``(v, measured)``: the squared voltages of ``x`` under
-    ``step_data``'s injections, and ``(next_step, v_next)`` with ``x``'s
-    voltages under ``next_step``'s injections (None without ``next_step``).
-    With ``next_step`` the two are the rows of one plant call.
-    """
-    if next_step is None:
-        return plant_voltage(x, step_data.p_u, step_data.q_u, model, graph, plant), None
-    v = plant_voltage(np.stack((x, x)), np.stack((step_data.p_u, next_step.p_u)),
-                      np.stack((step_data.q_u, next_step.q_u)), model, graph, plant)
-    return v[0], (next_step, v[1])
-
-
 def step(
-    state: ControllerState,
+    x: np.ndarray,
+    v_hat: np.ndarray,
     step_data: ScenarioStep,
     policy: PolicyParams,
-    model: LinearVoltageModel,
-    graph: FeederGraph,
     cfg: ControllerConfig,
-    next_step: ScenarioStep | None = None,
-) -> ControllerState:
-    """One real-time update.
+) -> np.ndarray:
+    """One real-time update: the setpoint to apply next, from the held setpoint ``x``.
 
-    Measures voltages with the previous setpoint under the new injections
-    (or takes the state's measurement when it was made for this slot),
-    moves every node along its local gradient-plus-policy direction, projects
-    onto the box, applies the new setpoint, and returns the refreshed state.
-    Each node's update reads only its own measurement, injection, cost, box,
-    and channels (all operations below are elementwise in the node index).
-    Given the following slot ``next_step``, the new setpoint's recorded
-    voltages and its measurement under ``next_step``'s injections come from
-    one two-row plant call; the latter is carried in the state for the next
-    update, which still reads only the setpoint it holds under its own slot's
-    injections.
+    ``v_hat`` is the measurement of ``x``: its squared voltages under
+    ``step_data``'s injections.  Every node moves along its local
+    gradient-plus-policy direction and is projected onto its box; each
+    node's update reads only its own measurement, injection, cost, box and
+    channels (all operations below are elementwise in the node index).
+    Applying the setpoint and measuring the plant is the caller's part.
     """
-    v_hat = measure(state.x, state.measured, step_data, model, graph, cfg.plant)
+    n = len(v_hat)
     u = output(policy.gain, forward_all(policy, step_data.p_u, step_data.q_u), v_hat)
-    n = graph.n
-    g = state.x - cfg.alpha * (
-        cost_grad(step_data.cost, state.x[:n], state.x[n:]) + u
-    )
-    x_new = project_box(g, step_data.box)
-    v_new, measured = apply_setpoint(x_new, step_data, next_step, model, graph, cfg.plant)
-    return ControllerState(x=x_new, v_hat=v_new, t=step_data.t, measured=measured)
+    g = x - cfg.alpha * (cost_grad(step_data.cost, x[:n], x[n:]) + u)
+    return project_box(g, step_data.box)
 
 
 def _picard_plant(p_u, q_u, model, graph, plant):

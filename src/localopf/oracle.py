@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import apply_setpoint, measure
-from .feeder import FeederGraph, LinearVoltageModel
+from .feeder import LinearVoltageModel
 from .powerflow import env_voltage
 from .scenario import ScenarioStep, cost_value
 
@@ -125,45 +124,34 @@ def gamma_estimate(solutions) -> float:
 
 @dataclass(frozen=True)
 class BaselineState:
-    """Centralized feedback primal-dual controller state.
-
-    ``v_hat`` holds the squared voltages recorded after applying ``x`` (None
-    before the first slot); ``measured`` is ``(slot, v)``, ``x``'s voltages
-    under the next slot's injections, as in ``ControllerState``.
-    """
+    """Centralized feedback primal-dual controller state: the setpoint and the voltage duals."""
 
     x: np.ndarray
     mu_lo: np.ndarray
     mu_hi: np.ndarray
     alpha_b: float
     sigma_b: float
-    v_hat: np.ndarray | None = None
-    measured: tuple[ScenarioStep, np.ndarray] | None = None
 
 
 def baseline_step(
     state: BaselineState,
+    v_hat: np.ndarray,
     step_data: ScenarioStep,
     model: LinearVoltageModel,
-    graph: FeederGraph,
     v_lo: np.ndarray,
     v_hi: np.ndarray,
-    next_step: ScenarioStep | None = None,
 ) -> BaselineState:
     """One comparator update: full-vector dual ascent then projected descent.
 
-    Requires the complete voltage measurement, i.e. system-wide
-    communication -- the contrast with the local policy controller.  Records
-    the new setpoint's voltages on the nonlinear plant; with ``next_step``
-    that call also measures it under the next slot's injections, as in
-    ``controller.step``.
+    ``v_hat`` is the measurement of ``state.x``: its squared voltages under
+    ``step_data``'s injections.  Requires the complete voltage measurement,
+    i.e. system-wide communication -- the contrast with the local policy
+    controller.  Applying the new setpoint is the caller's part.
     """
-    v_hat = measure(state.x, state.measured, step_data, model, graph, "nonlinear")
     mu_lo = np.maximum(state.mu_lo + state.sigma_b * (v_lo - v_hat), 0.0)
     mu_hi = np.maximum(state.mu_hi + state.sigma_b * (v_hat - v_hi), 0.0)
     cost = step_data.cost
     grad = 2.0 * cost.weight * (state.x - cost.floor) + model.A.T @ (mu_hi - mu_lo)
     x = np.clip(state.x - state.alpha_b * grad, step_data.box.lo, step_data.box.hi)
-    v_new, measured = apply_setpoint(x, step_data, next_step, model, graph, "nonlinear")
     return BaselineState(x=x, mu_lo=mu_lo, mu_hi=mu_hi, alpha_b=state.alpha_b,
-                         sigma_b=state.sigma_b, v_hat=v_new, measured=measured)
+                         sigma_b=state.sigma_b)

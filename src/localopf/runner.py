@@ -25,14 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .controller import (
-    ControllerConfig,
-    ControllerState,
-    check_stability,
-    plant_voltage,
-    rho_alpha,
-    step,
-)
+from .controller import ControllerConfig, check_stability, plant_voltage, step
 from .feeder import FeederGraph, LinearVoltageModel, build_sensitivities, load_feeder
 from .oracle import BaselineState, baseline_step, solve_opf_linear
 from .policy import save_policy
@@ -94,9 +87,6 @@ class EvaluationReport:
     relative_gap: float
     volt_violation: float
     excluded_steps: int  # relative-gap steps dropped for a zero oracle objective
-    # seconds per controller step, plant included: one power-flow call per step
-    # (two rows but on the last slot), and one more on the first slot
-    mean_step_time: float
     per_step: dict
 
 
@@ -115,7 +105,6 @@ def evaluate(
     oracle_traj: Trajectory,
     v_lo,
     v_hi,
-    mean_step_time: float = 0.0,
 ) -> EvaluationReport:
     """Horizon-averaged gap and voltage-violation statistics.
 
@@ -134,7 +123,6 @@ def evaluate(
         relative_gap=float(rel),
         volt_violation=float(np.mean(viol)),
         excluded_steps=int(np.sum(~nonzero)),
-        mean_step_time=mean_step_time,
         per_step={
             "t": controlled.t.tolist(),
             "absolute_gap": gap.tolist(),
@@ -154,9 +142,40 @@ def _trajectory(scenario: Scenario, x, v) -> Trajectory:
                       objective=cost_value(scenario.cost, x[:, :n], x[:, n:]))
 
 
-def _with_next(steps):
-    """Each slot with the one after it (None after the last)."""
-    return zip(steps, (*steps[1:], None))
+def _operate(scenario: Scenario, x0, update, model: LinearVoltageModel, graph: FeederGraph,
+             plant: str):
+    """The closed-loop day: operate ``update`` on ``plant`` over ``scenario``'s slots.
+
+    ``update(x, v_hat, slot)`` maps the held setpoint ``x`` and its
+    measurement ``v_hat``, the squared voltages under ``slot``'s injections,
+    to the setpoint applied in that slot.  The loop measures the start
+    setpoint ``x0`` (the box midpoint if None) under slot 0; after each
+    update one plant call on the rows of slots t and t+1 records the new
+    setpoint in slot t and measures it for slot t+1 (one row on the last
+    slot), so a day of T slots makes T+1 calls.
+    Returns (Trajectory, (update seconds, plant seconds)), both means per slot.
+    """
+    clock = time.perf_counter
+    x = scenario.box.midpoint if x0 is None else np.asarray(x0, dtype=float)
+    p_u, q_u = scenario.p_u, scenario.q_u
+    start = clock()
+    v_hat = plant_voltage(x, p_u[0], q_u[0], model, graph, plant)
+    plant_s = clock() - start
+    update_s = 0.0
+    rows_x, rows_v = [], []
+    for t, slot in enumerate(scenario.steps):
+        t0 = clock()
+        x = update(x, v_hat, slot)
+        t1 = clock()
+        p, q = p_u[t:t + 2], q_u[t:t + 2]
+        v = plant_voltage(np.tile(x, (len(p), 1)), p, q, model, graph, plant)
+        plant_s += clock() - t1
+        update_s += t1 - t0
+        rows_x.append(x)
+        rows_v.append(v[0])
+        v_hat = v[-1]
+    T = len(scenario)
+    return _trajectory(scenario, rows_x, rows_v), (update_s / T, plant_s / T)
 
 
 def run_controller(
@@ -167,23 +186,14 @@ def run_controller(
     cfg: ControllerConfig,
     x0: np.ndarray | None = None,
 ):
-    """Operate the trained controller over a scenario.
+    """Operate the trained controller on ``cfg.plant`` over a scenario.
 
-    Returns (Trajectory, mean per-step wall time in seconds).  Starts from the
-    box midpoint unless ``x0`` is given.  Each step is handed the following
-    slot, so one two-row plant call records a slot and measures the next.
+    Returns (Trajectory, (update seconds, plant seconds)): the mean wall time
+    per slot of the local update :func:`step` and of the plant calls.
+    Starts from the box midpoint unless ``x0`` is given.
     """
-    x = scenario.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    state = ControllerState(x=x, v_hat=None, t=-1)  # step measures before it moves
-    rows_x, rows_v = [], []
-    elapsed = 0.0
-    for s, nxt in _with_next(scenario.steps):
-        t0 = time.perf_counter()
-        state = step(state, s, policy, model, graph, cfg, next_step=nxt)
-        elapsed += time.perf_counter() - t0
-        rows_x.append(state.x)
-        rows_v.append(state.v_hat)
-    return _trajectory(scenario, rows_x, rows_v), elapsed / len(scenario)
+    return _operate(scenario, x0, lambda x, v_hat, slot: step(x, v_hat, slot, policy, cfg),
+                    model, graph, cfg.plant)
 
 
 def run_no_control(scenario: Scenario, model: LinearVoltageModel,
@@ -204,20 +214,20 @@ def run_baseline(
     sigma_b: float,
     x0: np.ndarray | None = None,
 ) -> Trajectory:
-    """Operate the communication-heavy feedback primal-dual comparator."""
+    """Operate the communication-heavy feedback primal-dual comparator on the nonlinear plant."""
     n = graph.n
-    x = scenario.box.midpoint.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    state = BaselineState(
-        x=x, mu_lo=np.zeros(n), mu_hi=np.zeros(n), alpha_b=alpha_b, sigma_b=sigma_b
-    )
+    x = scenario.box.midpoint if x0 is None else np.asarray(x0, dtype=float)
     v_lo = np.broadcast_to(np.asarray(v_lo, dtype=float), (n,))
     v_hi = np.broadcast_to(np.asarray(v_hi, dtype=float), (n,))
-    rows_x, rows_v = [], []
-    for s, nxt in _with_next(scenario.steps):
-        state = baseline_step(state, s, model, graph, v_lo, v_hi, next_step=nxt)
-        rows_x.append(state.x)
-        rows_v.append(state.v_hat)
-    return _trajectory(scenario, rows_x, rows_v)
+    state = BaselineState(x=x, mu_lo=np.zeros(n), mu_hi=np.zeros(n),
+                          alpha_b=alpha_b, sigma_b=sigma_b)
+
+    def update(_x, v_hat, slot):  # the state carries the held setpoint and the duals
+        nonlocal state
+        state = baseline_step(state, v_hat, slot, model, v_lo, v_hi)
+        return state.x
+
+    return _operate(scenario, x, update, model, graph, "nonlinear")[0]
 
 
 def run_oracle(scenario: Scenario, model: LinearVoltageModel, v_lo, v_hi) -> Trajectory:
@@ -357,6 +367,28 @@ def load_network(feeder_path) -> tuple[FeederGraph, LinearVoltageModel]:
         return graph, build_sensitivities(graph)
 
 
+def _train_seeds(cfg: dict) -> list[int]:
+    """Seeds of the training days; one day of seed 1 unless configured."""
+    return [int(s) for s in cfg["scenario"].get("train_seeds", [1])]
+
+
+def run_training(cfg: dict, tr_cfg: TrainerConfig, graph: FeederGraph,
+                 model: LinearVoltageModel, out: Path):
+    """Generate the training days, train, and write ``policy.npz`` and ``training_log.csv``.
+
+    Failures belong to the ``scenario`` and ``train`` stages.  ``out`` must
+    exist.  Returns (TrainerState, training log).
+    """
+    with stage("scenario"):
+        gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
+        scns = [generate_profile(graph, gen, s) for s in _train_seeds(cfg)]
+    with stage("train"):
+        state, log = train(scns, tr_cfg, graph, model)
+    write_training_log(log, out / "training_log.csv")
+    save_policy(state.policy, out / "policy.npz")
+    return state, log
+
+
 def write_training_log(log, path) -> None:
     """CSV per epoch `epoch,lagrangian,mean_cost,viol_rate_lo,viol_rate_hi,mu_norm`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -398,20 +430,11 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     out.mkdir(parents=True, exist_ok=True)
 
     graph, model = load_network(feeder_path)
-
     with stage("scenario"):
-        scfg = cfg["scenario"]
-        train_seeds = [int(s) for s in scfg.get("train_seeds", [1])]
-        test_seed = int(scfg.get("test_seed", 1000))
-        gen_train = generator_config(cfg, int(scfg["horizon_train"]))
-        gen_test = generator_config(cfg, int(scfg["horizon_test"]))
-        train_scns = [generate_profile(graph, gen_train, s) for s in train_seeds]
-        test_scn = generate_profile(graph, gen_test, test_seed)
-
-    with stage("train"):
-        state, log = train(train_scns, tr_cfg, graph, model)
-    write_training_log(log, out / "training_log.csv")
-    save_policy(state.policy, out / "policy.npz")
+        test_seed = int(cfg["scenario"].get("test_seed", 1000))
+        test_scn = generate_profile(
+            graph, generator_config(cfg, int(cfg["scenario"]["horizon_test"])), test_seed)
+    state, _ = run_training(cfg, tr_cfg, graph, model, out)
 
     m, xi = convexity_constants(test_scn.cost)
     report_stab = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
@@ -420,8 +443,8 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     ctrl_cfg = ControllerConfig(alpha=tr_cfg.alpha, plant="nonlinear")
     x0 = test_scn.box.midpoint
     with stage("operate"):
-        ctrl_traj, step_time = run_controller(test_scn, state.policy, model, graph,
-                                              ctrl_cfg, x0=x0)
+        ctrl_traj, (step_time, plant_time) = run_controller(test_scn, state.policy, model,
+                                                            graph, ctrl_cfg, x0=x0)
         nc_traj = run_no_control(test_scn, model, graph)
         bcfg = cfg.get("baseline", {})
         alpha_b = float(bcfg.get("alpha_b", tr_cfg.alpha))
@@ -434,7 +457,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
         oracle_traj = run_oracle(test_scn, model, v_lo, v_hi)
 
     with stage("evaluate"):
-        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi, mean_step_time=step_time)
+        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi)
         nc_report = evaluate(nc_traj, oracle_traj, v_lo, v_hi)
         base_report = evaluate(base_traj, oracle_traj, v_lo, v_hi)
 
@@ -456,6 +479,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
                 "a_norm": model.a_norm,
             },
             "mean_step_time": step_time,
+            "mean_plant_time": plant_time,
         }
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -465,7 +489,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
             "numpy_version": np.__version__,
             "feeder": str(cfg["feeder"]),
             "n_bus": graph.n,
-            "train_seeds": ",".join(str(s) for s in train_seeds),
+            "train_seeds": ",".join(str(s) for s in _train_seeds(cfg)),
             "test_seed": test_seed,
             "trainer_seed": tr_cfg.seed,
             "beta": tr_cfg.beta,

@@ -151,9 +151,14 @@ def grad_policy(
     injection through the sensitivity rows of R and X (or the supplied
     finite-difference Jacobian in gradient-free mode); the equilibrium
     derivative factor is -1/(2w) where the pre-projection point is interior
-    and 0 where the box projection is active.  Reuses ``batch.offset`` and
-    ``batch.tape``; returns a vector laid out like ``state.policy.theta``,
-    written into ``out`` when given.
+    and 0 where the box projection is active.  That factor is the zero-gain
+    equilibrium derivative dx/du = -1/(2w), exact only when every gain k is
+    zero (hence ``test_grad_policy_matches_finite_difference`` zeroes the
+    gains).  The exact implicit derivative, -(2wI + G[A; A])^-1 with G the
+    diagonal gain matrix, was tried and gave a larger tracking gap, so it
+    is not used.  Reuses ``batch.offset`` and ``batch.tape``; returns a
+    vector laid out like ``state.policy.theta``, written into ``out`` when
+    given.
     """
     x, v = batch.x, batch.v
     S = len(v)

@@ -1,20 +1,19 @@
-"""Operated slots with a measurement ahead: each step's record and the next slot's
-measurement share one plant call.
+"""The operating loop: each slot's record and the next slot's measurement share one
+plant call.
 
 ``_reference_controller`` and ``_reference_baseline`` are the two-calls-per-slot
 loops written out in full: each slot measures the held setpoint under its own
 injections, updates, and records the new setpoint in a second call.
 """
 
-import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 import localopf.controller as controller
-from localopf import ControllerConfig, ControllerState, generate_profile, init_policy, step
+from localopf import ControllerConfig, generate_profile, init_policy
 from localopf.controller import plant_voltage
-from localopf.oracle import BaselineState, baseline_step
 from localopf.policy import forward_all, output
 from localopf.runner import (
     _trajectory,
@@ -112,54 +111,16 @@ def test_run_baseline_matches_two_call_reference(feeder, request, monkeypatch):
     np.testing.assert_allclose(got.v, want.v, rtol=0.0, atol=1e-10)
 
 
-def _stale_and_fresh(state, slot_a, slot_b, advance):
-    """States stepped on ``slot_b``: without a measurement, with one taken for
-    ``slot_a``, for an equal copy of ``slot_b``, and for ``slot_b`` itself."""
-    junk = np.full(slot_b.p_u.shape, -7.0)  # no plant gives this; reading it would show
-    fresh = advance(state, slot_b)
-    stale = [advance(dataclasses.replace(state, measured=(other, junk)), slot_b)
-             for other in (slot_a, dataclasses.replace(slot_b))]
-    used = advance(dataclasses.replace(state, measured=(slot_b, junk)), slot_b)
-    return fresh, stale, used
-
-
-def test_step_measures_afresh_on_a_stale_measurement(request):
+def test_run_controller_times_the_update_apart_from_the_plant(request, monkeypatch):
     graph, model, scn, pol, cfg, _ = _setup("8", request)
-    slot_a, slot_b = scn.steps[3], scn.steps[4]
-    state = ControllerState(x=scn.box.midpoint.copy(), v_hat=None, t=-1)
-    fresh, stale, used = _stale_and_fresh(
-        state, slot_a, slot_b, lambda st, s: step(st, s, pol, model, graph, cfg))
-    for st in stale:
-        np.testing.assert_array_equal(st.x, fresh.x)
-        np.testing.assert_array_equal(st.v_hat, fresh.v_hat)
-    assert not np.array_equal(used.x, fresh.x)
+    solve = controller.solve_nonlinear
+    delay = 0.005
 
+    def slow(*args, **kwargs):
+        time.sleep(delay)
+        return solve(*args, **kwargs)
 
-def test_baseline_step_measures_afresh_on_a_stale_measurement(request):
-    graph, model, scn, _, _, (alpha_b, sigma_b) = _setup("8", request)
-    slot_a, slot_b = scn.steps[3], scn.steps[4]
-    n = graph.n
-    state = BaselineState(x=scn.box.midpoint.copy(), mu_lo=np.zeros(n), mu_hi=np.zeros(n),
-                          alpha_b=alpha_b, sigma_b=sigma_b)
-    v_lo, v_hi = np.full(n, V_LO), np.full(n, V_HI)
-    fresh, stale, used = _stale_and_fresh(
-        state, slot_a, slot_b, lambda st, s: baseline_step(st, s, model, graph, v_lo, v_hi))
-    for st in stale:
-        for name in ("x", "mu_lo", "mu_hi", "v_hat"):
-            np.testing.assert_array_equal(getattr(st, name), getattr(fresh, name))
-    assert not np.array_equal(used.x, fresh.x)
-
-
-def test_step_carries_the_measurement_of_the_next_slot(request):
-    graph, model, scn, pol, cfg, _ = _setup("8", request)
-    now, nxt = scn.steps[5], scn.steps[6]
-    state = ControllerState(x=scn.box.midpoint.copy(), v_hat=None, t=-1)
-    ahead = step(state, now, pol, model, graph, cfg, next_step=nxt)
-    alone = step(state, now, pol, model, graph, cfg)
-    assert alone.measured is None
-    assert ahead.measured[0] is nxt
-    np.testing.assert_array_equal(ahead.x, alone.x)
-    np.testing.assert_allclose(ahead.v_hat, alone.v_hat, rtol=0.0, atol=1e-10)
-    np.testing.assert_allclose(
-        ahead.measured[1], plant_voltage(ahead.x, nxt.p_u, nxt.q_u, model, graph, "nonlinear"),
-        rtol=0.0, atol=1e-10)
+    monkeypatch.setattr(controller, "solve_nonlinear", slow)
+    _, (update_s, plant_s) = run_controller(scn, pol, model, graph, cfg)
+    assert plant_s >= delay * (HORIZON + 1) / HORIZON
+    assert 0.0 < update_s < delay

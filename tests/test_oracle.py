@@ -16,6 +16,7 @@ from localopf import (
     gamma_estimate,
     solve_opf_linear,
 )
+from localopf.controller import plant_voltage
 from localopf.feeder import Bus, Line, build_graph
 from localopf.oracle import OpfSolution, _nnls
 from localopf.powerflow import env_voltage
@@ -208,7 +209,8 @@ def test_baseline_step_hand_computed(graph8, model8):
     st = BaselineState(x=x0, mu_lo=np.zeros(n), mu_hi=np.zeros(n),
                        alpha_b=0.3, sigma_b=0.1)
     # generous limits: duals stay at zero, update is plain projected descent
-    new = baseline_step(st, stp, model8, graph8, np.full(n, 0.25), np.full(n, 4.0))
+    v_hat = plant_voltage(x0, stp.p_u, stp.q_u, model8, graph8, "nonlinear")
+    new = baseline_step(st, v_hat, stp, model8, np.full(n, 0.25), np.full(n, 4.0))
     np.testing.assert_array_equal(new.mu_lo, 0.0)
     np.testing.assert_array_equal(new.mu_hi, 0.0)
     expected = np.clip(x0 - 0.3 * 2.0 * (x0 - stp.cost.floor), stp.box.lo, stp.box.hi)
@@ -220,6 +222,7 @@ def test_baseline_step_duals_nonnegative_and_react(graph8, model8):
     stp = make_step(n, -0.05 * np.ones(n), -0.03 * np.ones(n), [3, 5, 7])
     st = BaselineState(x=stp.box.midpoint, mu_lo=np.zeros(n), mu_hi=np.zeros(n),
                        alpha_b=0.3, sigma_b=0.1)
-    new = baseline_step(st, stp, model8, graph8, np.full(n, 1.0199), np.full(n, 1.02))
+    v_hat = plant_voltage(st.x, stp.p_u, stp.q_u, model8, graph8, "nonlinear")
+    new = baseline_step(st, v_hat, stp, model8, np.full(n, 1.0199), np.full(n, 1.02))
     assert np.all(new.mu_lo >= 0.0) and np.all(new.mu_hi >= 0.0)
     assert np.any(new.mu_hi > 0.0)  # tight ceiling must trigger ascent somewhere

@@ -259,6 +259,8 @@ def test_run_experiment_artifacts(run_dir):
     assert manifest["n_bus"] == "7"
     assert "config_hash" in manifest and "rho" not in manifest
     assert "rho" in rep["stability"]
+    # the local update and the plant are timed apart
+    assert rep["mean_step_time"] > 0.0 and rep["mean_plant_time"] > 0.0
 
 
 def test_run_experiment_deterministic(run_dir, tmp_path):
@@ -403,6 +405,14 @@ def test_cli_train_and_overrides(tmp_path, capsys):
     log = (out / "training_log.csv").read_text().strip().splitlines()
     assert log[0].startswith("epoch,")
     assert len(log) == 2  # header + 1 epoch
+
+
+def test_cli_train_writes_the_training_artifacts_of_a_run(run_dir, tmp_path, capsys):
+    """``localopf train`` and ``localopf run`` share one training stage."""
+    out = tmp_path / "train_out"
+    assert main(["train", str(CONFIG8), "--output", str(out)]) == 0
+    for name in ("training_log.csv", "policy.npz"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", ["run", "train"])

@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from localopf import TrainerConfig, train
+from localopf import ControllerConfig, TrainerConfig, init_policy, runner, train
 from conftest import train_scenario
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,3 +62,31 @@ def test_tracer_binds_every_target_and_restores(graph8, model8):
     assert after.keys() == before.keys()
     assert all(after[key] is val for key, val in before.items())
     assert {p: box_cls.__dict__[p] for p in ("lo", "hi")} == box_props
+
+
+@pytest.mark.parametrize("run, update", [("run_controller", "controller.step"),
+                                         ("run_baseline", "oracle.baseline_step")])
+def test_operated_day_spans_one_update_per_slot(graph8, model8, run, update):
+    """A T-slot day gives T update spans and T+1 plant calls, all outside the updates.
+
+    An update the tracer does not see (one bound before it patches, say) would
+    leave the benchmark's ``controller.step`` latency without samples.
+    """
+    tracing = _load_tracing()
+    horizon = 12
+    scn = train_scenario(graph8, horizon=horizon)
+    args = {
+        "run_controller": (init_policy(graph8, [3, 5, 7], arch=(1, 4),
+                                       k_max=0.5 / model8.a_norm, seed=0),
+                           model8, graph8, ControllerConfig(alpha=0.48, plant="nonlinear")),
+        "run_baseline": (model8, graph8, 0.9025, 1.1025, 0.48, 1.0 / (0.48 * model8.a_norm**2)),
+    }[run]
+    tracer = tracing.Tracer(tracing.LAYER_TARGETS)
+    with tracer, tracer.root("r0"):
+        getattr(runner, run)(scn, *args)
+    (day,) = [s[0] for s in tracer.spans if s[3] == f"runner.{run}"]
+    updates = [s for s in tracer.spans if s[3] == update]
+    plant = [s for s in tracer.spans if s[3] == "powerflow.solve_nonlinear"]
+    assert len(updates) == horizon
+    assert len(plant) == horizon + 1
+    assert all(s[1] == day for s in updates + plant)
