@@ -8,8 +8,10 @@ max(k).  The output is :func:`output` of ``params.gain``, the MLP term
 injections, so callers run it once per batch.  A forward pass can keep a tape
 of its post-activations, from which :func:`backward_all` writes the
 parameter gradient into a caller's buffer.  All parameters live in one vector
-``theta``; ``weights``, ``biases`` and ``k`` are views into it, sliced by
-:func:`param_views` from a layout computed once per ``PolicyParams``.
+``theta``, channel-major: channel c's ``W0, b0, ..., W_L, b_L, k`` fill one
+contiguous row of its (C, P) reshape.  ``weights``, ``biases`` and ``k`` are
+strided views into it, sliced by :func:`param_views` from a layout computed
+once per ``PolicyParams``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ class PolicyParams:
     """Per-node policy parameters, stacked channel-major.
 
     Channel order: active channels for ``nodes`` in ascending id, then the
-    reactive channels in the same order.  ``theta`` holds every layer's
-    weights then its biases, in layer order, then ``k``; ``weights[l]`` is a
-    (C, n_l, n_{l-1}) view into it with C = 2 * len(nodes).
+    reactive channels in the same order.  ``theta`` is C rows of
+    ``row_size`` entries, one per channel, with C = 2 * len(nodes); a row
+    holds the channel's every layer's weights then its biases, in layer
+    order, then its ``k``.  ``weights[l]`` is a (C, n_l, n_{l-1}) strided
+    view into it.
     """
 
     nodes: tuple[int, ...]
@@ -41,14 +45,16 @@ class PolicyParams:
     biases: list[np.ndarray] = field(init=False, repr=False)
     k: np.ndarray = field(init=False, repr=False)  # (C,)
     columns: np.ndarray = field(init=False, repr=False)  # (C,) channel positions in (p, q)
-    layout: list = field(init=False, repr=False)  # (start, stop, shape) of each theta block
+    layout: list = field(init=False, repr=False)  # (start, stop, shape) of each block of a row
+    row_size: int = field(init=False, repr=False)  # P, the parameter count of one channel
 
     def __post_init__(self):
-        C, (L, width) = self.n_channels, self.arch
+        L, width = self.arch
         dims = [1] + [width] * L + [1]
-        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((C, o, i), (C, o))] + [(C,)]
+        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((o, i), (o,))] + [()]
         ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         self.layout = [(int(a), int(b), s) for a, b, s in zip(ends, ends[1:], shapes)]
+        self.row_size = int(ends[-1])
         self.weights, self.biases, self.k = param_views(self, self.theta)
         idx = np.array(self.nodes, dtype=int) - 1
         self.columns = np.concatenate([idx, self.n_bus + idx])
@@ -70,17 +76,32 @@ class PolicyParams:
 
 
 def param_views(params: PolicyParams, flat: np.ndarray):
-    """(weights, biases, k) as views into ``flat``, a vector laid out like ``params.theta``."""
-    size = params.layout[-1][1]
-    if flat.shape != (size,):
-        raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({size},)")
-    views = [flat[a:b].reshape(s) for a, b, s in params.layout]
+    """(weights, biases, k) as views into ``flat``, a vector laid out like ``params.theta``.
+
+    ``flat`` is read as (C, P) channel rows, so each per-layer view, such as
+    ``weights[l]`` of shape (C, n_l, n_{l-1}), is strided: channel c's block
+    is contiguous, but the channels are P entries apart.  ``reshape(-1)`` of
+    a view is therefore a copy; write through the view itself.
+    """
+    C, P = params.n_channels, params.row_size
+    if flat.shape != (C * P,):
+        raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({C * P},)")
+    return _row_views(params, flat.reshape(C, P))
+
+
+def _row_views(params: PolicyParams, rows: np.ndarray):
+    """(weights, biases, k) as views into ``rows``, any number of (., P) channel rows."""
+    n = len(rows)
+    views = [rows[:, a:b].reshape((n,) + s) for a, b, s in params.layout]  # split columns: views
     return views[:-1:2], views[1:-1:2], views[-1]
 
 
 def _flatten(weights, biases, k) -> np.ndarray:
-    """Pack per-layer arrays into one vector in ``theta`` order."""
-    return np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb] + [np.ravel(k)])
+    """Pack per-layer (C, ...) arrays into one vector in ``theta`` order: a row per channel."""
+    blocks = [a for wb in zip(weights, biases) for a in wb] + [np.asarray(k)]
+    C = len(blocks[-1])
+    cols = [int(np.prod(a.shape[1:])) for a in blocks]  # not reshape(C, -1): C may be 0
+    return np.concatenate([a.reshape(C, n) for a, n in zip(blocks, cols)], axis=1).ravel()
 
 
 def compute_k_max(alpha: float, m: float, xi: float, a_norm: float, margin: float = 0.95) -> float:
@@ -195,24 +216,60 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     the forward pass's post-activations, whose sign is the ReLU mask.  The
     gradient, laid out like ``params.theta``, is written into ``out`` when
     given (and returned), else into a fresh vector.
+
+    The layer loop runs only on the live channels, those with a nonzero
+    ``upstream`` entry.  A dead channel's row is exactly zero, as the full
+    loop would make it: every product in it has a zero factor.  Each live
+    channel's row gets the same operations as in a full loop, so the skip
+    is exact.  With every channel live the loop works on views, in place.
     """
-    C = params.n_channels
+    C, P = params.n_channels, params.row_size
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
-    hs = tape["hs"]  # channel-major (C, S, n)
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
     grad = np.empty_like(params.theta) if out is None else out
-    dW, db, dk = param_views(params, grad)
-    delta = up.T[..., None]  # (C, S, fan-out of layer l)
+    rows = grad.reshape(C, P)
+    live = np.any(up, axis=0)
+    n_live = int(np.count_nonzero(live))
+    if n_live == C:
+        sel, work = slice(None), rows
+    else:
+        sel = np.flatnonzero(live)
+        rows[~live] = 0.0
+        work = np.empty((n_live, P))  # the live rows, scattered into ``rows`` below
     last = len(params.weights) - 1
-    for l in range(last, -1, -1):
-        np.matmul(delta.transpose(0, 2, 1), hs[l], out=dW[l])
-        np.sum(delta, axis=1, out=db[l])
-        if l:
-            w = params.weights[l]
-            delta = delta * w[:, 0, None, :] if l == last else delta @ w
-            delta *= hs[l] > 0.0
+    if n_live:
+        dW, db, _ = _row_views(params, work)
+        hs = [_live(h, sel) for h in tape["hs"]]  # channel-major (C, S, n)
+        delta = _live(up.T[..., None], sel)  # (C, S, fan-out of layer l)
+        for l in range(last, -1, -1):
+            np.matmul(delta.transpose(0, 2, 1), hs[l], out=dW[l])
+            if l < last:  # the output bias is summed below over every channel: over
+                # fewer channels numpy may add the samples in another order
+                np.sum(delta, axis=1, out=db[l])
+            if l:
+                w = params.weights[l][sel]
+                delta = delta * w[:, 0, None, :] if l == last else delta @ w
+                delta *= hs[l] > 0.0
+        if work is not rows:
+            rows[sel] = work
+    _, db, dk = param_views(params, grad)
+    np.sum(up.T[..., None], axis=1, out=db[last])
     np.sum(up * v_sel, axis=0, out=dk)
     return grad
+
+
+def _live(a: np.ndarray, sel) -> np.ndarray:
+    """The channels ``sel`` of a channel-major array, laid out with ``a``'s strides.
+
+    BLAS may sum in another order when a vector's stride changes, so a
+    gathered copy keeps the strides of ``a`` and each channel's products
+    come out bit for bit as in a pass over every channel.
+    """
+    if isinstance(sel, slice):
+        return a[sel]
+    out = np.empty_like(a)[:len(sel)]  # order "K": the stride order of ``a``
+    np.take(a, sel, axis=0, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -390,18 +390,24 @@ def run_training(cfg: dict, tr_cfg: TrainerConfig, graph: FeederGraph,
 
 
 def write_training_log(log, path) -> None:
-    """CSV per epoch `epoch,lagrangian,mean_cost,viol_rate_lo,viol_rate_hi,mu_norm`."""
+    """CSV, one row per epoch.
+
+    Columns: `epoch,lagrangian,mean_cost,viol_rate_lo,viol_rate_hi,mu_norm`,
+    then `skipped` (the epoch's samples whose equilibrium did not converge)
+    and `live_channels` (the mean count per minibatch of policy channels
+    with a nonzero gradient).
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "lagrangian", "mean_cost", "viol_rate_lo", "viol_rate_hi", "mu_norm"]
-        )
+        writer.writerow(["epoch", "lagrangian", "mean_cost", "viol_rate_lo", "viol_rate_hi",
+                         "mu_norm", "skipped", "live_channels"])
         for row in log:
             writer.writerow([
                 row["epoch"],
                 repr(float(row["lagrangian"])), repr(float(row["mean_cost"])),
                 repr(float(row["viol_rate_lo"])), repr(float(row["viol_rate_hi"])),
-                repr(float(row["mu_norm"])),
+                repr(float(row["mu_norm"])), int(row["skipped"]),
+                repr(float(row["live_channels"])),
             ])
 
 

@@ -160,6 +160,12 @@ def grad_policy(
     vector laid out like ``state.policy.theta``, written into ``out`` when
     given.
     """
+    upstream = _policy_upstream(batch, state, model, v_lo, v_hi, alpha, voltage_jacobian)
+    return backward_all(state.policy, batch.tape, upstream, batch.v, out=out)
+
+
+def _policy_upstream(batch, state, model, v_lo, v_hi, alpha, voltage_jacobian):
+    """(S, C) derivative of the batch Lagrangian in each channel's output (see grad_policy)."""
     x, v = batch.x, batch.v
     S = len(v)
     ch = state.chance
@@ -178,7 +184,7 @@ def grad_policy(
     interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
 
     upstream = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
-    return backward_all(state.policy, batch.tape, upstream[:, state.policy.columns], v, out=out)
+    return upstream[:, state.policy.columns]
 
 
 def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
@@ -277,27 +283,40 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
 
-    Runs over ``ADAM_BLOCK``-element blocks with one block-sized scratch, so
-    every operand of a block stays in cache; each element sees the same
+    Walks only the runs of consecutive channel rows (``theta``'s (C, P)
+    reshape) where the gradient, ``m`` or ``v`` has a nonzero entry.  Every
+    other row is left as it is, which is exact: with g = m = v = 0 the step
+    keeps m and v at zero and moves theta by 0 / (0 + eps) = 0.  Each run is
+    updated in ``ADAM_BLOCK``-element blocks with one block-sized scratch,
+    so every operand of a block stays in cache; each element sees the same
     operations as a whole-vector update.
     """
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
     theta = policy.theta
+    rows = (policy.n_channels, policy.row_size)
+    busy = np.zeros(rows[0] + 2, dtype=np.int8)  # padded with an idle row at each end
+    for a in (grad, adam.m, adam.v):
+        # an OR of the bit patterns is zero only where every entry is +0.0
+        busy[1:-1] |= np.bitwise_or.reduce(a.view(np.int64).reshape(rows), axis=1) != 0
+    runs = (np.flatnonzero(np.diff(busy)) * rows[1]).reshape(-1, 2)  # start, stop in theta
+    if not len(runs):
+        return
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
-    for start in range(0, theta.size, ADAM_BLOCK):
-        blk = slice(start, start + ADAM_BLOCK)
-        g, m, v = grad[blk], adam.m[blk], adam.v[blk]
-        tmp = scratch[:g.size]
-        np.multiply(g, 1.0 - beta2, out=tmp)
-        v *= beta2
-        v += np.multiply(tmp, g, out=tmp)  # (1 - b2) * g * g
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=g)
-        np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
-        np.multiply(np.divide(m, bc1, out=g), lr, out=g)
-        theta[blk] -= np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
+    for first, stop in runs:
+        for start in range(first, stop, ADAM_BLOCK):
+            blk = slice(start, min(start + ADAM_BLOCK, stop))
+            g, m, v = grad[blk], adam.m[blk], adam.v[blk]
+            tmp = scratch[:g.size]
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            v *= beta2
+            v += np.multiply(tmp, g, out=tmp)  # (1 - b2) * g * g
+            m *= beta1
+            m += np.multiply(g, 1.0 - beta1, out=g)
+            np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+            np.multiply(np.divide(m, bc1, out=g), lr, out=g)
+            theta[blk] -= np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
 
 
 def controllable_nodes(box: BoxLimits) -> tuple[int, ...]:
@@ -316,8 +335,11 @@ def train(
     """Primal-dual training over the pooled slots of ``scenarios``.
 
     Every scenario must share the first one's cost and box.  Returns (final
-    TrainerState, per-epoch log list).  Deterministic for a fixed config and
-    seed.
+    TrainerState, per-epoch log list).  Each log row also carries
+    ``skipped``, the samples whose equilibrium did not converge, and
+    ``live_channels``, the mean count per minibatch of channels whose
+    gradient is not exactly zero (a nonzero upstream entry).  Deterministic
+    for a fixed config and seed.
     """
     scenarios = [scenarios] if isinstance(scenarios, Scenario) else list(scenarios)
     if not sum(len(scn) for scn in scenarios):
@@ -375,6 +397,7 @@ def train(
         ep_cost = []
         ep_viol_lo = []
         ep_viol_hi = []
+        ep_live = []
         skipped = 0
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
@@ -390,7 +413,9 @@ def train(
             ep_cost.append(batch.mean_cost)
             ep_viol_lo.append(np.mean(batch.v < v_lo))
             ep_viol_hi.append(np.mean(batch.v > v_hi))
-            grad_policy(batch, state, model, v_lo, v_hi, cfg.alpha, jac, out=grad)
+            upstream = _policy_upstream(batch, state, model, v_lo, v_hi, cfg.alpha, jac)
+            ep_live.append(np.count_nonzero(np.any(upstream, axis=0)))
+            backward_all(state.policy, batch.tape, upstream, batch.v, out=grad)
             adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi)
             enforce_conditions(state.policy, k_max)
             if cfg.lambda_mode == "learned":
@@ -410,6 +435,7 @@ def train(
             "viol_rate_hi": float(np.mean(ep_viol_hi)),
             "mu_norm": float(np.linalg.norm(np.concatenate([state.mu_lo, state.mu_hi]))),
             "skipped": skipped,
+            "live_channels": float(np.mean(ep_live)),
         })
     return state, log
 

@@ -210,15 +210,16 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
     ok = 0
     tested = 0
     for g_arr, p_arr in arrays:
-        flat_g, flat_p = g_arr.reshape(-1), p_arr.reshape(-1)
-        picks = rng2.choice(flat_p.size, size=min(20, flat_p.size), replace=False)
+        flat_g = g_arr.reshape(-1)
+        picks = rng2.choice(p_arr.size, size=min(20, p_arr.size), replace=False)
         for j in picks:
-            orig = flat_p[j]
-            flat_p[j] = orig + eps
+            idx = np.unravel_index(j, p_arr.shape)  # p_arr is a strided view: write through it
+            orig = p_arr[idx]
+            p_arr[idx] = orig + eps
             up = lag()
-            flat_p[j] = orig - eps
+            p_arr[idx] = orig - eps
             dn = lag()
-            flat_p[j] = orig
+            p_arr[idx] = orig
             fd = (up - dn) / (2 * eps)
             scale = max(abs(fd), abs(flat_g[j]))
             if scale < 1e-8:

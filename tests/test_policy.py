@@ -288,18 +288,26 @@ def test_set_input_scale(graph8):
 
 def test_theta_layout(policy, tmp_path):
     theta = policy.theta
+    C, P = policy.n_channels, policy.row_size
+    assert theta.shape == (C * P,)
     base = theta.__array_interface__["data"][0]
-    pos = 0
-    # every layer's weights then its biases, in layer order, then k: no gap, no overlap
-    for a in [a for wb in zip(policy.weights, policy.biases) for a in wb] + [policy.k]:
-        assert np.shares_memory(a, theta) and a.flags.c_contiguous
-        assert a.__array_interface__["data"][0] - base == pos * theta.itemsize
-        pos += a.size
-    assert pos == theta.size
-    policy.k[:] = np.linspace(-0.5, 0.5, policy.n_channels)
+    blocks = [a for wb in zip(policy.weights, policy.biases) for a in wb] + [policy.k]
+    for a in blocks:
+        assert np.shares_memory(a, theta) and a.shape[0] == C
+    # row c holds channel c's every layer's weights then its biases, in layer
+    # order, then its k: no gap, no overlap
+    for c in range(C):
+        pos = c * P
+        for a in blocks:
+            block = a[c:c + 1]  # a view, also for k
+            assert block.flags.c_contiguous
+            assert block.__array_interface__["data"][0] - base == pos * theta.itemsize
+            pos += block.size
+        assert pos == (c + 1) * P
+    policy.k[:] = np.linspace(-0.5, 0.5, C)
     enforce_conditions(policy, k_max=0.2)
-    np.testing.assert_array_equal(theta[-policy.n_channels:],
-                                  np.clip(np.linspace(-0.5, 0.5, policy.n_channels), 0.0, 0.2))
+    np.testing.assert_array_equal(theta.reshape(C, P)[:, -1],
+                                  np.clip(np.linspace(-0.5, 0.5, C), 0.0, 0.2))
     save_policy(policy, tmp_path / "pol.npz")
     assert load_policy(tmp_path / "pol.npz").theta.tobytes() == theta.tobytes()
     # a checkpoint written key by key, as before the flat layout, loads unchanged

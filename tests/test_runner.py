@@ -403,8 +403,11 @@ def test_cli_train_and_overrides(tmp_path, capsys):
     assert code == 0
     assert (out / "policy.npz").exists()
     log = (out / "training_log.csv").read_text().strip().splitlines()
-    assert log[0].startswith("epoch,")
+    assert log[0] == ("epoch,lagrangian,mean_cost,viol_rate_lo,viol_rate_hi,mu_norm,"
+                      "skipped,live_channels")
     assert len(log) == 2  # header + 1 epoch
+    skipped, live = log[1].split(",")[-2:]
+    assert int(skipped) == 0 and 0.0 <= float(live) <= 6.0  # 3 controllable nodes
 
 
 def test_cli_train_writes_the_training_artifacts_of_a_run(run_dir, tmp_path, capsys):
