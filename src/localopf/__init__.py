@@ -61,7 +61,6 @@ from .controller import (
 )
 from .trainer import (
     Batch,
-    ChanceConfig,
     StabilityError,
     TrainerConfig,
     TrainerState,

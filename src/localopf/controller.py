@@ -73,14 +73,17 @@ def plant_voltage(
     """
     if plant == "linear":
         return x @ model.A.T + (model.v0 + p_u @ model.R.T + q_u @ model.X.T)
-    return _nonlinear_plant(x, p_u, q_u, model, graph).v
+    return _nonlinear_plant(x, p_u, q_u, model.v0, graph).v
 
 
-def _nonlinear_plant(x, p_u, q_u, model, graph, tol=SWEEP_TOL, start=None):
-    """Power flow of setpoints ``x`` (..., 2N) under (p_u, q_u); raises unless it converged."""
+def _nonlinear_plant(x, p_u, q_u, v0, graph, tol=SWEEP_TOL, start=None):
+    """Power flow of setpoints ``x`` (..., 2N) under (p_u, q_u) (..., N) at slack voltage ``v0``.
+
+    Raises a ControllerError unless it converged.
+    """
     n = graph.n
     sol = solve_nonlinear(graph, InjectionState(p=x[..., :n], q=x[..., n:], p_u=p_u, q_u=q_u),
-                          model.v0, tol=tol, start=start)
+                          v0, tol=tol, start=start)
     if not sol.converged:
         raise ControllerError("nonlinear plant did not converge")
     return sol
@@ -122,7 +125,7 @@ def _picard_plant(p_u, q_u, model, graph, plant):
 
     def solve(x, step):
         nonlocal last
-        last = _nonlinear_plant(x, p_u, q_u, model, graph,
+        last = _nonlinear_plant(x, p_u, q_u, model.v0, graph,
                                 max(SWEEP_TOL, PICARD_PF_TOL_FRACTION * step), last)
         return last.v
 

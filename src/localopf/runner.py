@@ -87,7 +87,6 @@ class EvaluationReport:
     relative_gap: float
     volt_violation: float
     excluded_steps: int  # relative-gap steps dropped for a zero oracle objective
-    per_step: dict
 
 
 def volt_violation_series(v: np.ndarray, v_lo, v_hi) -> np.ndarray:
@@ -117,17 +116,11 @@ def evaluate(
     denom = oracle_traj.objective
     nonzero = denom > 0.0
     rel = np.sum(gap[nonzero]) / np.sum(denom[nonzero]) if np.any(nonzero) else 0.0
-    viol = volt_violation_series(controlled.v, v_lo, v_hi)
     return EvaluationReport(
         absolute_gap=float(np.mean(gap)),
         relative_gap=float(rel),
-        volt_violation=float(np.mean(viol)),
+        volt_violation=float(np.mean(volt_violation_series(controlled.v, v_lo, v_hi))),
         excluded_steps=int(np.sum(~nonzero)),
-        per_step={
-            "t": controlled.t.tolist(),
-            "absolute_gap": gap.tolist(),
-            "volt_violation": viol.tolist(),
-        },
     )
 
 

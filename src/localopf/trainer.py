@@ -16,9 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .controller import ControllerConfig, check_stability, solve_equilibria_batch
+from .controller import ControllerConfig, _nonlinear_plant, check_stability, solve_equilibria_batch
 from .feeder import FeederGraph, LinearVoltageModel
-from .powerflow import InjectionState, solve_nonlinear
+from .powerflow import solve_nonlinear  # noqa: F401  bound here for perfbench/test_perfbench.py
 from .policy import (
     PolicyParams,
     backward_all,
@@ -56,17 +56,39 @@ def indicator(x):
 
 
 @dataclass(frozen=True)
-class ChanceConfig:
-    beta: float
-    lambda_lo: np.ndarray
-    lambda_hi: np.ndarray
-    lambda_mode: str = "fixed"  # or "learned"
+class TrainerConfig:
+    """Every training setting, checked on construction."""
+
+    mode: str = "gradient"  # or "gradient_free"
+    alpha: float = 0.48
+    beta: float = 0.1  # chance level, in (0, 1)
+    lambda_mode: str = "fixed"  # or "learned": the offsets lambda descend too
+    lambda_value: float = 5e-4
+    sigma_phi: float = 1e-3
+    sigma_lambda: float | None = None  # defaults to sigma_phi
+    sigma_mu: float = 100.0
+    batch_size: int = 32
+    epochs: int = 50
+    seed: int = 0
+    eq_tol: float = 1e-9
+    eq_max_iters: int = 2000
+    v_lo: float = 0.95**2
+    v_hi: float = 1.05**2
+    arch: tuple[int, int] = (3, 64)
+    k_max_margin: float = 0.95
+    zo_step: float = 1e-3
+    # Positive dual warm start: with mu = 0 the first minibatches are pure
+    # cost descent, which drives the policy outputs positive and permanently
+    # deactivates channels (projection-active equilibria have zero gradient).
+    mu_init: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
+        if self.mode not in ("gradient", "gradient_free"):
+            raise ValueError(f"unknown mode '{self.mode}'")
         if self.lambda_mode not in ("fixed", "learned"):
             raise ValueError(f"unknown lambda_mode '{self.lambda_mode}'")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError("beta must lie in (0, 1)")
 
 
 @dataclass
@@ -84,13 +106,13 @@ class AdamState:
 
 @dataclass
 class TrainerState:
+    """What training changes; every setting is read from the :class:`TrainerConfig`."""
+
     policy: PolicyParams
-    mu_lo: np.ndarray
+    mu_lo: np.ndarray  # (N,) multipliers of the voltage chance constraints
     mu_hi: np.ndarray
-    chance: ChanceConfig
-    sigma_phi: float
-    sigma_lambda: float
-    sigma_mu: float
+    lambda_lo: np.ndarray  # (N,) surrogate offsets; they move only in learned mode
+    lambda_hi: np.ndarray
     epoch: int = 0
     adam_state: AdamState | None = None
 
@@ -122,16 +144,14 @@ class Batch:
         return float(np.mean(cost_value(self.cost, self.x[:, :n], self.x[:, n:])))
 
 
-def lagrangian(batch: Batch, state: TrainerState, v_lo, v_hi) -> float:
-    """Empirical Lagrangian: batch-mean cost plus dual-weighted surrogates."""
+def lagrangian(batch: Batch, state: TrainerState, cfg: TrainerConfig) -> float:
+    """Empirical Lagrangian: batch-mean cost plus dual-weighted surrogates (band, beta: ``cfg``)."""
     v = batch.v
-    ch = state.chance
-    mean_cost = batch.mean_cost
-    hinge_lo = hinge_surrogate(ch.lambda_lo, v_lo - v).mean(axis=0)
-    hinge_hi = hinge_surrogate(ch.lambda_hi, v - v_hi).mean(axis=0)
-    val = mean_cost
-    val += float(state.mu_lo @ (hinge_lo - ch.beta * ch.lambda_lo))
-    val += float(state.mu_hi @ (hinge_hi - ch.beta * ch.lambda_hi))
+    hinge_lo = hinge_surrogate(state.lambda_lo, cfg.v_lo - v).mean(axis=0)
+    hinge_hi = hinge_surrogate(state.lambda_hi, v - cfg.v_hi).mean(axis=0)
+    val = batch.mean_cost
+    val += float(state.mu_lo @ (hinge_lo - cfg.beta * state.lambda_lo))
+    val += float(state.mu_hi @ (hinge_hi - cfg.beta * state.lambda_hi))
     return val
 
 
@@ -139,9 +159,7 @@ def grad_policy(
     batch: Batch,
     state: TrainerState,
     model: LinearVoltageModel,
-    v_lo,
-    v_hi,
-    alpha: float,
+    cfg: TrainerConfig,
     voltage_jacobian: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ):
@@ -156,21 +174,20 @@ def grad_policy(
     zero (hence ``test_grad_policy_matches_finite_difference`` zeroes the
     gains).  The exact implicit derivative, -(2wI + G[A; A])^-1 with G the
     diagonal gain matrix, was tried and gave a larger tracking gap, so it
-    is not used.  Reuses ``batch.offset`` and ``batch.tape``; returns a
-    vector laid out like ``state.policy.theta``, written into ``out`` when
-    given.
+    is not used.  The voltage band and the step size alpha come from
+    ``cfg``.  Reuses ``batch.offset`` and ``batch.tape``; returns a vector
+    laid out like ``state.policy.theta``, written into ``out`` when given.
     """
-    upstream = _policy_upstream(batch, state, model, v_lo, v_hi, alpha, voltage_jacobian)
+    upstream = _policy_upstream(batch, state, model, cfg, voltage_jacobian)
     return backward_all(state.policy, batch.tape, upstream, batch.v, out=out)
 
 
-def _policy_upstream(batch, state, model, v_lo, v_hi, alpha, voltage_jacobian):
+def _policy_upstream(batch, state, model, cfg, voltage_jacobian):
     """(S, C) derivative of the batch Lagrangian in each channel's output (see grad_policy)."""
     x, v = batch.x, batch.v
     S = len(v)
-    ch = state.chance
-    ind_lo = indicator(ch.lambda_lo + v_lo - v)  # (S, N)
-    ind_hi = indicator(ch.lambda_hi + v - v_hi)
+    ind_lo = indicator(state.lambda_lo + cfg.v_lo - v)  # (S, N)
+    ind_hi = indicator(state.lambda_hi + v - cfg.v_hi)
     w_dual = -state.mu_lo * ind_lo + state.mu_hi * ind_hi
     if voltage_jacobian is None:
         bracket_pq = np.concatenate([w_dual @ model.R, w_dual @ model.X], axis=1)
@@ -180,34 +197,34 @@ def _policy_upstream(batch, state, model, v_lo, v_hi, alpha, voltage_jacobian):
     grad_f = 2.0 * weight * (x - batch.cost.floor)
     bracket = bracket_pq + grad_f
 
-    g = x - alpha * (grad_f + output(state.policy.gain, batch.offset, v))
+    g = x - cfg.alpha * (grad_f + output(state.policy.gain, batch.offset, v))
     interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
 
     upstream = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
     return upstream[:, state.policy.columns]
 
 
-def grad_lambda(batch: Batch, state: TrainerState, v_lo, v_hi):
-    """Gradients of the Lagrangian in the auxiliary offsets (learned mode)."""
-    if state.chance.lambda_mode != "learned":
+def grad_lambda(batch: Batch, state: TrainerState, cfg: TrainerConfig):
+    """Gradients of the Lagrangian in the offsets lambda; ``cfg`` must be in learned mode."""
+    if cfg.lambda_mode != "learned":
         raise ValueError("grad_lambda requires lambda_mode='learned'")
     v = batch.v
-    ch = state.chance
-    g_lo = state.mu_lo * (indicator(ch.lambda_lo + v_lo - v).mean(axis=0) - ch.beta)
-    g_hi = state.mu_hi * (indicator(ch.lambda_hi + v - v_hi).mean(axis=0) - ch.beta)
+    g_lo = state.mu_lo * (indicator(state.lambda_lo + cfg.v_lo - v).mean(axis=0) - cfg.beta)
+    g_hi = state.mu_hi * (indicator(state.lambda_hi + v - cfg.v_hi).mean(axis=0) - cfg.beta)
     return g_lo, g_hi
 
 
-def dual_update(state: TrainerState, batch: Batch, v_lo, v_hi) -> TrainerState:
-    """Projected dual ascent on the surrogate constraint violations."""
+def dual_update(state: TrainerState, batch: Batch, cfg: TrainerConfig) -> TrainerState:
+    """Projected dual ascent (step ``cfg.sigma_mu``) on the surrogate constraint violations."""
     v = batch.v
-    ch = state.chance
-    asc_lo = hinge_surrogate(ch.lambda_lo, v_lo - v).mean(axis=0) - ch.beta * ch.lambda_lo
-    asc_hi = hinge_surrogate(ch.lambda_hi, v - v_hi).mean(axis=0) - ch.beta * ch.lambda_hi
+    asc_lo = (hinge_surrogate(state.lambda_lo, cfg.v_lo - v).mean(axis=0)
+              - cfg.beta * state.lambda_lo)
+    asc_hi = (hinge_surrogate(state.lambda_hi, v - cfg.v_hi).mean(axis=0)
+              - cfg.beta * state.lambda_hi)
     return replace(
         state,
-        mu_lo=np.maximum(state.mu_lo + state.sigma_mu * asc_lo, 0.0),
-        mu_hi=np.maximum(state.mu_hi + state.sigma_mu * asc_hi, 0.0),
+        mu_lo=np.maximum(state.mu_lo + cfg.sigma_mu * asc_lo, 0.0),
+        mu_hi=np.maximum(state.mu_hi + cfg.sigma_mu * asc_hi, 0.0),
     )
 
 
@@ -224,22 +241,19 @@ def zo_voltage_jacobian(
 
     The injections ``p_u``, ``q_u`` (N,) stay fixed.  ``plant`` maps
     (rows, 2N) setpoints to (rows, N) squared voltages and is called once,
-    on the 4N probe rows ``[x + hE; x - hE]``; the default queries the
-    nonlinear branch-flow solver.
+    on the 4N probe rows ``[x + hE; x - hE]``; the default is the
+    controller's nonlinear plant with slack voltage ``v0``, which raises a
+    ControllerError unless the power flow converged.
     """
     if zo_step <= 0.0:
         raise ValueError("zo_step must be positive")
     n = graph.n
-
     if plant is None:
+        rows = (4 * n, n)
+        p_rows, q_rows = np.broadcast_to(p_u, rows), np.broadcast_to(q_u, rows)
+
         def plant(x):
-            rows = (len(x), n)
-            s = InjectionState(p=x[:, :n], q=x[:, n:], p_u=np.broadcast_to(p_u, rows),
-                               q_u=np.broadcast_to(q_u, rows))
-            sol = solve_nonlinear(graph, s, v0)
-            if not sol.converged:
-                raise RuntimeError("perturbed power flow failed inside the gradient estimator")
-            return sol.v
+            return _nonlinear_plant(x, p_rows, q_rows, v0, graph).v
 
     probes = zo_step * np.eye(2 * n)
     v = plant(np.concatenate([x_dag + probes, x_dag - probes]))
@@ -248,36 +262,6 @@ def zo_voltage_jacobian(
 
 # ---------------------------------------------------------------------------
 # Training loop.
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    mode: str = "gradient"  # or "gradient_free"
-    alpha: float = 0.48
-    beta: float = 0.1
-    lambda_mode: str = "fixed"
-    lambda_value: float = 5e-4
-    sigma_phi: float = 1e-3
-    sigma_lambda: float | None = None  # defaults to sigma_phi
-    sigma_mu: float = 100.0
-    batch_size: int = 32
-    epochs: int = 50
-    seed: int = 0
-    eq_tol: float = 1e-9
-    eq_max_iters: int = 2000
-    v_lo: float = 0.95**2
-    v_hi: float = 1.05**2
-    arch: tuple[int, int] = (3, 64)
-    k_max_margin: float = 0.95
-    zo_step: float = 1e-3
-    # Positive dual warm start: with mu = 0 the first minibatches are pure
-    # cost descent, which drives the policy outputs positive and permanently
-    # deactivates channels (projection-active equilibria have zero gradient).
-    mu_init: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("gradient", "gradient_free"):
-            raise ValueError(f"unknown mode '{self.mode}'")
-
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -363,24 +347,15 @@ def train(
     if not report.all_ok:
         raise StabilityError(f"stability check failed before training: {report}")
 
-    ch = ChanceConfig(
-        beta=cfg.beta,
-        lambda_lo=np.full(n, cfg.lambda_value),
-        lambda_hi=np.full(n, cfg.lambda_value),
-        lambda_mode=cfg.lambda_mode,
-    )
     state = TrainerState(
         policy=policy,
         mu_lo=np.full(n, float(cfg.mu_init)),
         mu_hi=np.full(n, float(cfg.mu_init)),
-        chance=ch,
-        sigma_phi=cfg.sigma_phi,
-        sigma_lambda=cfg.sigma_lambda if cfg.sigma_lambda is not None else cfg.sigma_phi,
-        sigma_mu=cfg.sigma_mu,
+        lambda_lo=np.full(n, cfg.lambda_value),
+        lambda_hi=np.full(n, cfg.lambda_value),
         adam_state=AdamState.zeros_like(policy),
     )
-    v_lo = np.full(n, cfg.v_lo)
-    v_hi = np.full(n, cfg.v_hi)
+    sigma_lambda = cfg.sigma_phi if cfg.sigma_lambda is None else cfg.sigma_lambda
     rng = np.random.default_rng(cfg.seed)
     ctrl_cfg = ControllerConfig(
         alpha=cfg.alpha,
@@ -409,23 +384,20 @@ def train(
                 # probe around the first converged row under its own injections
                 jac = zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
                                           cfg.zo_step, model.v0)
-            ep_lag.append(lagrangian(batch, state, v_lo, v_hi))
+            ep_lag.append(lagrangian(batch, state, cfg))
             ep_cost.append(batch.mean_cost)
-            ep_viol_lo.append(np.mean(batch.v < v_lo))
-            ep_viol_hi.append(np.mean(batch.v > v_hi))
-            upstream = _policy_upstream(batch, state, model, v_lo, v_hi, cfg.alpha, jac)
+            ep_viol_lo.append(np.mean(batch.v < cfg.v_lo))
+            ep_viol_hi.append(np.mean(batch.v > cfg.v_hi))
+            upstream = _policy_upstream(batch, state, model, cfg, jac)
             ep_live.append(np.count_nonzero(np.any(upstream, axis=0)))
             backward_all(state.policy, batch.tape, upstream, batch.v, out=grad)
             adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi)
             enforce_conditions(state.policy, k_max)
             if cfg.lambda_mode == "learned":
-                g_lo, g_hi = grad_lambda(batch, state, v_lo, v_hi)
-                state.chance = replace(
-                    state.chance,
-                    lambda_lo=state.chance.lambda_lo - state.sigma_lambda * g_lo,
-                    lambda_hi=state.chance.lambda_hi - state.sigma_lambda * g_hi,
-                )
-            state = dual_update(state, batch, v_lo, v_hi)
+                g_lo, g_hi = grad_lambda(batch, state, cfg)
+                state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo
+                state.lambda_hi = state.lambda_hi - sigma_lambda * g_hi
+            state = dual_update(state, batch, cfg)
         state.epoch = epoch + 1
         log.append({
             "epoch": epoch + 1,

@@ -6,6 +6,7 @@ module-scoped fixtures.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from localopf.runner import (
     run_no_control,
     run_oracle,
     run_experiment,
+    trainer_config,
 )
 from localopf.trainer import indicator
 from conftest import interior_step, make_step, solved_batch
@@ -175,7 +177,7 @@ def test_acceptance_4_sensitivity_bound(graph8, model8):
 
 
 def test_acceptance_5_gradient_fidelity(graph8, model8):
-    from localopf import ChanceConfig, TrainerState, grad_policy, lagrangian
+    from localopf import TrainerState, grad_policy, lagrangian
 
     started = time.monotonic()
     rng = np.random.default_rng(5005)
@@ -189,19 +191,17 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
     state = TrainerState(
         policy=pol,
         mu_lo=np.full(n, 0.7), mu_hi=np.full(n, 0.4),
-        chance=ChanceConfig(beta=0.3, lambda_lo=np.full(n, 0.02),
-                            lambda_hi=np.full(n, 0.02)),
-        sigma_phi=1e-3, sigma_lambda=1e-3, sigma_mu=1.0,
+        lambda_lo=np.full(n, 0.02), lambda_hi=np.full(n, 0.02),
     )
-    v_lo, v_hi = 0.9604, 1.0
+    tr_cfg = TrainerConfig(alpha=ALPHA, beta=0.3, sigma_mu=1.0, v_lo=0.9604, v_hi=1.0)
     samples = [interior_step(graph8, rng) for _ in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=50_000)
 
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, v_lo, v_hi, ALPHA))
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg))
 
     def lag():
-        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, v_lo, v_hi)
+        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, tr_cfg)
 
     eps = 1e-6
     arrays = [(grad_w[l], pol.weights[l]) for l in range(len(pol.weights))]
@@ -293,13 +293,7 @@ def desk():
     states = {}
     for beta in (0.05, 0.1, 0.5):
         for seed in (0, 1, 2):
-            tr = TrainerConfig(
-                mode="gradient", alpha=float(tcfg["alpha"]), beta=beta,
-                lambda_value=float(tcfg["lambda_value"]),
-                sigma_phi=float(tcfg["sigma_phi"]), sigma_mu=float(tcfg["sigma_mu"]),
-                batch_size=int(tcfg["batch_size"]), epochs=int(tcfg["epochs"]),
-                seed=seed, v_lo=v_lo, v_hi=v_hi,
-            )
+            tr = replace(trainer_config(cfg), beta=beta, seed=seed)
             state, _ = train(train_scns, tr, graph, model)
             traj, _ = run_controller(test_scn, state.policy, model, graph, ctrl_cfg,
                                      x0=test_scn.steps[0].box.midpoint)

@@ -66,7 +66,6 @@ def test_evaluate_hand_built_two_step():
     assert rep.relative_gap == pytest.approx(1.0, abs=1e-12)
     assert rep.excluded_steps == 1
     assert rep.volt_violation == pytest.approx(0.1, abs=1e-12)
-    assert rep.per_step["absolute_gap"] == [1.0, 3.0]
 
 
 def test_evaluate_relative_gap_is_ratio_of_sums():
@@ -436,6 +435,18 @@ def test_cli_unknown_config_key_exit_code(tmp_path, command, key):
     if command not in ("build-feeder", "check-conditions"):
         args += ["--output", str(tmp_path / "out")]
     assert main(args) == STAGE_EXIT["config"]
+
+
+@pytest.mark.parametrize("command", ["run", "train", "check-conditions"])
+@pytest.mark.parametrize("override", ["trainer.beta=1.5", "trainer.lambda_mode=learnt"])
+def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
+    """A value the trainer config rejects fails at the config stage, before any other work."""
+    args = [command, str(CONFIG8), "-o", override]
+    if command != "check-conditions":
+        args += ["--output", str(tmp_path / "out")]
+    assert main(args) == STAGE_EXIT["config"]
+    assert "[config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_beta(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from localopf import (
     Batch,
-    ChanceConfig,
     ControllerConfig,
     StabilityError,
     TrainerConfig,
@@ -52,29 +51,25 @@ def test_indicator_boundary_counts_as_violation():
 
 
 def test_chance_config_validation():
-    with pytest.raises(ValueError):
-        ChanceConfig(beta=0.0, lambda_lo=np.zeros(1), lambda_hi=np.zeros(1))
-    with pytest.raises(ValueError):
-        ChanceConfig(beta=0.1, lambda_lo=np.zeros(1), lambda_hi=np.zeros(1),
-                     lambda_mode="other")
+    # the chance-constraint parameters live on TrainerConfig
+    with pytest.raises(ValueError, match="beta"):
+        TrainerConfig(beta=0.0)
+    with pytest.raises(ValueError, match="lambda_mode"):
+        TrainerConfig(lambda_mode="other")
 
 
 # ---------------------------------------------------------------------------
 # Hand-computed Lagrangian and dual update on a fabricated 2-sample batch
 
 
-def _tiny_state(n, policy, beta=0.5, lam=0.1, mu=0.7, sigma_mu=2.0,
-                lambda_mode="fixed"):
-    return TrainerState(
-        policy=policy,
-        mu_lo=np.full(n, mu),
-        mu_hi=np.full(n, 0.3),
-        chance=ChanceConfig(beta=beta, lambda_lo=np.full(n, lam),
-                            lambda_hi=np.full(n, lam), lambda_mode=lambda_mode),
-        sigma_phi=1e-3,
-        sigma_lambda=1e-3,
-        sigma_mu=sigma_mu,
-    )
+def _tiny_state(n, policy, lam=0.1, mu=0.7):
+    return TrainerState(policy=policy, mu_lo=np.full(n, mu), mu_hi=np.full(n, 0.3),
+                        lambda_lo=np.full(n, lam), lambda_hi=np.full(n, lam))
+
+
+def _tiny_cfg(beta=0.5, sigma_mu=2.0, lambda_mode="fixed", v_lo=0.9604, v_hi=1.0):
+    return TrainerConfig(alpha=ALPHA, beta=beta, lambda_mode=lambda_mode, sigma_mu=sigma_mu,
+                         v_lo=v_lo, v_hi=v_hi)
 
 
 def _fabricated_batch(policy):
@@ -101,7 +96,7 @@ def _fabricated_batch(policy):
 def test_lagrangian_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
-    state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7)
+    state = _tiny_state(n, pol, lam=0.1, mu=0.7)
     batch = _fabricated_batch(pol)
     v_lo, v_hi = 0.9604, 1.0 ** 2  # 0.98^2 and 1.0
     # cost: weight 1, floor 0 => mean over samples of ||x||^2
@@ -111,25 +106,25 @@ def test_lagrangian_hand_computed(graph8):
     # high hinge: max(0.1 + v - 1.0, 0): v=0.96 -> 0.06; v=1.01 -> 0.11
     h_hi = 0.5 * (0.06 + 0.11)
     expected = cost + n * 0.7 * (h_lo - 0.5 * 0.1) + n * 0.3 * (h_hi - 0.5 * 0.1)
-    assert lagrangian(batch, state, v_lo, v_hi) == pytest.approx(expected, abs=1e-12)
+    cfg = _tiny_cfg(beta=0.5, v_lo=v_lo, v_hi=v_hi)
+    assert lagrangian(batch, state, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dual_update_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
-    state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7, sigma_mu=2.0)
+    state = _tiny_state(n, pol, lam=0.1, mu=0.7)
     batch = _fabricated_batch(pol)
-    new = dual_update(state, batch, 0.9604, 1.0)
+    new = dual_update(state, batch, _tiny_cfg(beta=0.5, sigma_mu=2.0))
     asc_lo = 0.5 * (0.1004 + 0.0504) - 0.5 * 0.1
     asc_hi = 0.5 * (0.06 + 0.11) - 0.5 * 0.1
     np.testing.assert_allclose(new.mu_lo, 0.7 + 2.0 * asc_lo, atol=1e-12)
     np.testing.assert_allclose(new.mu_hi, 0.3 + 2.0 * asc_hi, atol=1e-12)
     # projection onto the nonnegative orthant
-    state2 = dataclasses.replace(state, sigma_mu=1000.0, mu_lo=np.zeros(n),
-                                 mu_hi=np.zeros(n))
-    ch = dataclasses.replace(state2.chance, lambda_lo=np.zeros(n), lambda_hi=np.zeros(n))
-    state2 = dataclasses.replace(state2, chance=ch)
-    new2 = dual_update(state2, batch, 0.5, 2.0)  # widely feasible limits
+    state2 = dataclasses.replace(state, mu_lo=np.zeros(n), mu_hi=np.zeros(n),
+                                 lambda_lo=np.zeros(n), lambda_hi=np.zeros(n))
+    cfg2 = _tiny_cfg(beta=0.5, sigma_mu=1000.0, v_lo=0.5, v_hi=2.0)  # widely feasible limits
+    new2 = dual_update(state2, batch, cfg2)
     assert np.all(new2.mu_lo == 0.0)
     assert np.all(new2.mu_hi == 0.0)
 
@@ -137,15 +132,14 @@ def test_dual_update_hand_computed(graph8):
 def test_grad_lambda_hand_computed(graph8):
     n = graph8.n
     pol = init_policy(graph8, [3], k_max=0.1, seed=0)
-    state = _tiny_state(n, pol, beta=0.5, lam=0.1, mu=0.7, lambda_mode="learned")
+    state = _tiny_state(n, pol, lam=0.1, mu=0.7)
     batch = _fabricated_batch(pol)
-    g_lo, g_hi = grad_lambda(batch, state, 0.9604, 1.0)
+    g_lo, g_hi = grad_lambda(batch, state, _tiny_cfg(beta=0.5, lambda_mode="learned"))
     # both samples violate both offset constraints => indicator mean 1
     np.testing.assert_allclose(g_lo, 0.7 * (1.0 - 0.5), atol=1e-15)
     np.testing.assert_allclose(g_hi, 0.3 * (1.0 - 0.5), atol=1e-15)
-    fixed = _tiny_state(n, pol)
     with pytest.raises(ValueError):
-        grad_lambda(batch, fixed, 0.9604, 1.0)
+        grad_lambda(batch, state, _tiny_cfg(beta=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +157,16 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
     for b in pol.biases:
         b += rng.normal(scale=0.05, size=b.shape)
     n = graph8.n
-    state = _tiny_state(n, pol, beta=0.3, lam=0.02, mu=0.7)
-    v_lo, v_hi = 0.9604, 1.0
+    state = _tiny_state(n, pol, lam=0.02, mu=0.7)
+    tr_cfg = _tiny_cfg(beta=0.3, v_lo=0.9604, v_hi=1.0)
     samples = [interior_step(graph8, rng, t) for t in range(3)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=20_000)
 
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, v_lo, v_hi, ALPHA))
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg))
 
     def lag():
-        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg),
-                          state, v_lo, v_hi)
+        return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, tr_cfg)
 
     eps = 1e-6
     checked = 0
@@ -212,28 +205,30 @@ def test_grad_policy_with_explicit_jacobian_matches_linear(graph8, model8):
     rng = np.random.default_rng(23)
     pol = init_policy(graph8, [3, 5, 7], arch=(1, 4), k_max=0.1, seed=1)
     n = graph8.n
-    state = _tiny_state(n, pol, beta=0.3, lam=0.02, mu=0.7)
+    state = _tiny_state(n, pol, lam=0.02, mu=0.7)
+    tr_cfg = _tiny_cfg(beta=0.3)
     samples = [interior_step(graph8, rng, t) for t in range(4)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    g0 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
+    g0 = grad_policy(batch, state, model8, tr_cfg)
     jac = np.concatenate([model8.R, model8.X], axis=1)
-    g1 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA, voltage_jacobian=jac)
+    g1 = grad_policy(batch, state, model8, tr_cfg, voltage_jacobian=jac)
     np.testing.assert_allclose(g1, g0, atol=1e-14)
 
 
 def test_grad_policy_returns_fresh_array_without_out(graph8, model8):
     rng = np.random.default_rng(29)
     pol = init_policy(graph8, [3, 5, 7], arch=(1, 4), k_max=0.1, seed=1)
-    state = _tiny_state(graph8.n, pol, beta=0.3, lam=0.02, mu=0.7)
+    state = _tiny_state(graph8.n, pol, lam=0.02, mu=0.7)
+    tr_cfg = _tiny_cfg(beta=0.3)
     samples = [interior_step(graph8, rng, t) for t in range(3)]
     batch = solved_batch(samples, pol, model8, graph8, ControllerConfig(alpha=ALPHA, eq_tol=1e-11))
-    g0 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
-    g1 = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
+    g0 = grad_policy(batch, state, model8, tr_cfg)
+    g1 = grad_policy(batch, state, model8, tr_cfg)
     assert not np.shares_memory(g0, g1)
     np.testing.assert_array_equal(g0, g1)
     buf = np.empty_like(pol.theta)
-    assert grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA, out=buf) is buf
+    assert grad_policy(batch, state, model8, tr_cfg, out=buf) is buf
     np.testing.assert_array_equal(buf, g0)
 
 
@@ -250,7 +245,7 @@ def test_grad_policy_zero_where_projection_active(graph8, model8):
     batch = solved_batch(samples, pol, model8, graph8, cfg)
     assert np.all(np.abs(batch.x[:, np.array(pol.nodes) - 1]) < 1e-9)  # pinned at zero
     state = _tiny_state(n, pol, mu=0.7)
-    grad_w, _, grad_k = param_views(pol, grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA))
+    grad_w, _, grad_k = param_views(pol, grad_policy(batch, state, model8, _tiny_cfg()))
     for l in range(len(grad_w)):
         np.testing.assert_allclose(grad_w[l], 0.0, atol=1e-15)
     np.testing.assert_allclose(grad_k, 0.0, atol=1e-15)
@@ -458,6 +453,22 @@ def test_train_gradient_free_solves_each_minibatch_as_one_batch(graph8, model8, 
 
 
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
+def test_train_learned_lambda_moves_and_reruns_identically(graph8, model8, mode):
+    scn = train_scenario(graph8, horizon=24)
+    cfg = TrainerConfig(mode=mode, lambda_mode="learned", epochs=2, batch_size=8,
+                        v_lo=0.9604, v_hi=1.0816)
+    s1, log1 = train(scn, cfg, graph8, model8)
+    s2, log2 = train(scn, cfg, graph8, model8)
+    for lam in (s1.lambda_lo, s1.lambda_hi):
+        assert np.all(np.isfinite(lam))
+        assert np.any(lam != cfg.lambda_value)
+    assert log1 == log2
+    np.testing.assert_array_equal(s1.policy.theta, s2.policy.theta)
+    np.testing.assert_array_equal(s1.lambda_lo, s2.lambda_lo)
+    np.testing.assert_array_equal(s1.lambda_hi, s2.lambda_hi)
+
+
+@pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
 def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode):
     from localopf import controller, trainer
 
@@ -509,10 +520,10 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
         assert len(batch.tape[key]) == len(tape[key])
         for a, b in zip(batch.tape[key], tape[key]):
             np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-    state = _tiny_state(graph8.n, pol, beta=0.3, lam=0.02, mu=0.7)
-    grad = grad_policy(batch, state, model8, 0.9604, 1.0, ALPHA)
-    ref = grad_policy(solved_batch(kept, pol, model8, graph8, cfg), state, model8, 0.9604, 1.0,
-                      ALPHA)
+    state = _tiny_state(graph8.n, pol, lam=0.02, mu=0.7)
+    tr_cfg = _tiny_cfg(beta=0.3)
+    grad = grad_policy(batch, state, model8, tr_cfg)
+    ref = grad_policy(solved_batch(kept, pol, model8, graph8, cfg), state, model8, tr_cfg)
     assert np.any(ref != 0.0)
     np.testing.assert_allclose(grad, ref, atol=1e-10)
 
