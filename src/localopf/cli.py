@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .controller import check_stability
 from .policy import compute_k_max, init_policy, load_policy
@@ -23,12 +25,11 @@ from .runner import (
     generator_config,
     load_network,
     load_trajectory,
-    report_summary,
     resolve_config,
     run_experiment,
     run_training,
     stage,
-    sweep_beta,
+    sweep,
     trainer_config,
 )
 from .scenario import convexity_constants, generate_profile, save_scenario
@@ -76,8 +77,8 @@ def cmd_train(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     _, log = run_training(cfg, tr_cfg, graph, model, out)
-    print(f"trained {tr_cfg.epochs} epochs; final lagrangian "
-          f"{log[-1]['lagrangian']:.6g}; artifacts in {out}")
+    final = f"; final lagrangian {log[-1]['lagrangian']:.6g}" if log else ""
+    print(f"trained {tr_cfg.epochs} epochs{final}; artifacts in {out}")
     return 0
 
 
@@ -92,7 +93,7 @@ def cmd_evaluate(args) -> int:
         controlled = load_trajectory(args.controlled)
         oracle_traj = load_trajectory(args.oracle)
         report = evaluate(controlled, oracle_traj, float(args.v_lo), float(args.v_hi))
-    print(json.dumps(report_summary(report), indent=2))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 
@@ -112,20 +113,19 @@ def cmd_check_conditions(args) -> int:
             k_max = compute_k_max(tr_cfg.alpha, m, xi, model.a_norm, tr_cfg.k_max_margin)
             policy = init_policy(graph, gen.controllable, k_max=k_max)
         report = check_stability(m, xi, model.a_norm, policy, tr_cfg.alpha)
-    print(json.dumps({
-        "c1_ok": report.c1_ok, "c2_ok": report.c2_ok, "c3_ok": report.c3_ok,
-        "c3_bound": report.c3_bound, "c3_margin": report.c3_margin,
-        "step_ok": report.step_ok, "step_bound": report.step_bound,
-        "rho": report.rho, "contraction_ok": report.contraction_ok,
-        "L_theta": report.L_theta, "all_ok": report.all_ok,
-    }, indent=2))
+    print(json.dumps(report.summary(), indent=2, sort_keys=True))
     return 0 if report.all_ok else STAGE_EXIT["stability"]
 
 
-def cmd_sweep_beta(args) -> int:
-    betas = tuple(float(b) for b in args.betas.split(","))
-    out = sweep_beta(args.config, betas=betas, output_dir=args.output,
-                     overrides=args.override)
+def cmd_sweep(args) -> int:
+    grid = {}
+    with stage("config"):
+        for item in args.grid:
+            key, sep, raw = item.partition("=")
+            if not sep:
+                raise ValueError(f"grid must be key=value,...: {item}")
+            grid[key] = yaml.safe_load(f"[{raw}]")  # the values as one YAML flow list
+    out = sweep(args.config, grid, output_dir=args.output, overrides=args.override)
     print(f"sweep artifacts in {out}")
     return 0
 
@@ -168,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-conditions", cmd_check_conditions, "evaluate the stability conditions")
     p.add_argument("--policy", default=None)
 
-    p = add("sweep-beta", cmd_sweep_beta, "run the experiment across chance levels")
-    p.add_argument("--betas", default="0.05,0.1,0.5")
+    p = add("sweep", cmd_sweep, "run the experiment at every point of a config grid")
+    p.add_argument("-g", "--grid", action="append", required=True,
+                   help="dotted config key and its values, e.g. trainer.seed=0,1,2")
     p.add_argument("--output", default=None)
     return parser
 

@@ -10,7 +10,7 @@ setpoint out; the runner applies each setpoint to the plant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -247,6 +247,8 @@ class StabilityReport:
     rho: float
     L_theta: float
     k_max: float
+    alpha: float
+    a_norm: float
 
     @property
     def all_ok(self) -> bool:
@@ -257,6 +259,10 @@ class StabilityReport:
     def contraction_ok(self) -> bool:
         """The closed loop contracts on the linear plant: finite rho < 1."""
         return bool(np.isfinite(self.rho) and self.rho < 1.0)
+
+    def summary(self) -> dict:
+        """Every field plus ``all_ok`` and ``contraction_ok``: the report's ``stability`` block."""
+        return {**asdict(self), "all_ok": self.all_ok, "contraction_ok": self.contraction_ok}
 
 
 def check_stability(
@@ -294,6 +300,8 @@ def check_stability(
         rho=float(rho),
         L_theta=float(L_theta),
         k_max=float(policy.k_max),
+        alpha=float(alpha),
+        a_norm=float(a_norm),
     )
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -61,22 +62,18 @@ class Trajectory:
         return self.v.shape[1]
 
 
-def save_trajectory(traj: Trajectory, path, with_objective: bool = False) -> None:
-    """Long-format CSV `t,node,p,q,v,p_u,q_u[,objective]`; repr() floats."""
+def save_trajectory(traj: Trajectory, path) -> None:
+    """Long-format CSV `t,node,p,q,v,p_u,q_u,objective`; repr() floats."""
     n = traj.n
-    columns = {"p": traj.x[:, :n], "q": traj.x[:, n:], "v": traj.v,
-               "p_u": traj.p_u, "q_u": traj.q_u}
-    if with_objective:
-        columns["objective"] = traj.objective
-    write_slots(path, traj.t, columns)
+    write_slots(path, traj.t, {"p": traj.x[:, :n], "q": traj.x[:, n:], "v": traj.v,
+                               "p_u": traj.p_u, "q_u": traj.q_u, "objective": traj.objective})
 
 
 def load_trajectory(path) -> Trajectory:
-    """Inverse of :func:`save_trajectory`; objectives are zero when the file has none."""
+    """Inverse of :func:`save_trajectory`."""
     t, cols = read_slots(path)
-    objective = cols["objective"][:, 0] if "objective" in cols else np.zeros(len(t))
     return Trajectory(t=t, x=np.concatenate([cols["p"], cols["q"]], axis=1), v=cols["v"],
-                      p_u=cols["p_u"], q_u=cols["q_u"], objective=objective)
+                      p_u=cols["p_u"], q_u=cols["q_u"], objective=cols["objective"][:, 0])
 
 
 @dataclass(frozen=True)
@@ -436,7 +433,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     state, _ = run_training(cfg, tr_cfg, graph, model, out)
 
     m, xi = convexity_constants(test_scn.cost)
-    report_stab = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
+    stability = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
 
     v_lo, v_hi = tr_cfg.v_lo, tr_cfg.v_hi
     ctrl_cfg = ControllerConfig(alpha=tr_cfg.alpha, plant="nonlinear")
@@ -455,31 +452,16 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     with stage("oracle"):
         oracle_traj = run_oracle(test_scn, model, v_lo, v_hi)
 
+    trajectories = {"controller": ctrl_traj, "no_control": nc_traj, "baseline": base_traj}
     with stage("evaluate"):
-        report = evaluate(ctrl_traj, oracle_traj, v_lo, v_hi)
-        nc_report = evaluate(nc_traj, oracle_traj, v_lo, v_hi)
-        base_report = evaluate(base_traj, oracle_traj, v_lo, v_hi)
+        payload = {name: asdict(evaluate(traj, oracle_traj, v_lo, v_hi))
+                   for name, traj in trajectories.items()}
 
     with stage("write"):
-        save_trajectory(ctrl_traj, out / "controller_trajectory.csv")
-        save_trajectory(nc_traj, out / "no_control_trajectory.csv")
-        save_trajectory(base_traj, out / "baseline_trajectory.csv")
-        save_trajectory(oracle_traj, out / "oracle_trajectory.csv", with_objective=True)
-        payload = {
-            "controller": report_summary(report),
-            "no_control": report_summary(nc_report),
-            "baseline": report_summary(base_report),
-            "stability": {
-                "rho": report_stab.rho,
-                "contraction_ok": report_stab.contraction_ok,
-                "L_theta": report_stab.L_theta,
-                "c3_bound": report_stab.c3_bound,
-                "alpha": tr_cfg.alpha,
-                "a_norm": model.a_norm,
-            },
-            "mean_step_time": step_time,
-            "mean_plant_time": plant_time,
-        }
+        for name, traj in {**trajectories, "oracle": oracle_traj}.items():
+            save_trajectory(traj, out / f"{name}_trajectory.csv")
+        payload.update(stability=stability.summary(), mean_step_time=step_time,
+                       mean_plant_time=plant_time)
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         write_manifest(out / "manifest.txt", {
@@ -501,46 +483,38 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     return out
 
 
-def report_summary(report: EvaluationReport) -> dict:
-    """The headline metrics of an evaluation, as written to ``report.json``."""
-    return {
-        "absolute_gap": report.absolute_gap,
-        "relative_gap": report.relative_gap,
-        "volt_violation": report.volt_violation,
-        "excluded_steps": report.excluded_steps,
-    }
+def sweep(config_path, grid: dict, output_dir=None, overrides=()) -> Path:
+    """Run the experiment at every point of ``grid`` and tabulate the reports.
 
-
-def sweep_beta(config_path, betas=(0.05, 0.1, 0.5), output_dir=None, overrides=()) -> Path:
-    """Run the experiment per beta and emit a comparison table.
-
-    Each sub-run uses the config with ``overrides`` plus ``trainer.beta``.
-    Writes `beta_sweep.csv` with one row per beta:
-    `beta,volt_violation,absolute_gap,relative_gap` plus the no-control and
-    baseline violation columns for context.
+    ``grid`` maps dotted config keys to value lists; its points are their
+    cross product, each applied after ``overrides``.  Every point is resolved
+    before the first run, so a bad key or trainer setting fails at the
+    ``config`` stage having run nothing.  A point runs in the subdirectory
+    named by its settings, ``key=value,...`` with JSON values.  Writes
+    `sweep.csv`, one row per point: its values, then every entry of its
+    `report.json` sections as `section.key`; each cell is JSON.
     """
-    cfg, _ = resolve_config(config_path, overrides)
+    combos = list(itertools.product(*grid.values()))
+    if not combos:
+        raise StageError("config", "the sweep grid has no points")
+    points = [[f"{key}={json.dumps(value)}" for key, value in zip(grid, combo)]
+              for combo in combos]
+    for point in points:
+        cfg, _ = resolve_config(config_path, [*overrides, *point])
+        with stage("config"):
+            trainer_config(cfg)
     out = Path(output_dir or os.environ.get("LOCALOPF_OUTDIR")
                or cfg.get("output_dir") or ".")
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for beta in betas:
-        run_dir = run_experiment(config_path, output_dir=out / f"beta_{beta}",
-                                 overrides=[*overrides, f"trainer.beta={beta!r}"])
-        with open(run_dir / "report.json", encoding="utf-8") as fh:
-            rep = json.load(fh)
-        rows.append([
-            beta,
-            rep["controller"]["volt_violation"],
-            rep["controller"]["absolute_gap"],
-            rep["controller"]["relative_gap"],
-            rep["no_control"]["volt_violation"],
-            rep["baseline"]["volt_violation"],
-        ])
-    with open(out / "beta_sweep.csv", "w", newline="", encoding="utf-8") as fh:
+    for point, combo in zip(points, combos):
+        run_dir = run_experiment(config_path, output_dir=out / ",".join(point),
+                                 overrides=[*overrides, *point])
+        report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+        rows.append({**dict(zip(grid, combo)),
+                     **{f"{section}.{key}": value for section, block in report.items()
+                        if isinstance(block, dict) for key, value in block.items()}})
+    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["beta", "volt_violation", "absolute_gap", "relative_gap",
-                         "no_control_volt_violation", "baseline_volt_violation"])
-        for row in rows:
-            writer.writerow([row[0]] + [repr(float(val)) for val in row[1:]])
+        writer.writerow(rows[0])
+        writer.writerows([json.dumps(value) for value in row.values()] for row in rows)
     return out

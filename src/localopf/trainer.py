@@ -89,6 +89,10 @@ class TrainerConfig:
             raise ValueError(f"unknown lambda_mode '{self.lambda_mode}'")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ValueError("batch_size must be at least 1 and epochs nonnegative")
+        if not (self.alpha > 0.0 and self.eq_tol > 0.0):
+            raise ValueError("alpha and eq_tol must be positive")
 
 
 @dataclass

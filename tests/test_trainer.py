@@ -564,5 +564,7 @@ def test_train_rejects_minibatch_without_converged_equilibrium(graph8, model8, m
 
 
 def test_trainer_config_validation():
-    with pytest.raises(ValueError):
-        TrainerConfig(mode="zeroth")
+    for setting in ({"mode": "zeroth"}, {"batch_size": 0}, {"epochs": -1}, {"alpha": 0.0},
+                    {"eq_tol": 0.0}):
+        with pytest.raises(ValueError):
+            TrainerConfig(**setting)
