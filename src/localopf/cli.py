@@ -33,6 +33,7 @@ from .runner import (
     trainer_config,
 )
 from .scenario import convexity_constants, generate_profile, save_scenario
+from .trainer import controllable_nodes
 
 # exit codes: 1 = generic (usage errors included), 2.. = stage-specific
 STAGE_EXIT = {name: i + 2 for i, name in enumerate(STAGES)}
@@ -106,10 +107,14 @@ def cmd_check_conditions(args) -> int:
         scfg = cfg["scenario"]
         gen = generator_config(cfg, int(scfg.get("horizon_test", 10)))
         scn = generate_profile(graph, gen, int(scfg.get("test_seed", 1000)))
+        policy = load_policy(args.policy) if args.policy else None
+        nodes = controllable_nodes(scn.box)  # the nodes training gives a policy
+        if policy is not None and (policy.n_bus, policy.nodes) != (graph.n, nodes):
+            raise StageError("config", f"policy {args.policy} is for {policy.n_bus} buses with "
+                             f"controllable nodes {list(policy.nodes)}, but the config's feeder "
+                             f"has {graph.n} buses and controllable nodes {list(nodes)}")
         m, xi = convexity_constants(scn.cost)
-        if args.policy:
-            policy = load_policy(args.policy)
-        else:
+        if policy is None:
             k_max = compute_k_max(tr_cfg.alpha, m, xi, model.a_norm, tr_cfg.k_max_margin)
             policy = init_policy(graph, gen.controllable, k_max=k_max)
         report = check_stability(m, xi, model.a_norm, policy, tr_cfg.alpha)

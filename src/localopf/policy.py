@@ -172,7 +172,8 @@ def enforce_conditions(params: PolicyParams, k_max: float | None = None) -> Poli
 # ---------------------------------------------------------------------------
 # Stacked forward/backward across all channels, with optional batch dims.
 
-def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tape: bool = False):
+def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tape: bool = False,
+                channels: np.ndarray | None = None):
     """MLP term of every channel, scattered into a length-2N vector.
 
     ``p_u``, ``q_u`` have shape (..., N); returns shape (..., 2N) with each
@@ -183,23 +184,42 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     product.  With ``with_tape`` it also returns ``{"hs": hs}``, the scaled
     input and every hidden layer's post-activation, channel-major (C, S, n),
     which is all :func:`backward_all` reads.
+
+    ``channels``, a (C,) boolean mask, limits the pass to those channels:
+    the others' columns of the result are zero and their hidden-layer tape
+    entries are left unwritten.  Each run of consecutive channels works on
+    views of its weights, so a channel's products are the same, bit for
+    bit, as in a pass over every channel.
     """
     C = params.n_channels
     batch_shape = np.shape(p_u)[:-1]
     d = np.concatenate([p_u, q_u], axis=-1)[..., params.columns]
     # channel-major (C, S, n) layout
-    h = (d / params.d_scale).reshape(-1, C).T[..., None]  # (C, S, 1)
-    hs = [h]
-    for l in range(len(params.weights) - 1):
-        w = params.weights[l]
-        h = h * w[:, None, :, 0] if l == 0 else h @ w.transpose(0, 2, 1)
-        h += params.biases[l][:, None, :]
-        np.maximum(h, 0.0, out=h)
-        hs.append(h)
-    out = h @ params.weights[-1].transpose(0, 2, 1) + params.biases[-1][:, None, :]
+    h0 = (d / params.d_scale).reshape(-1, C).T[..., None]  # (C, S, 1)
+    S = h0.shape[1]
+    hs = [h0] + [np.empty((C, S, w.shape[1])) for w in params.weights[:-1]]
+    top = np.zeros((C, S, 1))
+    for run in [slice(None)] if channels is None else channel_runs(channels):
+        h = h0[run]
+        for l in range(len(hs) - 1):
+            w, nxt = params.weights[l][run], hs[l + 1][run]
+            if l == 0:
+                h = np.multiply(h, w[:, None, :, 0], out=nxt)
+            else:
+                h = np.matmul(h, w.transpose(0, 2, 1), out=nxt)
+            h += params.biases[l][run][:, None, :]
+            np.maximum(h, 0.0, out=h)
+        np.matmul(h, params.weights[-1][run].transpose(0, 2, 1), out=top[run])
+        top[run] += params.biases[-1][run][:, None, :]
     u = np.zeros(batch_shape + (2 * params.n_bus,))
-    u[..., params.columns] = out[:, :, 0].T.reshape(batch_shape + (C,))
+    u[..., params.columns] = top[:, :, 0].T.reshape(batch_shape + (C,))
     return (u, {"hs": hs}) if with_tape else u
+
+
+def channel_runs(mask: np.ndarray) -> list[slice]:
+    """Slices of the runs of consecutive ``True`` entries of a (C,) channel mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], mask, [False]])))
+    return [slice(int(a), int(b)) for a, b in edges.reshape(-1, 2)]
 
 
 def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,7 +228,7 @@ def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, active: np.ndarray | None = None) -> np.ndarray:
     """Parameter gradient of the policy output, summed over batch dims.
 
     ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample;
@@ -218,10 +238,17 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     given (and returned), else into a fresh vector.
 
     The layer loop runs only on the live channels, those with a nonzero
-    ``upstream`` entry.  A dead channel's row is exactly zero, as the full
+    ``upstream`` entry, so the tape is read only for them; with none live it
+    does no layer work.  A dead channel's row is exactly zero, as the full
     loop would make it: every product in it has a zero factor.  Each live
     channel's row gets the same operations as in a full loop, so the skip
     is exact.  With every channel live the loop works on views, in place.
+
+    ``active``, a (C,) boolean mask that must hold every live channel,
+    names the rows of ``out`` a caller reads: only its dead rows are zeroed,
+    and a row outside it is written only in its output-bias and ``k``
+    entries, with zeros.  A caller that keeps those rows at zero saves
+    clearing the whole buffer on every call.
     """
     C, P = params.n_channels, params.row_size
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
@@ -229,12 +256,14 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     grad = np.empty_like(params.theta) if out is None else out
     rows = grad.reshape(C, P)
     live = np.any(up, axis=0)
+    if active is not None and np.any(live & ~active):
+        raise ValueError("a live channel is outside the active rows")
     n_live = int(np.count_nonzero(live))
     if n_live == C:
         sel, work = slice(None), rows
     else:
         sel = np.flatnonzero(live)
-        rows[~live] = 0.0
+        rows[~live if active is None else active & ~live] = 0.0
         work = np.empty((n_live, P))  # the live rows, scattered into ``rows`` below
     last = len(params.weights) - 1
     if n_live:

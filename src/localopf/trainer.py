@@ -22,6 +22,7 @@ from .powerflow import solve_nonlinear  # noqa: F401  bound here for perfbench/t
 from .policy import (
     PolicyParams,
     backward_all,
+    channel_runs,
     compute_k_max,
     enforce_conditions,
     forward_all,
@@ -93,6 +94,15 @@ class TrainerConfig:
             raise ValueError("batch_size must be at least 1 and epochs nonnegative")
         if not (self.alpha > 0.0 and self.eq_tol > 0.0):
             raise ValueError("alpha and eq_tol must be positive")
+        if not (self.zo_step > 0.0 and self.k_max_margin > 0.0):
+            raise ValueError("zo_step and k_max_margin must be positive")
+        if self.eq_max_iters < 1:
+            raise ValueError("eq_max_iters must be at least 1")
+        if self.arch[0] < 0 or (self.arch[0] and self.arch[1] < 1):
+            raise ValueError(f"arch {list(self.arch)}: need a hidden layer count of at least 0 "
+                             "and, with hidden layers, a width of at least 1")
+        if self.sigma_mu < 0.0 or self.lambda_value < 0.0:
+            raise ValueError("sigma_mu and lambda_value must be nonnegative")
 
 
 @dataclass
@@ -126,9 +136,12 @@ class Batch:
     """Converged equilibria of one minibatch, stacked row-wise.
 
     Every row shares ``cost`` and ``box``; ``skipped`` counts the samples
-    left out because their equilibrium solve did not converge.  ``offset``
-    and ``tape`` come from the solve's one ``forward_all`` pass, so the
+    left out because their equilibrium solve did not converge, and
+    ``kept`` then gives the positions of the rows that stay.  ``offset``
+    and ``tape`` come from the minibatch's one ``forward_all`` pass, so the
     gradient reuses them; like ``x`` they hold only the converged rows.
+    In training the tape can cover only the active channels (see
+    :func:`train`).
     """
 
     p_u: np.ndarray  # (S, N)
@@ -140,6 +153,7 @@ class Batch:
     cost: CostModel
     box: BoxLimits
     skipped: int = 0
+    kept: np.ndarray | None = None  # (S,) minibatch positions of the rows, when some were skipped
 
     @cached_property
     def mean_cost(self) -> float:
@@ -268,32 +282,28 @@ def zo_voltage_jacobian(
 # Training loop.
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+                active: np.ndarray | None = None, beta1: float = 0.9, beta2: float = 0.999,
+                eps: float = 1e-8) -> None:
     """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
 
-    Walks only the runs of consecutive channel rows (``theta``'s (C, P)
-    reshape) where the gradient, ``m`` or ``v`` has a nonzero entry.  Every
-    other row is left as it is, which is exact: with g = m = v = 0 the step
-    keeps m and v at zero and moves theta by 0 / (0 + eps) = 0.  Each run is
-    updated in ``ADAM_BLOCK``-element blocks with one block-sized scratch,
-    so every operand of a block stays in cache; each element sees the same
-    operations as a whole-vector update.
+    ``active``, a (C,) boolean mask over the channel rows of ``theta``'s
+    (C, P) reshape, names the rows to step; None steps every row.  The
+    caller guarantees that in every other row the gradient, ``m`` and ``v``
+    are zero, where skipping the row is exact: with g = m = v = 0 the step
+    keeps m and v at zero and moves theta by 0 / (0 + eps) = 0.  Each run of
+    consecutive active rows is updated in ``ADAM_BLOCK``-element blocks with
+    one block-sized scratch, so every operand of a block stays in cache;
+    each element sees the same operations as a whole-vector update.
     """
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
-    theta = policy.theta
-    rows = (policy.n_channels, policy.row_size)
-    busy = np.zeros(rows[0] + 2, dtype=np.int8)  # padded with an idle row at each end
-    for a in (grad, adam.m, adam.v):
-        # an OR of the bit patterns is zero only where every entry is +0.0
-        busy[1:-1] |= np.bitwise_or.reduce(a.view(np.int64).reshape(rows), axis=1) != 0
-    runs = (np.flatnonzero(np.diff(busy)) * rows[1]).reshape(-1, 2)  # start, stop in theta
-    if not len(runs):
-        return
+    theta, P = policy.theta, policy.row_size
+    runs = [slice(0, policy.n_channels)] if active is None else channel_runs(active)
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
-    for first, stop in runs:
-        for start in range(first, stop, ADAM_BLOCK):
+    for run in runs:
+        stop = run.stop * P
+        for start in range(run.start * P, stop, ADAM_BLOCK):
             blk = slice(start, min(start + ADAM_BLOCK, stop))
             g, m, v = grad[blk], adam.m[blk], adam.v[blk]
             tmp = scratch[:g.size]
@@ -322,8 +332,13 @@ def train(
 ):
     """Primal-dual training over the pooled slots of ``scenarios``.
 
-    Every scenario must share the first one's cost and box.  Returns (final
-    TrainerState, per-epoch log list).  Each log row also carries
+    Every scenario must share the first one's cost and box.  A channel
+    whose gradient has never been nonzero is frozen: its MLP term is read
+    from a per-row store instead of recomputed, and backward and Adam skip
+    its row.  The result is bit for bit that of a step over every channel
+    as long as a row's MLP term does not depend on the other rows of a pass
+    of ``batch_size`` rows, which ``tests/test_sparse_step.py`` checks.
+    Returns (final TrainerState, per-epoch log list).  Each log row also carries
     ``skipped``, the samples whose equilibrium did not converge, and
     ``live_channels``, the mean count per minibatch of channels whose
     gradient is not exactly zero (a nonzero upstream entry).  Deterministic
@@ -368,7 +383,18 @@ def train(
         eq_max_iters=cfg.eq_max_iters,
     )
     x_warm = box.midpoint
-    grad = np.empty_like(policy.theta)  # every minibatch's gradient, overwritten by Adam
+    # A channel turns active at its first nonzero upstream entry.  Until then
+    # its parameters, m and v never move, so its MLP term on a pooled row is
+    # the same in every epoch: a full-size minibatch whose rows are all
+    # stored runs the MLP on the active channels alone and reads the others
+    # from ``stored``.  Only full-size passes fill or read it: a row of
+    # ``forward_all`` is bit-identical wherever it sits in batches of one
+    # size, not across sizes.
+    C, cols = policy.n_channels, policy.columns
+    active = np.zeros(C, dtype=bool)
+    stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
+    is_stored = np.zeros(len(p_u), dtype=bool)
+    grad = np.zeros_like(policy.theta)  # the active rows are overwritten by Adam; the rest stay 0
     log = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(p_u))
@@ -380,8 +406,17 @@ def train(
         skipped = 0
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
+            full = len(chunk) == cfg.batch_size
+            covered = active.copy() if full and is_stored[chunk].all() else np.ones(C, dtype=bool)
+            offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
+                                       channels=covered)
+            if not covered.all():
+                offset[:, cols[~covered]] = stored[np.ix_(chunk, ~covered)]
+            elif full:
+                stored[chunk] = offset[:, cols]
+                is_stored[chunk] = True
             batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
-                                         graph, ctrl_cfg, x_warm)
+                                         graph, ctrl_cfg, x_warm, (offset, tape))
             skipped += batch.skipped
             jac = None
             if cfg.mode == "gradient_free":
@@ -393,9 +428,17 @@ def train(
             ep_viol_lo.append(np.mean(batch.v < cfg.v_lo))
             ep_viol_hi.append(np.mean(batch.v > cfg.v_hi))
             upstream = _policy_upstream(batch, state, model, cfg, jac)
-            ep_live.append(np.count_nonzero(np.any(upstream, axis=0)))
-            backward_all(state.policy, batch.tape, upstream, batch.v, out=grad)
-            adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi)
+            live = np.any(upstream, axis=0)
+            ep_live.append(np.count_nonzero(live))
+            missing = live & ~covered
+            if missing.any():  # a frozen channel turned live on stored values: tape it now
+                _, extra = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
+                                       channels=missing)
+                for h, e in zip(batch.tape["hs"][1:], extra["hs"][1:]):
+                    h[missing] = e[missing] if batch.kept is None else e[missing][:, batch.kept]
+            active |= live
+            backward_all(state.policy, batch.tape, upstream, batch.v, out=grad, active=active)
+            adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, active)
             enforce_conditions(state.policy, k_max)
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = grad_lambda(batch, state, cfg)
@@ -416,16 +459,17 @@ def train(
     return state, log
 
 
-def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm):
+def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp=None):
     """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
-    ``p_u``, ``q_u`` are the minibatch's (S, N) rows.  Every row starts from
-    ``x_warm`` and all rows are solved as one batch; the next minibatch
-    starts from the last row.  When every row converged the batch holds the
-    solve's arrays themselves; otherwise it holds copies of the converged
-    rows.
+    ``p_u``, ``q_u`` are the minibatch's (S, N) rows; ``mlp`` is the
+    ``(offset, tape)`` of their ``forward_all`` pass, run here over every
+    channel when not given.  Every row starts from ``x_warm`` and all rows
+    are solved as one batch; the next minibatch starts from the last row.
+    When every row converged the batch holds the solve's arrays themselves;
+    otherwise it holds copies of the converged rows.
     """
-    offset, tape = forward_all(policy, p_u, q_u, with_tape=True)
+    offset, tape = forward_all(policy, p_u, q_u, with_tape=True) if mlp is None else mlp
     x, v, conv, _ = solve_equilibria_batch(
         p_u, q_u, offset, cost, box, policy, model, graph, ctrl_cfg,
         np.tile(x_warm, (len(p_u), 1)),
@@ -437,9 +481,11 @@ def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm):
         )
     x_next = x[-1]
     skipped = int(np.sum(~conv))
+    kept = None
     if skipped:
-        p_u, q_u, x, v, offset = p_u[conv], q_u[conv], x[conv], v[conv], offset[conv]
-        tape = {key: [a[:, conv] for a in arrays] for key, arrays in tape.items()}
+        kept = np.flatnonzero(conv)
+        p_u, q_u, x, v, offset = p_u[kept], q_u[kept], x[kept], v[kept], offset[kept]
+        tape = {key: [a[:, kept] for a in arrays] for key, arrays in tape.items()}
     batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
-                  cost=cost, box=box, skipped=skipped)
+                  cost=cost, box=box, skipped=skipped, kept=kept)
     return batch, x_next

@@ -343,6 +343,22 @@ def test_cli_check_conditions_fails_on_big_alpha(tmp_path, capsys):
     assert out["step_ok"] is False
 
 
+@pytest.mark.parametrize("config, nodes", [(DATA / "config_37bus.yaml", [3, 5, 7]),
+                                           (CONFIG8, [3, 5])])
+def test_cli_check_conditions_rejects_policy_of_another_feeder(tmp_path, capsys, config, nodes):
+    """A checkpoint whose buses or nodes are not the config's fails at the config stage."""
+    from localopf import init_policy, load_feeder, save_policy
+
+    ckpt = tmp_path / "pol.npz"
+    save_policy(init_policy(load_feeder(DATA / "feeder_8bus.txt"), nodes, k_max=0.05), ckpt)
+    assert main(["check-conditions", str(config), "--policy", str(ckpt)]) == STAGE_EXIT["config"]
+    captured = capsys.readouterr()
+    assert not captured.out
+    n_bus = 36 if "37" in config.name else 7
+    assert f"is for 7 buses with controllable nodes {nodes}" in captured.err
+    assert f"has {n_bus} buses and controllable nodes" in captured.err
+
+
 def test_contraction_reported_apart_from_all_ok(run_dir, capsys):
     rep = json.loads((run_dir / "report.json").read_text())["stability"]
     assert rep["contraction_ok"] is (rep["rho"] < 1.0)
@@ -446,6 +462,8 @@ def test_cli_unknown_config_key_exit_code(tmp_path, command, key):
 @pytest.mark.parametrize("override", [
     "trainer.beta=1.5", "trainer.lambda_mode=learnt", "trainer.batch_size=0",
     "trainer.batch_size=-1", "trainer.alpha=0", "trainer.eq_tol=0", "trainer.epochs=-1",
+    "trainer.zo_step=0", "trainer.k_max_margin=0", "trainer.eq_max_iters=0", "trainer.arch=[3,0]",
+    "trainer.sigma_mu=-1", "trainer.lambda_value=-1e-4",
 ])
 def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
     """A value the trainer config rejects fails at the config stage, before any other work."""

@@ -1,18 +1,35 @@
 """The channel-sparse training step against dense references.
 
-``backward_all`` works only on channels with a nonzero upstream entry, and
-``adam_update`` only on channel rows whose gradient, ``m`` or ``v`` is
-nonzero.  The dense versions below run every channel, as both functions did
-before; the sparse ones must match them bit for bit on the rows they work
-on, give zero gradient rows and leave every other Adam row unchanged.
+``forward_all`` can run on a subset of the channels, ``backward_all`` works
+only on channels with a nonzero upstream entry, and ``adam_update`` only on
+the active channel rows.  The dense versions below run every channel, as
+all three did before; the sparse ones must match them bit for bit on the
+rows they work on, give zero gradient rows and leave every other Adam row
+unchanged.  ``reference_train`` is the training loop over every channel in
+every minibatch; ``train``, which runs only the active channels and reads
+the frozen ones' MLP term from a store, must match it bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from localopf import init_policy
-from localopf.policy import backward_all, forward_all, param_views
-from localopf.trainer import ADAM_BLOCK, AdamState, adam_update
+from localopf import init_policy, trainer
+from localopf.controller import ControllerConfig
+from localopf.policy import (
+    backward_all,
+    compute_k_max,
+    enforce_conditions,
+    forward_all,
+    param_views,
+    set_input_scale,
+)
+from localopf.runner import _train_seeds, generator_config, load_network, resolve_config, \
+    trainer_config
+from localopf.scenario import convexity_constants, generate_profile
+from localopf.trainer import ADAM_BLOCK, AdamState, TrainerState, adam_update, train
+from conftest import DATA
 
 SHIPPED_NODES = {  # controllable nodes of config_8bus.yaml and config_37bus.yaml
     "graph8": (3, 5, 7),
@@ -119,24 +136,258 @@ def test_backward_all_reads_no_tape_without_live_channels(shipped):
 
 
 def test_adam_update_matches_dense_reference(shipped):
-    _, pol = shipped
+    check_adam_against_dense(shipped[1], walk_active=False)
+
+
+def test_adam_update_on_active_rows_matches_dense_reference(shipped):
+    check_adam_against_dense(shipped[1], walk_active=True)
+
+
+def check_adam_against_dense(pol, walk_active):
+    """Live sets none, one, some, half, all in turn; ``active`` grows as in training."""
     C, P = pol.n_channels, pol.row_size
     rng = np.random.default_rng(11)
     adam = AdamState.zeros_like(pol)
     ref_theta, ref = pol.theta.copy(), AdamState.zeros_like(pol)
+    active = np.zeros(C, dtype=bool)
     for t, live in enumerate(live_sets(C).values()):
         grad = np.zeros((C, P))
         grad[live] = rng.normal(size=(len(live), P))
         if t == 1:
             grad[0] = -0.0  # a row of negative zeros leaves theta, m and v as they are
         grad = grad.ravel()
+        active[live] = True
         idle_before = [a.reshape(C, P).copy() for a in (pol.theta, adam.m, adam.v)]
         idle = ~(np.any(grad.reshape(C, P), axis=1) | np.any(adam.m.reshape(C, P), axis=1)
                  | np.any(adam.v.reshape(C, P), axis=1))
         dense_adam_update(ref_theta, grad.copy(), ref, lr=1e-3)
-        adam_update(pol, grad, adam, lr=1e-3)
+        adam_update(pol, grad, adam, lr=1e-3, active=active.copy() if walk_active else None)
         assert adam.t == ref.t
         for got, want, before in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v),
                                      idle_before):
             assert got.tobytes() == want.tobytes()
             assert got.reshape(C, P)[idle].tobytes() == before[idle].tobytes()
+
+
+@pytest.mark.parametrize("S", [1, 7, 32])
+def test_forward_all_on_channels_matches_full_pass(shipped, S):
+    graph, pol = shipped
+    C, n = pol.n_channels, graph.n
+    rng = np.random.default_rng(S + 5)
+    p_u, q_u = rng.normal(size=(S, n)), rng.normal(size=(S, n))
+    u_full, tape_full = forward_all(pol, p_u, q_u, with_tape=True)
+    for name, sel in live_sets(C).items():
+        channels = np.zeros(C, dtype=bool)
+        channels[sel] = True
+        u, tape = forward_all(pol, p_u, q_u, with_tape=True, channels=channels)
+        cols = pol.columns
+        assert u[:, cols[channels]].tobytes() == u_full[:, cols[channels]].tobytes(), name
+        assert np.all(np.delete(u, cols[channels], axis=1) == 0.0), name
+        assert tape["hs"][0].tobytes() == tape_full["hs"][0].tobytes(), name
+        for h, h_full in zip(tape["hs"][1:], tape_full["hs"][1:]):
+            assert h[channels].tobytes() == h_full[channels].tobytes(), name
+
+
+def test_backward_all_writes_only_active_rows(shipped):
+    """Rows outside ``active`` are left at the caller's zeros; a live one outside it raises."""
+    graph, pol = shipped
+    C, P, n, S = pol.n_channels, pol.row_size, graph.n, 32
+    rng = np.random.default_rng(21)
+    v = rng.uniform(0.9, 1.1, (S, n))
+    _, tape = forward_all(pol, rng.normal(size=(S, n)), rng.normal(size=(S, n)), with_tape=True)
+    for name, live in live_sets(C).items():
+        upstream = np.zeros((S, C))
+        upstream[:, live] = rng.normal(size=(S, len(live)))
+        active = np.zeros(C, dtype=bool)
+        active[live] = True
+        active[::4] = True  # active rows that are not live this minibatch
+        out = np.zeros((C, P))
+        out[active] = np.nan  # Adam's scratch from the step before
+        got = backward_all(pol, tape, upstream, v, out=out.ravel(), active=active)
+        assert got.tobytes() == dense_backward_all(pol, tape, upstream, v).tobytes(), name
+        if len(live) < C:
+            inactive = active.copy()
+            inactive[live[0] if live else 1] = False
+            if live:
+                with pytest.raises(ValueError, match="outside the active rows"):
+                    backward_all(pol, tape, upstream, v, out=out.ravel(), active=inactive)
+
+
+# ---------------------------------------------------------------------------
+# Training against the loop over every channel in every minibatch
+
+
+def reference_train(scenarios, cfg, graph, model):
+    """``train`` as a loop that runs the MLP of every channel in every minibatch.
+
+    Each minibatch takes one all-channel ``forward_all`` pass (inside
+    ``_solve_batch``), the dense backward and the dense Adam step over every
+    row.  The other parts are the trainer's own, looked up on the module at
+    call time, so a test that patches one patches it here too.
+    """
+    p_u = np.concatenate([scn.p_u for scn in scenarios])
+    q_u = np.concatenate([scn.q_u for scn in scenarios])
+    cost, box, n = scenarios[0].cost, scenarios[0].box, graph.n
+    m, xi = convexity_constants(cost)
+    k_max = compute_k_max(cfg.alpha, m, xi, model.a_norm, cfg.k_max_margin)
+    policy = init_policy(graph, trainer.controllable_nodes(box), cfg.arch, k_max, cfg.seed)
+    set_input_scale(policy, p_u, q_u)
+    state = TrainerState(policy=policy, mu_lo=np.full(n, float(cfg.mu_init)),
+                         mu_hi=np.full(n, float(cfg.mu_init)),
+                         lambda_lo=np.full(n, cfg.lambda_value),
+                         lambda_hi=np.full(n, cfg.lambda_value),
+                         adam_state=AdamState.zeros_like(policy))
+    sigma_lambda = cfg.sigma_phi if cfg.sigma_lambda is None else cfg.sigma_lambda
+    rng = np.random.default_rng(cfg.seed)
+    ctrl_cfg = ControllerConfig(alpha=cfg.alpha, eq_tol=cfg.eq_tol, eq_max_iters=cfg.eq_max_iters,
+                                plant="nonlinear" if cfg.mode == "gradient_free" else "linear")
+    x_warm = box.midpoint
+    log = []
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(len(p_u))
+        rows = []
+        for start in range(0, len(p_u), cfg.batch_size):
+            chunk = perm[start:start + cfg.batch_size]
+            batch, x_warm = trainer._solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy,
+                                                 model, graph, ctrl_cfg, x_warm)
+            jac = None
+            if cfg.mode == "gradient_free":
+                jac = trainer.zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
+                                                  cfg.zo_step, model.v0)
+            upstream = trainer._policy_upstream(batch, state, model, cfg, jac)
+            rows.append((trainer.lagrangian(batch, state, cfg), batch.mean_cost,
+                         np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi), batch.skipped,
+                         np.count_nonzero(np.any(upstream, axis=0))))
+            grad = dense_backward_all(state.policy, batch.tape, upstream, batch.v)
+            dense_adam_update(state.policy.theta, grad, state.adam_state, cfg.sigma_phi)
+            enforce_conditions(state.policy, k_max)
+            if cfg.lambda_mode == "learned":
+                g_lo, g_hi = trainer.grad_lambda(batch, state, cfg)
+                state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo
+                state.lambda_hi = state.lambda_hi - sigma_lambda * g_hi
+            state = trainer.dual_update(state, batch, cfg)
+        state.epoch = epoch + 1
+        lag, cost_, lo, hi, skipped, live = zip(*rows)
+        log.append({
+            "epoch": epoch + 1,
+            "lagrangian": float(np.mean(lag)),
+            "mean_cost": float(np.mean(cost_)),
+            "viol_rate_lo": float(np.mean(lo)),
+            "viol_rate_hi": float(np.mean(hi)),
+            "mu_norm": float(np.linalg.norm(np.concatenate([state.mu_lo, state.mu_hi]))),
+            "skipped": sum(skipped),
+            "live_channels": float(np.mean(live)),
+        })
+    return state, log
+
+
+def shipped_training(config, *overrides):
+    """Training days, trainer settings, graph and model of a shipped config with overrides."""
+    cfg, feeder_path = resolve_config(DATA / config, overrides)
+    graph, model = load_network(feeder_path)
+    gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
+    scenarios = [generate_profile(graph, gen, s) for s in _train_seeds(cfg)]
+    return scenarios, trainer_config(cfg), graph, model
+
+
+def assert_same_training(got, want):
+    (state, log), (ref, ref_log) = got, want
+    assert log == ref_log
+    for name in ("mu_lo", "mu_hi", "lambda_lo", "lambda_hi"):
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert state.policy.theta.tobytes() == ref.policy.theta.tobytes()
+    assert state.adam_state.m.tobytes() == ref.adam_state.m.tobytes()
+    assert state.adam_state.v.tobytes() == ref.adam_state.v.tobytes()
+
+
+def count_passes(monkeypatch):
+    """Record the ``channels`` argument of every ``forward_all`` call the trainer makes."""
+    calls = []
+
+    def counted(*args, channels=None, **kwargs):
+        calls.append(channels)
+        return forward_all(*args, channels=channels, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_all", counted)
+    return calls
+
+
+SHIPPED_RUNS = {
+    "8bus": ("config_8bus.yaml",),
+    "8bus-gradient_free": ("config_8bus.yaml", "trainer.mode=gradient_free"),
+    # 103 = 3 * 32 + 7: each epoch ends on a 7-row minibatch, whose rows may
+    # differ in the last bit from the same rows in a 32-row pass
+    "8bus-short_tail": ("config_8bus.yaml", "scenario.horizon_train=103"),
+    "37bus-3epochs": ("config_37bus.yaml", "trainer.epochs=3"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SHIPPED_RUNS))
+def test_train_matches_reference_loop(monkeypatch, run):
+    args = shipped_training(*SHIPPED_RUNS[run])
+    want = reference_train(*args)
+    calls = count_passes(monkeypatch)
+    got = train(*args)
+    assert_same_training(got, want)
+    assert any(c is not None for c in calls)  # some minibatches ran the active channels alone
+
+
+@pytest.mark.parametrize("run", ["8bus", "8bus-short_tail", "37bus-3epochs"])
+def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
+    """Each minibatch's MLP term, stored columns included, is a fresh 32-row pass's, bit for bit."""
+    scenarios, cfg, graph, model = shipped_training(*SHIPPED_RUNS[run])
+    assert cfg.batch_size == 32
+    solve = trainer._solve_batch
+
+    def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp=None):
+        if len(p_u) == cfg.batch_size:
+            assert mlp[0].tobytes() == forward_all(policy, p_u, q_u).tobytes()
+        return solve(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp)
+
+    monkeypatch.setattr(trainer, "_solve_batch", checked)
+    calls = count_passes(monkeypatch)
+    train(scenarios, cfg, graph, model)
+    read = [c for c in calls if c is not None]
+    assert read and not all(c.all() for c in read)  # frozen channels were read from the store
+
+
+@pytest.mark.parametrize("drop_row", [False, True])
+def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
+    """A frozen channel that first goes live on stored values is taped by one extra pass.
+
+    ``_policy_upstream`` is patched, in both loops alike, to hold channel c's
+    column at zero until minibatch 6 + 5c, so channels turn live one by one
+    in later epochs, after their MLP term was stored.  With ``drop_row`` the
+    equilibrium solve also reports row 1 of every minibatch as not
+    converged, so the extra pass must be cut to the kept rows.
+    """
+    args = shipped_training("config_8bus.yaml", "trainer.sigma_mu=3.0")
+    upstream, solve = trainer._policy_upstream, trainer.solve_equilibria_batch
+
+    def gated():
+        seen = []
+
+        def late(*a, **kw):
+            up = upstream(*a, **kw)
+            up[:, 6 + 5 * np.arange(up.shape[1]) > len(seen)] = 0.0
+            seen.append(None)
+            return up
+        return late
+
+    def drop_row_1(*a, **kw):
+        x, v, conv, iterations = solve(*a, **kw)
+        conv = conv.copy()
+        conv[1] = False
+        return x, v, conv, iterations
+
+    if drop_row:
+        monkeypatch.setattr(trainer, "solve_equilibria_batch", drop_row_1)
+    monkeypatch.setattr(trainer, "_policy_upstream", gated())
+    want = reference_train(*args)
+    monkeypatch.setattr(trainer, "_policy_upstream", gated())
+    calls = count_passes(monkeypatch)
+    got = train(*args)
+    assert_same_training(got, want)
+    assert got[1][0]["skipped"] == (4 if drop_row else 0)
+    n_minibatches = args[1].epochs * -(-sum(len(s) for s in args[0]) // args[1].batch_size)
+    assert len(calls) > n_minibatches  # extra passes for channels turning live late

@@ -321,7 +321,7 @@ def test_adam_update_allocates_one_scratch_array(graph8):
     assert pol.theta.nbytes > 8 * ADAM_BLOCK
     grad = np.random.default_rng(3).normal(size=pol.theta.size)
     one_live = grad.copy()
-    one_live.reshape(pol.n_channels, -1)[1:] = 0.0  # idle rows, found without a theta-sized temporary
+    one_live.reshape(pol.n_channels, -1)[1:] = 0.0  # idle rows: no theta-sized temporary
     for g in (grad, one_live):
         adam = AdamState.zeros_like(pol)
         tracemalloc.start()
@@ -565,6 +565,9 @@ def test_train_rejects_minibatch_without_converged_equilibrium(graph8, model8, m
 
 def test_trainer_config_validation():
     for setting in ({"mode": "zeroth"}, {"batch_size": 0}, {"epochs": -1}, {"alpha": 0.0},
-                    {"eq_tol": 0.0}):
+                    {"eq_tol": 0.0}, {"zo_step": 0.0}, {"zo_step": -1e-3}, {"k_max_margin": 0.0},
+                    {"eq_max_iters": 0}, {"arch": (3, 0)}, {"arch": (-1, 64)},
+                    {"sigma_mu": -1.0}, {"lambda_value": -1e-4}):
         with pytest.raises(ValueError):
             TrainerConfig(**setting)
+    TrainerConfig(arch=(0, 64), sigma_mu=0.0, lambda_value=0.0)  # a linear model, no dual step
