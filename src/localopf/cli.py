@@ -102,12 +102,12 @@ def cmd_check_conditions(args) -> int:
     cfg, feeder_path = resolve_config(args.config, args.override)
     with stage("config"):
         tr_cfg = trainer_config(cfg)
+        policy = load_policy(args.policy) if args.policy else None
     graph, model = load_network(feeder_path)
     with stage("stability"):
         scfg = cfg["scenario"]
         gen = generator_config(cfg, int(scfg.get("horizon_test", 10)))
         scn = generate_profile(graph, gen, int(scfg.get("test_seed", 1000)))
-        policy = load_policy(args.policy) if args.policy else None
         nodes = controllable_nodes(scn.box)  # the nodes training gives a policy
         if policy is not None and (policy.n_bus, policy.nodes) != (graph.n, nodes):
             raise StageError("config", f"policy {args.policy} is for {policy.n_bus} buses with "

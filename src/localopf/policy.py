@@ -86,13 +86,8 @@ def param_views(params: PolicyParams, flat: np.ndarray):
     C, P = params.n_channels, params.row_size
     if flat.shape != (C * P,):
         raise ValueError(f"parameter vector has shape {flat.shape}, layout needs ({C * P},)")
-    return _row_views(params, flat.reshape(C, P))
-
-
-def _row_views(params: PolicyParams, rows: np.ndarray):
-    """(weights, biases, k) as views into ``rows``, any number of (., P) channel rows."""
-    n = len(rows)
-    views = [rows[:, a:b].reshape((n,) + s) for a, b, s in params.layout]  # split columns: views
+    rows = flat.reshape(C, P)
+    views = [rows[:, a:b].reshape((C,) + s) for a, b, s in params.layout]  # split columns: views
     return views[:-1:2], views[1:-1:2], views[-1]
 
 
@@ -104,16 +99,25 @@ def _flatten(weights, biases, k) -> np.ndarray:
     return np.concatenate([a.reshape(C, n) for a, n in zip(blocks, cols)], axis=1).ravel()
 
 
+class StabilityError(ValueError):
+    """The policy fails the uniqueness or step-size conditions before training."""
+
+
 def compute_k_max(alpha: float, m: float, xi: float, a_norm: float, margin: float = 0.95) -> float:
     """Voltage-gain clamp from the uniqueness condition, with a safety margin.
 
     Returns margin * (1 - sqrt(1 - 2*alpha*m + alpha^2*xi^2)) / (alpha * ||A||).
+    Raises :class:`StabilityError` when alpha is not below the step-size
+    bound 2m/xi^2: there the clamp is not positive, so no gain is admissible.
     """
     rad = 1.0 - 2.0 * alpha * m + alpha**2 * xi**2
     if rad < 0.0:
         raise ValueError(f"invalid constants: negative radicand {rad}")
     if alpha <= 0.0 or a_norm <= 0.0:
         raise ValueError("alpha and a_norm must be positive")
+    if alpha * xi**2 >= 2.0 * m:
+        raise StabilityError(f"step size alpha = {alpha:g} is not below the step-size bound "
+                             f"2m/xi^2 = {2.0 * m / xi**2:g}")
     return margin * (1.0 - np.sqrt(rad)) / (alpha * a_norm)
 
 
@@ -181,9 +185,9 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     coordinates (their boxes are degenerate).  :func:`output` adds the
     voltage term.  Internally the batch is processed channel-major so every
     layer is a BLAS-batched matmul; the fan-in-1 first layer is a broadcast
-    product.  With ``with_tape`` it also returns ``{"hs": hs}``, the scaled
-    input and every hidden layer's post-activation, channel-major (C, S, n),
-    which is all :func:`backward_all` reads.
+    product.  With ``with_tape`` it also returns the tape: a list of the
+    scaled input and every hidden layer's post-activation, channel-major
+    (C, S, n), which is all :func:`backward_all` reads.
 
     ``channels``, a (C,) boolean mask, limits the pass to those channels:
     the others' columns of the result are zero and their hidden-layer tape
@@ -213,7 +217,7 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
         top[run] += params.biases[-1][run][:, None, :]
     u = np.zeros(batch_shape + (2 * params.n_bus,))
     u[..., params.columns] = top[:, :, 0].T.reshape(batch_shape + (C,))
-    return (u, {"hs": hs}) if with_tape else u
+    return (u, hs) if with_tape else u
 
 
 def channel_runs(mask: np.ndarray) -> list[slice]:
@@ -233,16 +237,17 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
 
     ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample;
     ``v`` (..., N) holds the squared voltages the gain term read; ``tape`` is
-    the forward pass's post-activations, whose sign is the ReLU mask.  The
-    gradient, laid out like ``params.theta``, is written into ``out`` when
-    given (and returned), else into a fresh vector.
+    the forward pass's list of post-activations, whose sign is the ReLU
+    mask.  The gradient, laid out like ``params.theta``, is written into
+    ``out`` when given (and returned), else into a fresh vector.
 
     The layer loop runs only on the live channels, those with a nonzero
     ``upstream`` entry, so the tape is read only for them; with none live it
     does no layer work.  A dead channel's row is exactly zero, as the full
-    loop would make it: every product in it has a zero factor.  Each live
-    channel's row gets the same operations as in a full loop, so the skip
-    is exact.  With every channel live the loop works on views, in place.
+    loop would make it: every product in it has a zero factor.  Each run of
+    consecutive live channels works on views of the tape, the weights and
+    the gradient, as in :func:`forward_all`, so its rows are bit for bit
+    those of a loop over every channel.
 
     ``active``, a (C,) boolean mask that must hold every live channel,
     names the rows of ``out`` a caller reads: only its dead rows are zeroed,
@@ -254,51 +259,26 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
     grad = np.empty_like(params.theta) if out is None else out
-    rows = grad.reshape(C, P)
     live = np.any(up, axis=0)
     if active is not None and np.any(live & ~active):
         raise ValueError("a live channel is outside the active rows")
-    n_live = int(np.count_nonzero(live))
-    if n_live == C:
-        sel, work = slice(None), rows
-    else:
-        sel = np.flatnonzero(live)
-        rows[~live if active is None else active & ~live] = 0.0
-        work = np.empty((n_live, P))  # the live rows, scattered into ``rows`` below
+    grad.reshape(C, P)[~live if active is None else active & ~live] = 0.0
+    dW, db, dk = param_views(params, grad)
     last = len(params.weights) - 1
-    if n_live:
-        dW, db, _ = _row_views(params, work)
-        hs = [_live(h, sel) for h in tape["hs"]]  # channel-major (C, S, n)
-        delta = _live(up.T[..., None], sel)  # (C, S, fan-out of layer l)
+    for run in channel_runs(live):
+        delta = up.T[run, :, None]  # (channels, S, fan-out of layer l)
         for l in range(last, -1, -1):
-            np.matmul(delta.transpose(0, 2, 1), hs[l], out=dW[l])
+            np.matmul(delta.transpose(0, 2, 1), tape[l][run], out=dW[l][run])
             if l < last:  # the output bias is summed below over every channel: over
                 # fewer channels numpy may add the samples in another order
-                np.sum(delta, axis=1, out=db[l])
+                np.sum(delta, axis=1, out=db[l][run])
             if l:
-                w = params.weights[l][sel]
+                w = params.weights[l][run]
                 delta = delta * w[:, 0, None, :] if l == last else delta @ w
-                delta *= hs[l] > 0.0
-        if work is not rows:
-            rows[sel] = work
-    _, db, dk = param_views(params, grad)
+                delta *= tape[l][run] > 0.0
     np.sum(up.T[..., None], axis=1, out=db[last])
     np.sum(up * v_sel, axis=0, out=dk)
     return grad
-
-
-def _live(a: np.ndarray, sel) -> np.ndarray:
-    """The channels ``sel`` of a channel-major array, laid out with ``a``'s strides.
-
-    BLAS may sum in another order when a vector's stride changes, so a
-    gathered copy keeps the strides of ``a`` and each channel's products
-    come out bit for bit as in a pass over every channel.
-    """
-    if isinstance(sel, slice):
-        return a[sel]
-    out = np.empty_like(a)[:len(sel)]  # order "K": the stride order of ``a``
-    np.take(a, sel, axis=0, out=out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .feeder import FeederGraph, LinearVoltageModel
 from .powerflow import solve_nonlinear  # noqa: F401  bound here for perfbench/test_perfbench.py
 from .policy import (
     PolicyParams,
+    StabilityError,
     backward_all,
     channel_runs,
     compute_k_max,
@@ -40,10 +41,6 @@ from .scenario import (
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
 ADAM_BLOCK = 32768  # elements per Adam block: a cache-sized scratch instead of a theta-sized one
-
-
-class StabilityError(ValueError):
-    """The policy fails the uniqueness or step-size conditions before training."""
 
 
 def hinge_surrogate(lam, g):
@@ -149,7 +146,7 @@ class Batch:
     x: np.ndarray  # (S, 2N) equilibrium setpoints
     v: np.ndarray  # (S, N) equilibrium squared voltages
     offset: np.ndarray  # (S, 2N) MLP term of the policy output
-    tape: dict  # forward_all tape of ``offset``, channel-major
+    tape: list  # forward_all tape of ``offset``: post-activations, channel-major
     cost: CostModel
     box: BoxLimits
     skipped: int = 0
@@ -179,7 +176,6 @@ def grad_policy(
     model: LinearVoltageModel,
     cfg: TrainerConfig,
     voltage_jacobian: np.ndarray | None = None,
-    out: np.ndarray | None = None,
 ):
     """Batch policy gradient via the chain rule through the equilibrium map.
 
@@ -193,11 +189,11 @@ def grad_policy(
     gains).  The exact implicit derivative, -(2wI + G[A; A])^-1 with G the
     diagonal gain matrix, was tried and gave a larger tracking gap, so it
     is not used.  The voltage band and the step size alpha come from
-    ``cfg``.  Reuses ``batch.offset`` and ``batch.tape``; returns a vector
-    laid out like ``state.policy.theta``, written into ``out`` when given.
+    ``cfg``.  Reuses ``batch.offset`` and ``batch.tape``; returns a fresh
+    vector laid out like ``state.policy.theta``.
     """
     upstream = _policy_upstream(batch, state, model, cfg, voltage_jacobian)
-    return backward_all(state.policy, batch.tape, upstream, batch.v, out=out)
+    return backward_all(state.policy, batch.tape, upstream, batch.v)
 
 
 def _policy_upstream(batch, state, model, cfg, voltage_jacobian):
@@ -282,26 +278,25 @@ def zo_voltage_jacobian(
 # Training loop.
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
-                active: np.ndarray | None = None, beta1: float = 0.9, beta2: float = 0.999,
+                active: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> None:
     """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
 
     ``active``, a (C,) boolean mask over the channel rows of ``theta``'s
-    (C, P) reshape, names the rows to step; None steps every row.  The
-    caller guarantees that in every other row the gradient, ``m`` and ``v``
-    are zero, where skipping the row is exact: with g = m = v = 0 the step
-    keeps m and v at zero and moves theta by 0 / (0 + eps) = 0.  Each run of
-    consecutive active rows is updated in ``ADAM_BLOCK``-element blocks with
-    one block-sized scratch, so every operand of a block stays in cache;
-    each element sees the same operations as a whole-vector update.
+    (C, P) reshape, names the rows to step.  The caller guarantees that in
+    every other row the gradient, ``m`` and ``v`` are zero, where skipping
+    the row is exact: with g = m = v = 0 the step keeps m and v at zero and
+    moves theta by 0 / (0 + eps) = 0.  Each run of consecutive active rows
+    is updated in ``ADAM_BLOCK``-element blocks with one block-sized
+    scratch, so every operand of a block stays in cache; each element sees
+    the same operations as a whole-vector update.
     """
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
     theta, P = policy.theta, policy.row_size
-    runs = [slice(0, policy.n_channels)] if active is None else channel_runs(active)
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
-    for run in runs:
+    for run in channel_runs(active):
         stop = run.stop * P
         for start in range(run.start * P, stop, ADAM_BLOCK):
             blk = slice(start, min(start + ADAM_BLOCK, stop))
@@ -434,7 +429,7 @@ def train(
             if missing.any():  # a frozen channel turned live on stored values: tape it now
                 _, extra = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
                                        channels=missing)
-                for h, e in zip(batch.tape["hs"][1:], extra["hs"][1:]):
+                for h, e in zip(batch.tape[1:], extra[1:]):
                     h[missing] = e[missing] if batch.kept is None else e[missing][:, batch.kept]
             active |= live
             backward_all(state.policy, batch.tape, upstream, batch.v, out=grad, active=active)
@@ -459,17 +454,17 @@ def train(
     return state, log
 
 
-def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp=None):
+def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp):
     """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
     ``p_u``, ``q_u`` are the minibatch's (S, N) rows; ``mlp`` is the
-    ``(offset, tape)`` of their ``forward_all`` pass, run here over every
-    channel when not given.  Every row starts from ``x_warm`` and all rows
-    are solved as one batch; the next minibatch starts from the last row.
+    ``(offset, tape)`` of their ``forward_all`` pass.  Every row starts
+    from ``x_warm`` and all rows are solved as one batch; the next
+    minibatch starts from the last row.
     When every row converged the batch holds the solve's arrays themselves;
     otherwise it holds copies of the converged rows.
     """
-    offset, tape = forward_all(policy, p_u, q_u, with_tape=True) if mlp is None else mlp
+    offset, tape = mlp
     x, v, conv, _ = solve_equilibria_batch(
         p_u, q_u, offset, cost, box, policy, model, graph, ctrl_cfg,
         np.tile(x_warm, (len(p_u), 1)),
@@ -485,7 +480,7 @@ def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, ml
     if skipped:
         kept = np.flatnonzero(conv)
         p_u, q_u, x, v, offset = p_u[kept], q_u[kept], x[kept], v[kept], offset[kept]
-        tape = {key: [a[:, kept] for a in arrays] for key, arrays in tape.items()}
+        tape = [a[:, kept] for a in tape]
     batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
                   cost=cost, box=box, skipped=skipped, kept=kept)
     return batch, x_next

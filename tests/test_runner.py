@@ -341,6 +341,24 @@ def test_cli_check_conditions_fails_on_big_alpha(tmp_path, capsys):
     assert code == STAGE_EXIT["stability"]
     out = json.loads(capsys.readouterr().out)
     assert out["step_ok"] is False
+    # without a policy the step size is rejected before one is built
+    assert main(["check-conditions", str(CONFIG8), "-o", "trainer.alpha=1.01"]) \
+        == STAGE_EXIT["stability"]
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "alpha = 1.01 is not below the step-size bound" in captured.err
+
+
+@pytest.mark.parametrize("content", [None, b"not a checkpoint"], ids=["missing", "garbage"])
+def test_cli_check_conditions_unreadable_policy_exit_code(tmp_path, capsys, content):
+    """A missing or unreadable ``--policy`` file fails at the config stage, not the check."""
+    ckpt = tmp_path / "pol.npz"
+    if content is not None:
+        ckpt.write_bytes(content)
+    assert main(["check-conditions", str(CONFIG8), "--policy", str(ckpt)]) == STAGE_EXIT["config"]
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "[config]" in captured.err
 
 
 @pytest.mark.parametrize("config, nodes", [(DATA / "config_37bus.yaml", [3, 5, 7]),
@@ -438,10 +456,11 @@ def test_cli_train_writes_the_training_artifacts_of_a_run(run_dir, tmp_path, cap
 
 @pytest.mark.parametrize("command", ["run", "train"])
 def test_cli_stability_failure_exit_code(tmp_path, command):
-    # a gain clamp 2.5x the uniqueness bound fails C3 before training starts
-    code = main([command, str(CONFIG8), "--output", str(tmp_path / "out"),
-                 "-o", "trainer.k_max_margin=2.5"])
-    assert code == STAGE_EXIT["stability"]
+    # a gain clamp 2.5x the uniqueness bound fails C3 before training starts, and a
+    # step size past the step-size bound 2m/xi^2 (1 on this feeder) leaves no clamp at all
+    for override in ("trainer.k_max_margin=2.5", "trainer.alpha=1.2"):
+        code = main([command, str(CONFIG8), "--output", str(tmp_path / "out"), "-o", override])
+        assert code == STAGE_EXIT["stability"], override
 
 
 @pytest.mark.parametrize("command,key", [

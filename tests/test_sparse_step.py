@@ -37,11 +37,10 @@ SHIPPED_NODES = {  # controllable nodes of config_8bus.yaml and config_37bus.yam
 }
 
 
-def dense_backward_all(params, tape, upstream, v, out=None):
+def dense_backward_all(params, hs, upstream, v, out=None):
     """Every channel through the full layer loop."""
     C = params.n_channels
     up = np.asarray(upstream, dtype=float).reshape(-1, C)
-    hs = tape["hs"]
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
     grad = np.empty_like(params.theta) if out is None else out
     dW, db, dk = param_views(params, grad)
@@ -89,10 +88,18 @@ def live_sets(C):
     }
 
 
-@pytest.fixture(params=sorted(SHIPPED_NODES))
+SHIPPED_ARCHS = {  # test id suffix: arch
+    "": (3, 64),  # the default
+    "-arch2x32": (2, 32),  # the width planned for the 37-bus config
+}
+
+
+@pytest.fixture(params=[(g, sfx) for g in sorted(SHIPPED_NODES) for sfx in SHIPPED_ARCHS],
+                ids=lambda p: p[0] + p[1])
 def shipped(request):
-    graph = request.getfixturevalue(request.param)
-    pol = init_policy(graph, SHIPPED_NODES[request.param], arch=(3, 64), k_max=0.2, seed=4)
+    name, suffix = request.param
+    graph = request.getfixturevalue(name)
+    pol = init_policy(graph, SHIPPED_NODES[name], arch=SHIPPED_ARCHS[suffix], k_max=0.2, seed=4)
     rng = np.random.default_rng(9)
     for b in pol.biases:
         b += rng.normal(scale=0.1, size=b.shape)
@@ -111,9 +118,9 @@ def test_backward_all_matches_dense_reference(shipped, S, skipped):
                           with_tape=True)
     keep = np.arange(S + 1) != (0 if skipped else S)
     if skipped:  # a minibatch whose first sample did not converge keeps copies of the rest
-        tape = {"hs": [h[:, keep] for h in tape["hs"]]}
+        tape = [h[:, keep] for h in tape]
     else:
-        tape = {"hs": [h[:, :S] for h in tape["hs"]]}
+        tape = [h[:, :S] for h in tape]
     v = v[keep]
     for name, live in live_sets(C).items():
         upstream = np.zeros((S, C))
@@ -130,7 +137,7 @@ def test_backward_all_matches_dense_reference(shipped, S, skipped):
 
 def test_backward_all_reads_no_tape_without_live_channels(shipped):
     graph, pol = shipped
-    grad = backward_all(pol, {"hs": None}, np.zeros((4, pol.n_channels)),
+    grad = backward_all(pol, None, np.zeros((4, pol.n_channels)),
                         np.ones((4, graph.n)), out=np.full_like(pol.theta, np.nan))
     assert np.all(grad == 0.0)
 
@@ -161,7 +168,8 @@ def check_adam_against_dense(pol, walk_active):
         idle = ~(np.any(grad.reshape(C, P), axis=1) | np.any(adam.m.reshape(C, P), axis=1)
                  | np.any(adam.v.reshape(C, P), axis=1))
         dense_adam_update(ref_theta, grad.copy(), ref, lr=1e-3)
-        adam_update(pol, grad, adam, lr=1e-3, active=active.copy() if walk_active else None)
+        adam_update(pol, grad, adam, lr=1e-3,
+                    active=active.copy() if walk_active else np.ones(C, dtype=bool))
         assert adam.t == ref.t
         for got, want, before in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v),
                                      idle_before):
@@ -183,8 +191,8 @@ def test_forward_all_on_channels_matches_full_pass(shipped, S):
         cols = pol.columns
         assert u[:, cols[channels]].tobytes() == u_full[:, cols[channels]].tobytes(), name
         assert np.all(np.delete(u, cols[channels], axis=1) == 0.0), name
-        assert tape["hs"][0].tobytes() == tape_full["hs"][0].tobytes(), name
-        for h, h_full in zip(tape["hs"][1:], tape_full["hs"][1:]):
+        assert tape[0].tobytes() == tape_full[0].tobytes(), name
+        for h, h_full in zip(tape[1:], tape_full[1:]):
             assert h[channels].tobytes() == h_full[channels].tobytes(), name
 
 
@@ -211,6 +219,30 @@ def test_backward_all_writes_only_active_rows(shipped):
             if live:
                 with pytest.raises(ValueError, match="outside the active rows"):
                     backward_all(pol, tape, upstream, v, out=out.ravel(), active=inactive)
+
+
+def test_backward_all_on_a_subset_allocates_no_more_than_on_all(shipped):
+    """With a strict subset of the channels live, a call peaks no higher than with all live."""
+    import tracemalloc
+
+    graph, pol = shipped
+    C, n, S = pol.n_channels, graph.n, 32
+    rng = np.random.default_rng(23)
+    v = rng.uniform(0.9, 1.1, (S, n))
+    _, tape = forward_all(pol, rng.normal(size=(S, n)), rng.normal(size=(S, n)), with_tape=True)
+    out = np.empty_like(pol.theta)
+    peaks = {}
+    for name, live in live_sets(C).items():
+        upstream = np.zeros((S, C))
+        upstream[:, live] = rng.normal(size=(S, len(live)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward_all(pol, tape, upstream, v, out=out)
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert all(peak <= peaks["all"] for peak in peaks.values()), peaks
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +280,9 @@ def reference_train(scenarios, cfg, graph, model):
         rows = []
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
+            mlp = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True)
             batch, x_warm = trainer._solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy,
-                                                 model, graph, ctrl_cfg, x_warm)
+                                                 model, graph, ctrl_cfg, x_warm, mlp)
             jac = None
             if cfg.mode == "gradient_free":
                 jac = trainer.zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
@@ -339,7 +372,7 @@ def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
     assert cfg.batch_size == 32
     solve = trainer._solve_batch
 
-    def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp=None):
+    def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp):
         if len(p_u) == cfg.batch_size:
             assert mlp[0].tobytes() == forward_all(policy, p_u, q_u).tobytes()
         return solve(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp)

@@ -18,6 +18,7 @@ from localopf import (
     init_policy,
     lagrangian,
     train,
+    trainer,
     zo_voltage_jacobian,
 )
 from localopf.policy import forward_all, param_views
@@ -227,9 +228,6 @@ def test_grad_policy_returns_fresh_array_without_out(graph8, model8):
     g1 = grad_policy(batch, state, model8, tr_cfg)
     assert not np.shares_memory(g0, g1)
     np.testing.assert_array_equal(g0, g1)
-    buf = np.empty_like(pol.theta)
-    assert grad_policy(batch, state, model8, tr_cfg, out=buf) is buf
-    np.testing.assert_array_equal(buf, g0)
 
 
 def test_grad_policy_zero_where_projection_active(graph8, model8):
@@ -304,7 +302,7 @@ def test_adam_first_step_is_signed_lr(graph8):
         w[...] = 1.0
     for b in grad_b:
         b[...] = -1.0
-    adam_update(pol, grad, adam, lr=0.01)
+    adam_update(pol, grad, adam, lr=0.01, active=np.ones(pol.n_channels, dtype=bool))
     # first Adam step moves every coordinate by ~lr against the gradient sign
     for w, w0 in zip(pol.weights, before):
         np.testing.assert_allclose(w, w0 - 0.01 * (1.0 / (1.0 + 1e-8)), atol=1e-9)
@@ -322,12 +320,13 @@ def test_adam_update_allocates_one_scratch_array(graph8):
     grad = np.random.default_rng(3).normal(size=pol.theta.size)
     one_live = grad.copy()
     one_live.reshape(pol.n_channels, -1)[1:] = 0.0  # idle rows: no theta-sized temporary
+    every = np.ones(pol.n_channels, dtype=bool)
     for g in (grad, one_live):
         adam = AdamState.zeros_like(pol)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            adam_update(pol, g, adam, lr=1e-3)
+            adam_update(pol, g, adam, lr=1e-3, active=every)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +350,7 @@ def test_adam_blocks_match_one_shot_update(graph8):
     for t in (1, 2, 3):
         grad = rng.normal(size=pol.theta.size)
         theta, m, v = _adam_one_shot(theta, grad, m, v, t, lr=1e-3)
-        adam_update(pol, grad, adam, lr=1e-3)
+        adam_update(pol, grad, adam, lr=1e-3, active=np.ones(pol.n_channels, dtype=bool))
         np.testing.assert_array_equal(pol.theta, theta)
         np.testing.assert_array_equal(adam.m, m)
         np.testing.assert_array_equal(adam.v, v)
@@ -486,16 +485,17 @@ def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode
     assert rows == [8, 8, 4] * 2  # one MLP pass per minibatch, none inside Picard or grad
 
 
-def _rows(samples):
-    """``_solve_batch``'s leading arguments for per-slot samples sharing one cost and box."""
-    return (np.array([s.p_u for s in samples]), np.array([s.q_u for s in samples]),
-            samples[0].cost, samples[0].box)
+def _solve(samples, pol, model, graph, cfg):
+    """``_solve_batch`` on per-slot samples sharing one cost and box, and its forward pass."""
+    p_u, q_u = np.array([s.p_u for s in samples]), np.array([s.q_u for s in samples])
+    mlp = forward_all(pol, p_u, q_u, with_tape=True)
+    batch, _ = trainer._solve_batch(p_u, q_u, samples[0].cost, samples[0].box, pol, model, graph,
+                                    cfg, samples[0].box.midpoint, mlp)
+    return batch, mlp
 
 
 def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
     """A row dropped as not converged leaves offset, tape and gradient on the kept rows."""
-    from localopf import trainer
-
     rng = np.random.default_rng(41)
     pol = init_policy(graph8, [3, 5, 7], arch=(1, 5), k_max=0.1, seed=4)
     samples = [interior_step(graph8, rng, t) for t in range(4)]
@@ -509,17 +509,15 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
         return x, v, conv, iterations
 
     monkeypatch.setattr(trainer, "solve_equilibria_batch", drop_row_1)
-    batch, _ = trainer._solve_batch(*_rows(samples), pol, model8, graph8, cfg,
-                                    samples[0].box.midpoint)
+    batch, _ = _solve(samples, pol, model8, graph8, cfg)
     kept = [samples[i] for i in (0, 2, 3)]
     assert batch.skipped == 1
     np.testing.assert_array_equal(batch.p_u, [s.p_u for s in kept])
     offset, tape = forward_all(pol, batch.p_u, batch.q_u, with_tape=True)
     np.testing.assert_allclose(batch.offset, offset, rtol=1e-14, atol=0.0)
-    for key in tape:
-        assert len(batch.tape[key]) == len(tape[key])
-        for a, b in zip(batch.tape[key], tape[key]):
-            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+    assert len(batch.tape) == len(tape)
+    for a, b in zip(batch.tape, tape):
+        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
     state = _tiny_state(graph8.n, pol, lam=0.02, mu=0.7)
     tr_cfg = _tiny_cfg(beta=0.3)
     grad = grad_policy(batch, state, model8, tr_cfg)
@@ -528,31 +526,15 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
     np.testing.assert_allclose(grad, ref, atol=1e-10)
 
 
-def test_converged_batch_shares_the_forward_pass(graph8, model8, monkeypatch):
+def test_converged_batch_shares_the_forward_pass(graph8, model8):
     """With every row converged, the batch holds the solve's offset and tape, not copies."""
-    from localopf import trainer
-
     rng = np.random.default_rng(43)
     pol = init_policy(graph8, [3, 5, 7], arch=(2, 5), k_max=0.1, seed=4)
     samples = [interior_step(graph8, rng, t) for t in range(4)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
-    passes = []
-
-    def recorded(*args, **kwargs):
-        passes.append(forward_all(*args, **kwargs))
-        return passes[-1]
-
-    monkeypatch.setattr(trainer, "forward_all", recorded)
-    batch, _ = trainer._solve_batch(*_rows(samples), pol, model8, graph8, cfg,
-                                    samples[0].box.midpoint)
-    assert batch.skipped == 0 and len(passes) == 1
-    offset, tape = passes[0]
-    assert np.shares_memory(batch.offset, offset)
-    assert batch.tape.keys() == tape.keys()
-    for key in tape:
-        assert len(batch.tape[key]) == len(tape[key])
-        for a, b in zip(batch.tape[key], tape[key]):
-            assert np.shares_memory(a, b)
+    batch, (offset, tape) = _solve(samples, pol, model8, graph8, cfg)
+    assert batch.skipped == 0
+    assert batch.offset is offset and batch.tape is tape
 
 
 @pytest.mark.parametrize("mode", ["gradient", "gradient_free"])
