@@ -16,6 +16,7 @@ once per ``PolicyParams``.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,18 +306,30 @@ def save_policy(params: PolicyParams, path) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        arch = tuple(int(a) for a in data["arch"])
-        n_layers = arch[0] + 1
-        return PolicyParams(
-            nodes=tuple(int(i) for i in data["nodes"]),
-            arch=arch,  # type: ignore[arg-type]
-            k_max=float(data["k_max"]),
-            theta=_flatten([data[f"W{l}"] for l in range(n_layers)],
-                           [data[f"b{l}"] for l in range(n_layers)], data["k"]),
-            d_scale=data["d_scale"].copy(),
-            n_bus=int(data["n_bus"]),
-        )
+    """The policy of a :func:`save_policy` checkpoint.
+
+    A file numpy cannot read as an archive of the checkpoint's arrays raises
+    ``ValueError("<path> is not a localopf policy checkpoint")``; a missing
+    file raises ``FileNotFoundError``.
+    """
+    try:
+        with np.load(path) as data:
+            ckpt = {key: data[key] for key in data.files}
+        version = int(ckpt["version"])
+        if version == _CKPT_VERSION:
+            arch = tuple(int(a) for a in ckpt["arch"])
+            layers = range(arch[0] + 1)
+            params = PolicyParams(
+                nodes=tuple(int(i) for i in ckpt["nodes"]),
+                arch=arch,  # type: ignore[arg-type]
+                k_max=float(ckpt["k_max"]),
+                theta=_flatten([ckpt[f"W{l}"] for l in layers], [ckpt[f"b{l}"] for l in layers],
+                               ckpt["k"]),
+                d_scale=ckpt["d_scale"],
+                n_bus=int(ckpt["n_bus"]),
+            )
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path} is not a localopf policy checkpoint") from exc
+    if version != _CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    return params

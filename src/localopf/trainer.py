@@ -98,8 +98,10 @@ class TrainerConfig:
         if self.arch[0] < 0 or (self.arch[0] and self.arch[1] < 1):
             raise ValueError(f"arch {list(self.arch)}: need a hidden layer count of at least 0 "
                              "and, with hidden layers, a width of at least 1")
-        if self.sigma_mu < 0.0 or self.lambda_value < 0.0:
-            raise ValueError("sigma_mu and lambda_value must be nonnegative")
+        if min(self.sigma_phi, self.sigma_mu, self.lambda_value, self.mu_init) < 0.0 \
+                or (self.sigma_lambda is not None and self.sigma_lambda < 0.0):
+            raise ValueError("sigma_phi, sigma_lambda, sigma_mu, lambda_value and mu_init "
+                             "must be nonnegative")
 
 
 @dataclass
@@ -137,8 +139,10 @@ class Batch:
     ``kept`` then gives the positions of the rows that stay.  ``offset``
     and ``tape`` come from the minibatch's one ``forward_all`` pass, so the
     gradient reuses them; like ``x`` they hold only the converged rows.
-    In training the tape can cover only the active channels (see
-    :func:`train`).
+    In training the pass covers only the channels with a stale stored term
+    on the minibatch's rows, whose tape entries alone are written, and the
+    other columns of ``offset`` come from the store; with no such channel
+    there is no pass and ``tape`` is None (see :func:`train`).
     """
 
     p_u: np.ndarray  # (S, N)
@@ -146,7 +150,7 @@ class Batch:
     x: np.ndarray  # (S, 2N) equilibrium setpoints
     v: np.ndarray  # (S, N) equilibrium squared voltages
     offset: np.ndarray  # (S, 2N) MLP term of the policy output
-    tape: list  # forward_all tape of ``offset``: post-activations, channel-major
+    tape: list | None  # forward_all tape of ``offset``: post-activations, channel-major
     cost: CostModel
     box: BoxLimits
     skipped: int = 0
@@ -278,38 +282,85 @@ def zo_voltage_jacobian(
 # Training loop.
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
-                active: np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
+                active: np.ndarray, live: np.ndarray, settled: np.ndarray, horizon: int,
+                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
     """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
 
-    ``active``, a (C,) boolean mask over the channel rows of ``theta``'s
-    (C, P) reshape, names the rows to step.  The caller guarantees that in
-    every other row the gradient, ``m`` and ``v`` are zero, where skipping
-    the row is exact: with g = m = v = 0 the step keeps m and v at zero and
-    moves theta by 0 / (0 + eps) = 0.  Each run of consecutive active rows
-    is updated in ``ADAM_BLOCK``-element blocks with one block-sized
-    scratch, so every operand of a block stays in cache; each element sees
-    the same operations as a whole-vector update.
+    The (C,) masks name rows of ``theta``'s (C, P) reshape: ``active`` the
+    rows whose gradient, m or v may be nonzero (elsewhere the step is
+    exactly the identity), ``live`` those whose gradient may be nonzero and
+    ``settled`` those a zero-gradient step leaves unchanged; ``live`` and
+    ``settled`` are disjoint parts of ``active``.  Each row takes a form
+    that is bit for bit the full step:
+
+    - a run of unsettled rows with a live row: the full step, in
+      ``ADAM_BLOCK``-element blocks with one scratch (the caller zeroes the
+      gradient of the run's other rows);
+    - a run without one: ``m *= b1; v *= b2``, then the theta update, since
+      g = +-0.0 adds +0.0 to m and v, which are never -0.0;
+    - a settled row: ``m *= b1; v *= b2``.
+
+    Returns the rows that settle: rows of the second form whose theta bits
+    the step left unchanged, from step 5 on, that pass the guard up to
+    ``horizon``, the run's last step.  Why they stay put:
+
+    - with g = 0, u = lr (m/bc1) / (sqrt(v/bc2) + eps) keeps its sign and
+      |u_{t+1}| / |u_t| <= b1 sqrt(bc2_{t+1} / (b2 bc2_t)), below 1 from
+      t = 5 on for (0.9, 0.999) by 1.4% to 10%, which covers the roundings
+      of u while its operands are normal numbers;
+    - rounding and the k clip are monotone, so once fl(theta - u_t) = theta
+      no later zero-gradient step moves theta;
+    - a subnormal m, or lr m, stops shrinking under *b1 while v falls, so
+      the guard asks that every nonzero m, times min(1, lr / max(1,
+      sqrt(v/bc2) + eps)) and times b1 per step left, stay at least
+      ``np.finfo(float).tiny``.
     """
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
     theta, P = policy.theta, policy.row_size
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
-    for run in channel_runs(active):
+    quiet = np.zeros_like(active)  # rows of runs without a live row
+    moved = np.zeros_like(active)  # rows whose theta such a run changed
+    for run in channel_runs(active & ~settled):
+        full = live[run].any()
+        quiet[run] = not full
         stop = run.stop * P
         for start in range(run.start * P, stop, ADAM_BLOCK):
             blk = slice(start, min(start + ADAM_BLOCK, stop))
-            g, m, v = grad[blk], adam.m[blk], adam.v[blk]
+            g, m, v, th = grad[blk], adam.m[blk], adam.v[blk], theta[blk]
             tmp = scratch[:g.size]
-            np.multiply(g, 1.0 - beta2, out=tmp)
             v *= beta2
-            v += np.multiply(tmp, g, out=tmp)  # (1 - b2) * g * g
             m *= beta1
-            m += np.multiply(g, 1.0 - beta1, out=g)
+            if full:
+                v += np.multiply(np.multiply(g, 1.0 - beta2, out=tmp), g, out=tmp)
+                m += np.multiply(g, 1.0 - beta1, out=g)
             np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
             np.multiply(np.divide(m, bc1, out=g), lr, out=g)
-            theta[blk] -= np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            if full:
+                th -= g
+            else:
+                np.subtract(th, g, out=tmp)
+                flag = g.view(np.bool_)[:g.size]  # the first bytes of g, free once u is spent
+                np.not_equal(tmp.view(np.int64), th.view(np.int64), out=flag)
+                th[...] = tmp
+                rows = range(start // P, (blk.stop - 1) // P + 1)  # rows the block touches
+                moved[rows.start:rows.stop] |= np.logical_or.reduceat(
+                    flag, [max(r * P - start, 0) for r in rows])
+    for run in channel_runs(settled):
+        adam.m[run.start * P:run.stop * P] *= beta1
+        adam.v[run.start * P:run.stop * P] *= beta2
+    shrinking = beta1**2 * (1.0 - beta2**(adam.t + 1)) < beta2 * bc2 * (1.0 - 1e-9)  # |u| falls
+    if not shrinking:
+        return np.zeros_like(active)
+    same = quiet & ~moved
+    reach = beta1**(horizon - adam.t)
+    for c in np.flatnonzero(same):
+        m, v = adam.m[c * P:(c + 1) * P], adam.v[c * P:(c + 1) * P]
+        scale = np.minimum(1.0, lr / np.maximum(np.sqrt(v / bc2) + eps, 1.0))
+        same[c] = np.all((m == 0.0) | (np.abs(m) * scale * reach >= np.finfo(float).tiny))
+    return same
 
 
 def controllable_nodes(box: BoxLimits) -> tuple[int, ...]:
@@ -328,11 +379,19 @@ def train(
     """Primal-dual training over the pooled slots of ``scenarios``.
 
     Every scenario must share the first one's cost and box.  A channel
-    whose gradient has never been nonzero is frozen: its MLP term is read
-    from a per-row store instead of recomputed, and backward and Adam skip
-    its row.  The result is bit for bit that of a step over every channel
-    as long as a row's MLP term does not depend on the other rows of a pass
-    of ``batch_size`` rows, which ``tests/test_sparse_step.py`` checks.
+    whose gradient has never been nonzero is frozen, and an active one
+    whose zero-gradient Adam step has left its ``theta`` row bit for bit
+    unchanged is settled until it turns live again (see
+    :func:`adam_update` for why its row then stays put).  Either way its
+    row does not change, so its MLP term on a pooled row is read from a
+    per-(row, channel) store, filled by passes of ``batch_size`` rows and
+    cleared in every step that may change the row, instead of recomputed;
+    a minibatch with every term fresh runs no pass.  Backward skips frozen
+    and settled rows and runs only when some channel is live; Adam skips
+    frozen rows and only decays a settled row's moments.  The result is
+    bit for bit that of a step over every channel as long as a row's MLP
+    term does not depend on the other rows of a pass of ``batch_size``
+    rows, which ``tests/test_sparse_step.py`` checks.
     Returns (final TrainerState, per-epoch log list).  Each log row also carries
     ``skipped``, the samples whose equilibrium did not converge, and
     ``live_channels``, the mean count per minibatch of channels whose
@@ -378,18 +437,15 @@ def train(
         eq_max_iters=cfg.eq_max_iters,
     )
     x_warm = box.midpoint
-    # A channel turns active at its first nonzero upstream entry.  Until then
-    # its parameters, m and v never move, so its MLP term on a pooled row is
-    # the same in every epoch: a full-size minibatch whose rows are all
-    # stored runs the MLP on the active channels alone and reads the others
-    # from ``stored``.  Only full-size passes fill or read it: a row of
-    # ``forward_all`` is bit-identical wherever it sits in batches of one
-    # size, not across sizes.
+    # Only full-size passes fill or read the store: a row of ``forward_all``
+    # is bit-identical wherever it sits in batches of one size, not across sizes.
     C, cols = policy.n_channels, policy.columns
     active = np.zeros(C, dtype=bool)
+    settled = np.zeros(C, dtype=bool)
     stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
-    is_stored = np.zeros(len(p_u), dtype=bool)
-    grad = np.zeros_like(policy.theta)  # the active rows are overwritten by Adam; the rest stay 0
+    fresh = np.zeros((len(p_u), C), dtype=bool)
+    grad = np.zeros_like(policy.theta)  # Adam reads only rows backward_all wrote or zeroed
+    horizon = cfg.epochs * -(-len(p_u) // cfg.batch_size)  # the run's Adam steps
     log = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(p_u))
@@ -402,14 +458,16 @@ def train(
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
             full = len(chunk) == cfg.batch_size
-            covered = active.copy() if full and is_stored[chunk].all() else np.ones(C, dtype=bool)
-            offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
-                                       channels=covered)
-            if not covered.all():
-                offset[:, cols[~covered]] = stored[np.ix_(chunk, ~covered)]
-            elif full:
-                stored[chunk] = offset[:, cols]
-                is_stored[chunk] = True
+            ran = ~fresh[chunk].all(axis=0) if full else np.ones(C, dtype=bool)
+            if ran.any():
+                offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
+                                           channels=ran)
+            else:
+                offset, tape = np.zeros((len(chunk), 2 * n)), None
+            if full:
+                offset[:, cols[~ran]] = stored[np.ix_(chunk, ~ran)]
+                stored[np.ix_(chunk, ran)] = offset[:, cols[ran]]
+                fresh[np.ix_(chunk, ran)] = True
             batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
                                          graph, ctrl_cfg, x_warm, (offset, tape))
             skipped += batch.skipped
@@ -425,15 +483,26 @@ def train(
             upstream = _policy_upstream(batch, state, model, cfg, jac)
             live = np.any(upstream, axis=0)
             ep_live.append(np.count_nonzero(live))
-            missing = live & ~covered
-            if missing.any():  # a frozen channel turned live on stored values: tape it now
-                _, extra = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
-                                       channels=missing)
-                for h, e in zip(batch.tape[1:], extra[1:]):
-                    h[missing] = e[missing] if batch.kept is None else e[missing][:, batch.kept]
-            active |= live
-            backward_all(state.policy, batch.tape, upstream, batch.v, out=grad, active=active)
-            adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, active)
+            if live.any():
+                tape = batch.tape
+                missing = live & ~ran
+                if missing.any():  # a channel turned live on stored values: tape it now
+                    _, extra = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
+                                           channels=missing)
+                    if batch.kept is not None:
+                        extra = [e[:, batch.kept] for e in extra]
+                    if tape is None:
+                        tape = extra
+                    else:
+                        for h, e in zip(tape[1:], extra[1:]):
+                            h[missing] = e[missing]
+                active |= live
+                settled &= ~live
+                backward_all(state.policy, tape, upstream, batch.v, out=grad,
+                             active=active & ~settled)
+            settled |= adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, active,
+                                   live, settled, horizon)
+            fresh[:, active & ~settled] = False
             enforce_conditions(state.policy, k_max)
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = grad_lambda(batch, state, cfg)
@@ -480,7 +549,7 @@ def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, ml
     if skipped:
         kept = np.flatnonzero(conv)
         p_u, q_u, x, v, offset = p_u[kept], q_u[kept], x[kept], v[kept], offset[kept]
-        tape = [a[:, kept] for a in tape]
+        tape = None if tape is None else [a[:, kept] for a in tape]
     batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
                   cost=cost, box=box, skipped=skipped, kept=kept)
     return batch, x_next

@@ -1,6 +1,7 @@
 """Metrics, experiment pipeline artifacts, determinism, and the CLI."""
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -349,7 +350,15 @@ def test_cli_check_conditions_fails_on_big_alpha(tmp_path, capsys):
     assert "alpha = 1.01 is not below the step-size bound" in captured.err
 
 
-@pytest.mark.parametrize("content", [None, b"not a checkpoint"], ids=["missing", "garbage"])
+def _npz_bytes(**arrays):
+    """The bytes of an ``np.savez`` archive of ``arrays``."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content", [None, b"not a checkpoint", _npz_bytes(version=np.array(1))],
+                         ids=["missing", "garbage", "no_weights"])
 def test_cli_check_conditions_unreadable_policy_exit_code(tmp_path, capsys, content):
     """A missing or unreadable ``--policy`` file fails at the config stage, not the check."""
     ckpt = tmp_path / "pol.npz"
@@ -359,6 +368,8 @@ def test_cli_check_conditions_unreadable_policy_exit_code(tmp_path, capsys, cont
     captured = capsys.readouterr()
     assert not captured.out
     assert "[config]" in captured.err
+    assert str(ckpt) in captured.err
+    assert "allow_pickle" not in captured.err
 
 
 @pytest.mark.parametrize("config, nodes", [(DATA / "config_37bus.yaml", [3, 5, 7]),
@@ -482,7 +493,8 @@ def test_cli_unknown_config_key_exit_code(tmp_path, command, key):
     "trainer.beta=1.5", "trainer.lambda_mode=learnt", "trainer.batch_size=0",
     "trainer.batch_size=-1", "trainer.alpha=0", "trainer.eq_tol=0", "trainer.epochs=-1",
     "trainer.zo_step=0", "trainer.k_max_margin=0", "trainer.eq_max_iters=0", "trainer.arch=[3,0]",
-    "trainer.sigma_mu=-1", "trainer.lambda_value=-1e-4",
+    "trainer.sigma_mu=-1", "trainer.lambda_value=-1e-4", "trainer.sigma_phi=-0.5",
+    "trainer.mu_init=-3", "trainer.sigma_lambda=-0.5",
 ])
 def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
     """A value the trainer config rejects fails at the config stage, before any other work."""

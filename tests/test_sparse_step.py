@@ -151,7 +151,11 @@ def test_adam_update_on_active_rows_matches_dense_reference(shipped):
 
 
 def check_adam_against_dense(pol, walk_active):
-    """Live sets none, one, some, half, all in turn; ``active`` grows as in training."""
+    """Live sets none, one, some, half, all in turn; ``active`` grows as in training.
+
+    Walking the active rows, Adam is told the live rows too, so an active
+    run without one takes the step that reads no gradient.
+    """
     C, P = pol.n_channels, pol.row_size
     rng = np.random.default_rng(11)
     adam = AdamState.zeros_like(pol)
@@ -168,13 +172,95 @@ def check_adam_against_dense(pol, walk_active):
         idle = ~(np.any(grad.reshape(C, P), axis=1) | np.any(adam.m.reshape(C, P), axis=1)
                  | np.any(adam.v.reshape(C, P), axis=1))
         dense_adam_update(ref_theta, grad.copy(), ref, lr=1e-3)
-        adam_update(pol, grad, adam, lr=1e-3,
-                    active=active.copy() if walk_active else np.ones(C, dtype=bool))
+        stepped, moved = active.copy(), np.isin(np.arange(C), live)
+        if not walk_active:
+            stepped = moved = np.ones(C, dtype=bool)
+        adam_update(pol, grad, adam, 1e-3, stepped, moved, np.zeros(C, dtype=bool), horizon=5)
         assert adam.t == ref.t
         for got, want, before in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v),
                                      idle_before):
             assert got.tobytes() == want.tobytes()
             assert got.reshape(C, P)[idle].tobytes() == before[idle].tobytes()
+
+
+def test_adam_update_reports_unchanged_rows_across_blocks(graph37):
+    """A step without gradient reports exactly the rows it left bit for bit unchanged.
+
+    At ``arch=(3, 64)`` a row has 8,514 entries, so ``ADAM_BLOCK``-element
+    blocks hold parts of several rows and rows 3, 7, 11, ... straddle two
+    blocks.  Row 1 moves everywhere, row 3 only in its first entry, the
+    last row the first block touches, and row 7 only in its last entry, the
+    first row the third block touches; every other row has a step far below
+    half an ulp of its theta.
+    """
+    pol = init_policy(graph37, SHIPPED_NODES["graph37"], arch=(3, 64), k_max=1.0, seed=2)
+    C, P = pol.n_channels, pol.row_size
+    assert 3 * P < ADAM_BLOCK < 4 * P
+    rng = np.random.default_rng(12)
+    pol.theta[:] = rng.uniform(1.0, 2.0, C * P)
+    m = rng.normal(size=(C, P)) * 1e-200
+    m[1] = m[3, 0] = m[7, -1] = 1e-3
+    adam = AdamState(m=m.ravel(), v=np.full(C * P, 1e-6), t=9)
+    ref, ref_theta = AdamState(m=adam.m.copy(), v=adam.v.copy(), t=9), pol.theta.copy()
+    active, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
+    settles = adam_update(pol, np.zeros(C * P), adam, 1e-3, active, none, none, horizon=100)
+    dense_adam_update(ref_theta, np.zeros(C * P), ref, 1e-3)
+    assert pol.theta.tobytes() == ref_theta.tobytes()
+    assert adam.m.tobytes() == ref.m.tobytes() and adam.v.tobytes() == ref.v.tobytes()
+    assert np.flatnonzero(~settles).tolist() == [1, 3, 7]
+
+
+def test_settled_rows_stay_put_under_zero_gradients(graph37):
+    """Rows that settle keep theta bit for bit through 2,000 zero-gradient steps.
+
+    Random rows hold signed-zero, tiny (some subnormal) and normal theta,
+    and m zero or from the subnormal range up to 1e-3.  At lr = 1 a
+    subnormal m times lr feeds the step directly, so a row whose step once
+    left theta unchanged can move again later as v keeps shrinking while m
+    is stuck (row 0 is built so): the guard must refuse such a row, which
+    then keeps taking the decay step.  Every step of ``adam_update``,
+    settled rows and all, must match the dense step bit for bit.
+    """
+    pol = init_policy(graph37, range(1, 13), arch=(1, 4), k_max=1.0, seed=0)
+    C, P = pol.n_channels, pol.row_size
+    rng = np.random.default_rng(6)
+    rows = pol.theta.reshape(C, P)
+    kind = rng.integers(0, 3, C)
+    rows[...] = rng.normal(size=(C, P))
+    rows[kind == 0] *= 0.0  # signed zeros
+    tiny = np.finfo(float).tiny * rng.integers(-2**60, 2**60, (C, P)) / 2**40
+    rows[kind == 1] = tiny[kind == 1]
+    m = rng.normal(size=(C, P)) * rng.choice([0.0, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-8,
+                                              1e-3], (C, 1)) + 0.0  # m is never -0.0 in Adam
+    m[rng.random((C, P)) < 0.2] = 0.0
+    v = rng.uniform(0.0, 1.0, (C, P)) * 10.0 ** rng.choice([-30, -10, -2, 0, 2], (C, 1))
+    # a row whose step leaves theta unchanged at step 5 and moves it at step 176
+    rows[0], m[0], v[0] = 1e-300, 4 * 2.0**-1074, 1e-14
+    adam = AdamState(m=m.ravel(), v=v.ravel())
+    ref = AdamState(m=adam.m.copy(), v=adam.v.copy())
+    ref_theta = pol.theta.copy()
+    active, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
+    settled = none.copy()
+    settled_at = np.full(C, -1)
+    unchanged_at = np.full(C, -1)  # the first step from 5 on that left the row unchanged
+    moved_after = none.copy()  # rows that moved again after such a step
+    horizon = 2400
+    for _ in range(horizon):
+        before = pol.theta.reshape(C, P).copy()
+        settles = adam_update(pol, np.zeros(C * P), adam, 1.0, active, none, settled, horizon)
+        dense_adam_update(ref_theta, np.zeros(C * P), ref, 1.0)
+        assert pol.theta.tobytes() == ref_theta.tobytes(), adam.t
+        assert adam.m.tobytes() == ref.m.tobytes() and adam.v.tobytes() == ref.v.tobytes(), adam.t
+        same = np.all(pol.theta.reshape(C, P).view(np.int64) == before.view(np.int64), axis=1)
+        assert np.all(same[settled]) and np.all(same[settles])
+        if adam.t >= 5:
+            moved_after |= (unchanged_at > 0) & ~same
+            unchanged_at[(unchanged_at < 0) & same] = adam.t
+        settled_at[settles] = adam.t
+        settled |= settles
+    assert np.all(settled_at[settled] < horizon - 2000)  # each then saw 2,000 steps settled
+    assert len(set(kind[settled])) == 3  # zero, tiny and normal rows settle
+    assert moved_after[0] and not np.any(settled & moved_after)  # refused rows kept stepping
 
 
 @pytest.mark.parametrize("S", [1, 7, 32])
@@ -352,7 +438,22 @@ SHIPPED_RUNS = {
     # differ in the last bit from the same rows in a 32-row pass
     "8bus-short_tail": ("config_8bus.yaml", "scenario.horizon_train=103"),
     "37bus-3epochs": ("config_37bus.yaml", "trainer.epochs=3"),
+    # every active channel settles in epoch 14 and every row is fresh from epoch 16 on
+    "37bus-16epochs": ("config_37bus.yaml", "trainer.epochs=16"),
 }
+
+
+def count_tapeless(monkeypatch):
+    """Record, per minibatch solve, whether the minibatch ran no channel (it has no tape)."""
+    tapeless = []
+    solve = trainer._solve_batch
+
+    def counted(*args):
+        tapeless.append(args[-1][1] is None)
+        return solve(*args)
+
+    monkeypatch.setattr(trainer, "_solve_batch", counted)
+    return tapeless
 
 
 @pytest.mark.parametrize("run", sorted(SHIPPED_RUNS))
@@ -360,21 +461,26 @@ def test_train_matches_reference_loop(monkeypatch, run):
     args = shipped_training(*SHIPPED_RUNS[run])
     want = reference_train(*args)
     calls = count_passes(monkeypatch)
+    tapeless = count_tapeless(monkeypatch)
     got = train(*args)
     assert_same_training(got, want)
     assert any(c is not None for c in calls)  # some minibatches ran the active channels alone
+    if run == "37bus-16epochs":
+        assert any(tapeless)  # some minibatches read every channel from the store
 
 
-@pytest.mark.parametrize("run", ["8bus", "8bus-short_tail", "37bus-3epochs"])
+@pytest.mark.parametrize("run", ["8bus", "8bus-short_tail", "37bus-3epochs", "37bus-16epochs"])
 def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
     """Each minibatch's MLP term, stored columns included, is a fresh 32-row pass's, bit for bit."""
     scenarios, cfg, graph, model = shipped_training(*SHIPPED_RUNS[run])
     assert cfg.batch_size == 32
     solve = trainer._solve_batch
+    tapeless = []
 
     def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp):
         if len(p_u) == cfg.batch_size:
             assert mlp[0].tobytes() == forward_all(policy, p_u, q_u).tobytes()
+        tapeless.append(mlp[1] is None)
         return solve(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp)
 
     monkeypatch.setattr(trainer, "_solve_batch", checked)
@@ -382,6 +488,8 @@ def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
     train(scenarios, cfg, graph, model)
     read = [c for c in calls if c is not None]
     assert read and not all(c.all() for c in read)  # frozen channels were read from the store
+    if run == "37bus-16epochs":
+        assert any(tapeless)  # and in some minibatches every channel
 
 
 @pytest.mark.parametrize("drop_row", [False, True])
@@ -389,13 +497,15 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
     """A frozen channel that first goes live on stored values is taped by one extra pass.
 
     ``_policy_upstream`` is patched, in both loops alike, to hold channel c's
-    column at zero until minibatch 6 + 5c, so channels turn live one by one
-    in later epochs, after their MLP term was stored.  With ``drop_row`` the
+    column at zero until minibatch 6 + 5c, so a channel turns live only in a
+    later epoch, after its MLP term was stored (on this config only channel
+    4 ever does, at minibatch 26).  With ``drop_row`` the
     equilibrium solve also reports row 1 of every minibatch as not
     converged, so the extra pass must be cut to the kept rows.
     """
     args = shipped_training("config_8bus.yaml", "trainer.sigma_mu=3.0")
     upstream, solve = trainer._policy_upstream, trainer.solve_equilibria_batch
+    events = []  # ("pass", channels), ("live", mask) and ("step", None), in call order
 
     def gated():
         seen = []
@@ -404,6 +514,7 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
             up = upstream(*a, **kw)
             up[:, 6 + 5 * np.arange(up.shape[1]) > len(seen)] = 0.0
             seen.append(None)
+            events.append(("live", np.any(up, axis=0)))
             return up
         return late
 
@@ -417,10 +528,32 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
         monkeypatch.setattr(trainer, "solve_equilibria_batch", drop_row_1)
     monkeypatch.setattr(trainer, "_policy_upstream", gated())
     want = reference_train(*args)
+    events.clear()
     monkeypatch.setattr(trainer, "_policy_upstream", gated())
-    calls = count_passes(monkeypatch)
+    adam = trainer.adam_update
+
+    def counted_pass(*a, channels=None, **kw):
+        events.append(("pass", channels))
+        return forward_all(*a, channels=channels, **kw)
+
+    def counted_step(*a, **kw):
+        events.append(("step", None))
+        return adam(*a, **kw)
+
+    monkeypatch.setattr(trainer, "forward_all", counted_pass)
+    monkeypatch.setattr(trainer, "adam_update", counted_step)
     got = train(*args)
     assert_same_training(got, want)
     assert got[1][0]["skipped"] == (4 if drop_row else 0)
-    n_minibatches = args[1].epochs * -(-sum(len(s) for s in args[0]) // args[1].batch_size)
-    assert len(calls) > n_minibatches  # extra passes for channels turning live late
+    # A minibatch's events: its pass, if a channel is stale on its rows, then
+    # the upstream, the extra passes and the Adam step.  Each channel's
+    # turn-on minibatch must tape it in an extra pass.
+    turned = np.zeros(got[0].policy.n_channels, dtype=bool)
+    ends = [i for i, (kind, _) in enumerate(events) if kind == "step"]
+    for i, (a, b) in enumerate(zip([-1] + ends, ends)):
+        kinds, masks = zip(*events[a + 1:b])
+        at = kinds.index("live")
+        for c in np.flatnonzero(masks[at] & ~turned):
+            assert any(extra[c] for extra in masks[at + 1:]), f"channel {c}, minibatch {i}"
+        turned |= masks[at]
+    assert turned.any()

@@ -302,7 +302,8 @@ def test_adam_first_step_is_signed_lr(graph8):
         w[...] = 1.0
     for b in grad_b:
         b[...] = -1.0
-    adam_update(pol, grad, adam, lr=0.01, active=np.ones(pol.n_channels, dtype=bool))
+    every = np.ones(pol.n_channels, dtype=bool)
+    adam_update(pol, grad, adam, 0.01, every, every, ~every, horizon=1)
     # first Adam step moves every coordinate by ~lr against the gradient sign
     for w, w0 in zip(pol.weights, before):
         np.testing.assert_allclose(w, w0 - 0.01 * (1.0 / (1.0 + 1e-8)), atol=1e-9)
@@ -326,7 +327,7 @@ def test_adam_update_allocates_one_scratch_array(graph8):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            adam_update(pol, g, adam, lr=1e-3, active=every)
+            adam_update(pol, g, adam, 1e-3, every, every, ~every, horizon=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,10 +348,11 @@ def test_adam_blocks_match_one_shot_update(graph8):
     rng = np.random.default_rng(8)
     adam = AdamState(m=rng.normal(size=pol.theta.size), v=rng.uniform(0.0, 2.0, pol.theta.size))
     theta, m, v = pol.theta.copy(), adam.m.copy(), adam.v.copy()
+    every = np.ones(pol.n_channels, dtype=bool)
     for t in (1, 2, 3):
         grad = rng.normal(size=pol.theta.size)
         theta, m, v = _adam_one_shot(theta, grad, m, v, t, lr=1e-3)
-        adam_update(pol, grad, adam, lr=1e-3, active=np.ones(pol.n_channels, dtype=bool))
+        adam_update(pol, grad, adam, 1e-3, every, every, ~every, horizon=3)
         np.testing.assert_array_equal(pol.theta, theta)
         np.testing.assert_array_equal(adam.m, m)
         np.testing.assert_array_equal(adam.v, v)
@@ -549,7 +551,8 @@ def test_trainer_config_validation():
     for setting in ({"mode": "zeroth"}, {"batch_size": 0}, {"epochs": -1}, {"alpha": 0.0},
                     {"eq_tol": 0.0}, {"zo_step": 0.0}, {"zo_step": -1e-3}, {"k_max_margin": 0.0},
                     {"eq_max_iters": 0}, {"arch": (3, 0)}, {"arch": (-1, 64)},
-                    {"sigma_mu": -1.0}, {"lambda_value": -1e-4}):
+                    {"sigma_mu": -1.0}, {"lambda_value": -1e-4}, {"sigma_phi": -0.5},
+                    {"mu_init": -3.0}, {"sigma_lambda": -0.5, "lambda_mode": "learned"}):
         with pytest.raises(ValueError):
             TrainerConfig(**setting)
     TrainerConfig(arch=(0, 64), sigma_mu=0.0, lambda_value=0.0)  # a linear model, no dual step
