@@ -21,8 +21,8 @@ from .policy import compute_k_max, init_policy, load_policy
 from .runner import (
     STAGES,
     StageError,
+    day_settings,
     evaluate,
-    generator_config,
     load_network,
     load_trajectory,
     resolve_config,
@@ -59,9 +59,10 @@ def cmd_build_feeder(args) -> int:
 
 def cmd_gen_scenario(args) -> int:
     cfg, feeder_path = resolve_config(args.config, args.override)
+    with stage("config"):
+        gen, _ = day_settings(cfg, "train")
     graph, _ = load_network(feeder_path)
     with stage("scenario"):
-        gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
         scn = generate_profile(graph, gen, int(args.seed))
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -74,10 +75,11 @@ def cmd_train(args) -> int:
     cfg, feeder_path = resolve_config(args.config, args.override)
     with stage("config"):
         tr_cfg = trainer_config(cfg)
+        days = day_settings(cfg, "train")
     graph, model = load_network(feeder_path)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    _, log = run_training(cfg, tr_cfg, graph, model, out)
+    _, log = run_training(days, tr_cfg, graph, model, out)
     final = f"; final lagrangian {log[-1]['lagrangian']:.6g}" if log else ""
     print(f"trained {tr_cfg.epochs} epochs{final}; artifacts in {out}")
     return 0
@@ -102,12 +104,11 @@ def cmd_check_conditions(args) -> int:
     cfg, feeder_path = resolve_config(args.config, args.override)
     with stage("config"):
         tr_cfg = trainer_config(cfg)
+        gen, (test_seed,) = day_settings(cfg, "test")
         policy = load_policy(args.policy) if args.policy else None
     graph, model = load_network(feeder_path)
     with stage("stability"):
-        scfg = cfg["scenario"]
-        gen = generator_config(cfg, int(scfg.get("horizon_test", 10)))
-        scn = generate_profile(graph, gen, int(scfg.get("test_seed", 1000)))
+        scn = generate_profile(graph, gen, test_seed)
         nodes = controllable_nodes(scn.box)  # the nodes training gives a policy
         if policy is not None and (policy.n_bus, policy.nodes) != (graph.n, nodes):
             raise StageError("config", f"policy {args.policy} is for {policy.n_bus} buses with "

@@ -233,37 +233,30 @@ def output(gain: np.ndarray, offset: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray,
-                 out: np.ndarray | None = None, active: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Parameter gradient of the policy output, summed over batch dims.
 
     ``upstream`` has shape (..., C): d(loss)/d(u_c) per channel and sample;
     ``v`` (..., N) holds the squared voltages the gain term read; ``tape`` is
     the forward pass's list of post-activations, whose sign is the ReLU
     mask.  The gradient, laid out like ``params.theta``, is written into
-    ``out`` when given (and returned), else into a fresh vector.
+    ``out`` when given (and returned), else into a fresh zero vector.
 
     The layer loop runs only on the live channels, those with a nonzero
     ``upstream`` entry, so the tape is read only for them; with none live it
-    does no layer work.  A dead channel's row is exactly zero, as the full
-    loop would make it: every product in it has a zero factor.  Each run of
-    consecutive live channels works on views of the tape, the weights and
-    the gradient, as in :func:`forward_all`, so its rows are bit for bit
-    those of a loop over every channel.
-
-    ``active``, a (C,) boolean mask that must hold every live channel,
-    names the rows of ``out`` a caller reads: only its dead rows are zeroed,
-    and a row outside it is written only in its output-bias and ``k``
-    entries, with zeros.  A caller that keeps those rows at zero saves
-    clearing the whole buffer on every call.
+    does no layer work.  Each run of consecutive live channels works on
+    views of the tape, the weights and the gradient, as in
+    :func:`forward_all`, so its rows are bit for bit those of a loop over
+    every channel.  A dead channel's row is exactly zero, as the full loop
+    would make it (every product in it has a zero factor); of its row in
+    ``out`` only the output-bias and ``k`` entries are written, so a caller
+    reads the live rows alone.
     """
-    C, P = params.n_channels, params.row_size
+    C = params.n_channels
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
-    grad = np.empty_like(params.theta) if out is None else out
+    grad = np.zeros_like(params.theta) if out is None else out
     live = np.any(up, axis=0)
-    if active is not None and np.any(live & ~active):
-        raise ValueError("a live channel is outside the active rows")
-    grad.reshape(C, P)[~live if active is None else active & ~live] = 0.0
     dW, db, dk = param_views(params, grad)
     last = len(params.weights) - 1
     for run in channel_runs(live):

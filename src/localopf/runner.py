@@ -340,11 +340,6 @@ def _from_section(cls, section: dict, **fixed):
     return cls(**{**values, **fixed})
 
 
-def generator_config(cfg: dict, horizon: int) -> GeneratorConfig:
-    """Load-generator settings of the ``scenario`` section for ``horizon`` slots."""
-    return _from_section(GeneratorConfig, cfg["scenario"], horizon=horizon)
-
-
 def trainer_config(cfg: dict) -> TrainerConfig:
     """Trainer settings of the ``trainer`` section with the ``limits`` voltage band."""
     return _from_section(TrainerConfig, {**cfg.get("trainer", {}), **cfg.get("limits", {})})
@@ -357,21 +352,39 @@ def load_network(feeder_path) -> tuple[FeederGraph, LinearVoltageModel]:
         return graph, build_sensitivities(graph)
 
 
-def _train_seeds(cfg: dict) -> list[int]:
-    """Seeds of the training days; one day of seed 1 unless configured."""
-    return [int(s) for s in cfg["scenario"].get("train_seeds", [1])]
+def day_settings(cfg: dict, split: str) -> tuple[GeneratorConfig, list[int]]:
+    """Load-generator settings and seeds of the ``"train"`` or ``"test"`` days of ``cfg``.
+
+    The days last ``scenario.horizon_<split>`` slots; their seeds are
+    ``train_seeds`` (1 unless set) or ``test_seed`` (1000 unless set).
+    """
+    scfg = cfg.get("scenario", {})
+    key = f"horizon_{split}"
+    if scfg.get(key) is None:
+        raise ValueError(f"scenario.{key} is not set")
+    seeds = ([int(s) for s in scfg.get("train_seeds", [1])] if split == "train"
+             else [int(scfg.get("test_seed", 1000))])
+    if not seeds:
+        raise ValueError("scenario.train_seeds is empty")
+    return _from_section(GeneratorConfig, scfg, horizon=int(scfg[key])), seeds
 
 
-def run_training(cfg: dict, tr_cfg: TrainerConfig, graph: FeederGraph,
-                 model: LinearVoltageModel, out: Path):
-    """Generate the training days, train, and write ``policy.npz`` and ``training_log.csv``.
+def run_settings(cfg: dict):
+    """Trainer settings, training days and held-out day of a run; raises StageError('config')."""
+    with stage("config"):
+        return trainer_config(cfg), day_settings(cfg, "train"), day_settings(cfg, "test")
 
-    Failures belong to the ``scenario`` and ``train`` stages.  ``out`` must
-    exist.  Returns (TrainerState, training log).
+
+def run_training(days: tuple[GeneratorConfig, list[int]], tr_cfg: TrainerConfig,
+                 graph: FeederGraph, model: LinearVoltageModel, out: Path):
+    """Generate the training ``days`` of :func:`day_settings`, train, and write
+    ``policy.npz`` and ``training_log.csv`` into ``out``, which must exist.
+
+    Failures belong to the ``scenario`` and ``train`` stages.  Returns
+    (TrainerState, training log).
     """
     with stage("scenario"):
-        gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
-        scns = [generate_profile(graph, gen, s) for s in _train_seeds(cfg)]
+        scns = [generate_profile(graph, days[0], s) for s in days[1]]
     with stage("train"):
         state, log = train(scns, tr_cfg, graph, model)
     write_training_log(log, out / "training_log.csv")
@@ -417,8 +430,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     variable, and the config's ``output_dir`` key.  Returns the directory.
     """
     cfg, feeder_path = resolve_config(config_path, overrides)
-    with stage("config"):
-        tr_cfg = trainer_config(cfg)
+    tr_cfg, train_days, (test_gen, (test_seed,)) = run_settings(cfg)
     out = output_dir or os.environ.get("LOCALOPF_OUTDIR") or cfg.get("output_dir")
     if out is None:
         raise StageError("config", "no output directory configured")
@@ -427,10 +439,8 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
 
     graph, model = load_network(feeder_path)
     with stage("scenario"):
-        test_seed = int(cfg["scenario"].get("test_seed", 1000))
-        test_scn = generate_profile(
-            graph, generator_config(cfg, int(cfg["scenario"]["horizon_test"])), test_seed)
-    state, _ = run_training(cfg, tr_cfg, graph, model, out)
+        test_scn = generate_profile(graph, test_gen, test_seed)
+    state, _ = run_training(train_days, tr_cfg, graph, model, out)
 
     m, xi = convexity_constants(test_scn.cost)
     stability = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
@@ -470,7 +480,7 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
             "numpy_version": np.__version__,
             "feeder": str(cfg["feeder"]),
             "n_bus": graph.n,
-            "train_seeds": ",".join(str(s) for s in _train_seeds(cfg)),
+            "train_seeds": ",".join(str(s) for s in train_days[1]),
             "test_seed": test_seed,
             "trainer_seed": tr_cfg.seed,
             "beta": tr_cfg.beta,
@@ -488,8 +498,8 @@ def sweep(config_path, grid: dict, output_dir=None, overrides=()) -> Path:
 
     ``grid`` maps dotted config keys to value lists; its points are their
     cross product, each applied after ``overrides``.  Every point is resolved
-    before the first run, so a bad key or trainer setting fails at the
-    ``config`` stage having run nothing.  A point runs in the subdirectory
+    before the first run, so a bad key, trainer or scenario setting fails at
+    the ``config`` stage having run nothing.  A point runs in the subdirectory
     named by its settings, ``key=value,...`` with JSON values.  Writes
     `sweep.csv`, one row per point: its values, then every entry of its
     `report.json` sections as `section.key`; each cell is JSON.
@@ -501,8 +511,7 @@ def sweep(config_path, grid: dict, output_dir=None, overrides=()) -> Path:
               for combo in combos]
     for point in points:
         cfg, _ = resolve_config(config_path, [*overrides, *point])
-        with stage("config"):
-            trainer_config(cfg)
+        run_settings(cfg)
     out = Path(output_dir or os.environ.get("LOCALOPF_OUTDIR")
                or cfg.get("output_dir") or ".")
     rows = []

@@ -161,6 +161,11 @@ class GeneratorConfig:
     p_cap_kva: float = 500.0
     q_cap_kvar: float = 300.0
 
+    def __post_init__(self):
+        if self.horizon < 1 or self.noise_sd < 0.0:
+            raise ValueError(f"horizon {self.horizon}, noise_sd {self.noise_sd}: a day needs "
+                             "at least one slot and a nonnegative noise_sd")
+
 
 def trend_curve(breakpoints, horizon: int, tau: float) -> np.ndarray:
     """Piecewise-linear interpolation of (hour, fraction) breakpoints."""

@@ -106,15 +106,23 @@ class TrainerConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators laid out like the policy's ``theta``."""
+    """Moments laid out like the policy's ``theta``, and (C,) masks over its (C, P) rows.
+
+    ``active``: rows whose m or v may be nonzero; ``settled``: active rows a
+    zero-gradient step provably leaves unchanged (see :func:`adam_update`).
+    """
 
     m: np.ndarray
     v: np.ndarray
+    active: np.ndarray
+    settled: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, policy: PolicyParams) -> "AdamState":
-        return cls(m=np.zeros_like(policy.theta), v=np.zeros_like(policy.theta))
+        none = np.zeros(policy.n_channels, dtype=bool)
+        return cls(m=np.zeros_like(policy.theta), v=np.zeros_like(policy.theta),
+                   active=none, settled=none.copy())
 
 
 @dataclass
@@ -282,27 +290,26 @@ def zo_voltage_jacobian(
 # Training loop.
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
-                active: np.ndarray, live: np.ndarray, settled: np.ndarray, horizon: int,
-                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
-    """In-place adaptive-moment descent step on ``policy.theta``; overwrites ``grad``.
+                live: np.ndarray, horizon: int, beta1: float = 0.9, beta2: float = 0.999,
+                eps: float = 1e-8) -> np.ndarray:
+    """In-place adaptive-moment descent step on ``policy.theta``; returns the rows it moved.
 
-    The (C,) masks name rows of ``theta``'s (C, P) reshape: ``active`` the
-    rows whose gradient, m or v may be nonzero (elsewhere the step is
-    exactly the identity), ``live`` those whose gradient may be nonzero and
-    ``settled`` those a zero-gradient step leaves unchanged; ``live`` and
-    ``settled`` are disjoint parts of ``active``.  Each row takes a form
-    that is bit for bit the full step:
+    ``live``, a (C,) mask over ``theta``'s (C, P) rows, names the rows whose
+    gradient may be nonzero, the only rows of ``grad`` read (and
+    overwritten).  Each row takes the form of its kind (see
+    :class:`AdamState`), bit for bit the full step:
 
-    - a run of unsettled rows with a live row: the full step, in
-      ``ADAM_BLOCK``-element blocks with one scratch (the caller zeroes the
-      gradient of the run's other rows);
-    - a run without one: ``m *= b1; v *= b2``, then the theta update, since
-      g = +-0.0 adds +0.0 to m and v, which are never -0.0;
-    - a settled row: ``m *= b1; v *= b2``.
+    - live: the full step, and the row turns active and unsettled;
+    - active, neither live nor settled: ``m *= b1; v *= b2``, then the theta
+      update, since g = +-0.0 adds +0.0 to m and v, which are never -0.0;
+    - settled: ``m *= b1; v *= b2``;
+    - inactive: nothing, as zero m, v and g leave theta as it is.
 
-    Returns the rows that settle: rows of the second form whose theta bits
-    the step left unchanged, from step 5 on, that pass the guard up to
-    ``horizon``, the run's last step.  Why they stay put:
+    The two stepping forms run in ``ADAM_BLOCK``-element blocks with one
+    scratch and compare new with old theta as int64: the returned (C,) mask
+    is exactly the rows whose theta bytes changed.  A decay-only row left
+    unchanged settles from step 5 on if it passes the guard up to
+    ``horizon``, the run's last step.  Why it then stays put:
 
     - with g = 0, u = lr (m/bc1) / (sqrt(v/bc2) + eps) keeps its sign and
       |u_{t+1}| / |u_t| <= b1 sqrt(bc2_{t+1} / (b2 bc2_t)), below 1 from
@@ -319,48 +326,45 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
     theta, P = policy.theta, policy.row_size
+    adam.active |= live
+    adam.settled &= ~live
+    quiet = adam.active & ~adam.settled & ~live  # rows of the decay-only form
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
-    quiet = np.zeros_like(active)  # rows of runs without a live row
-    moved = np.zeros_like(active)  # rows whose theta such a run changed
-    for run in channel_runs(active & ~settled):
-        full = live[run].any()
-        quiet[run] = not full
-        stop = run.stop * P
-        for start in range(run.start * P, stop, ADAM_BLOCK):
-            blk = slice(start, min(start + ADAM_BLOCK, stop))
-            g, m, v, th = grad[blk], adam.m[blk], adam.v[blk], theta[blk]
-            tmp = scratch[:g.size]
-            v *= beta2
-            m *= beta1
-            if full:
-                v += np.multiply(np.multiply(g, 1.0 - beta2, out=tmp), g, out=tmp)
-                m += np.multiply(g, 1.0 - beta1, out=g)
-            np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
-            np.multiply(np.divide(m, bc1, out=g), lr, out=g)
-            np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
-            if full:
-                th -= g
-            else:
+    moved = np.zeros_like(live)
+    for full, rows in ((True, live), (False, quiet)):
+        for run in channel_runs(rows):
+            stop = run.stop * P
+            for start in range(run.start * P, stop, ADAM_BLOCK):
+                blk = slice(start, min(start + ADAM_BLOCK, stop))
+                g, m, v, th = grad[blk], adam.m[blk], adam.v[blk], theta[blk]
+                tmp = scratch[:g.size]
+                v *= beta2
+                m *= beta1
+                if full:
+                    v += np.multiply(np.multiply(g, 1.0 - beta2, out=tmp), g, out=tmp)
+                    m += np.multiply(g, 1.0 - beta1, out=g)
+                np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+                np.multiply(np.divide(m, bc1, out=g), lr, out=g)
+                np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
                 np.subtract(th, g, out=tmp)
                 flag = g.view(np.bool_)[:g.size]  # the first bytes of g, free once u is spent
                 np.not_equal(tmp.view(np.int64), th.view(np.int64), out=flag)
                 th[...] = tmp
-                rows = range(start // P, (blk.stop - 1) // P + 1)  # rows the block touches
-                moved[rows.start:rows.stop] |= np.logical_or.reduceat(
-                    flag, [max(r * P - start, 0) for r in rows])
-    for run in channel_runs(settled):
+                touched = range(start // P, (blk.stop - 1) // P + 1)  # rows the block touches
+                moved[touched.start:touched.stop] |= np.logical_or.reduceat(
+                    flag, [max(r * P - start, 0) for r in touched])
+    for run in channel_runs(adam.settled):
         adam.m[run.start * P:run.stop * P] *= beta1
         adam.v[run.start * P:run.stop * P] *= beta2
-    shrinking = beta1**2 * (1.0 - beta2**(adam.t + 1)) < beta2 * bc2 * (1.0 - 1e-9)  # |u| falls
-    if not shrinking:
-        return np.zeros_like(active)
-    same = quiet & ~moved
-    reach = beta1**(horizon - adam.t)
-    for c in np.flatnonzero(same):
-        m, v = adam.m[c * P:(c + 1) * P], adam.v[c * P:(c + 1) * P]
-        scale = np.minimum(1.0, lr / np.maximum(np.sqrt(v / bc2) + eps, 1.0))
-        same[c] = np.all((m == 0.0) | (np.abs(m) * scale * reach >= np.finfo(float).tiny))
-    return same
+    if beta1**2 * (1.0 - beta2**(adam.t + 1)) < beta2 * bc2 * (1.0 - 1e-9):  # |u| falls
+        same = quiet & ~moved
+        reach = beta1**(horizon - adam.t)
+        for c in np.flatnonzero(same):
+            m, v = adam.m[c * P:(c + 1) * P], adam.v[c * P:(c + 1) * P]
+            scale = np.minimum(1.0, lr / np.maximum(np.sqrt(v / bc2) + eps, 1.0))
+            same[c] = np.all((m == 0.0) | (np.abs(m) * scale * reach >= np.finfo(float).tiny))
+        adam.settled |= same
+    return moved
 
 
 def controllable_nodes(box: BoxLimits) -> tuple[int, ...]:
@@ -378,19 +382,16 @@ def train(
 ):
     """Primal-dual training over the pooled slots of ``scenarios``.
 
-    Every scenario must share the first one's cost and box.  A channel
-    whose gradient has never been nonzero is frozen, and an active one
-    whose zero-gradient Adam step has left its ``theta`` row bit for bit
-    unchanged is settled until it turns live again (see
-    :func:`adam_update` for why its row then stays put).  Either way its
-    row does not change, so its MLP term on a pooled row is read from a
-    per-(row, channel) store, filled by passes of ``batch_size`` rows and
-    cleared in every step that may change the row, instead of recomputed;
-    a minibatch with every term fresh runs no pass.  Backward skips frozen
-    and settled rows and runs only when some channel is live; Adam skips
-    frozen rows and only decays a settled row's moments.  The result is
-    bit for bit that of a step over every channel as long as a row's MLP
-    term does not depend on the other rows of a pass of ``batch_size``
+    Every scenario must share the first one's cost and box.  A channel's
+    MLP term on a pooled row is kept in a per-(row, channel) store, filled
+    by passes of ``batch_size`` rows, and stays valid exactly as long as
+    the channel's ``theta`` row keeps its bits: the rows Adam reports moved
+    are cleared, and a pass runs only on the channels with a stale entry
+    among the minibatch's rows (none when all are fresh; a short minibatch
+    runs every channel).  Backward runs on the live channels alone, and
+    Adam steps each row by its kind (see :func:`adam_update`).  The result
+    is bit for bit that of a step over every channel as long as a row's
+    MLP term does not depend on the other rows of a pass of ``batch_size``
     rows, which ``tests/test_sparse_step.py`` checks.
     Returns (final TrainerState, per-epoch log list).  Each log row also carries
     ``skipped``, the samples whose equilibrium did not converge, and
@@ -440,21 +441,14 @@ def train(
     # Only full-size passes fill or read the store: a row of ``forward_all``
     # is bit-identical wherever it sits in batches of one size, not across sizes.
     C, cols = policy.n_channels, policy.columns
-    active = np.zeros(C, dtype=bool)
-    settled = np.zeros(C, dtype=bool)
     stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
     fresh = np.zeros((len(p_u), C), dtype=bool)
-    grad = np.zeros_like(policy.theta)  # Adam reads only rows backward_all wrote or zeroed
+    grad = np.zeros_like(policy.theta)  # Adam reads only the live rows backward_all wrote
     horizon = cfg.epochs * -(-len(p_u) // cfg.batch_size)  # the run's Adam steps
     log = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(p_u))
-        ep_lag = []
-        ep_cost = []
-        ep_viol_lo = []
-        ep_viol_hi = []
-        ep_live = []
-        skipped = 0
+        rows = []  # per minibatch: lagrangian, cost, violation rates, skipped, live count
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
             full = len(chunk) == cfg.batch_size
@@ -470,19 +464,16 @@ def train(
                 fresh[np.ix_(chunk, ran)] = True
             batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
                                          graph, ctrl_cfg, x_warm, (offset, tape))
-            skipped += batch.skipped
             jac = None
             if cfg.mode == "gradient_free":
                 # probe around the first converged row under its own injections
                 jac = zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
                                           cfg.zo_step, model.v0)
-            ep_lag.append(lagrangian(batch, state, cfg))
-            ep_cost.append(batch.mean_cost)
-            ep_viol_lo.append(np.mean(batch.v < cfg.v_lo))
-            ep_viol_hi.append(np.mean(batch.v > cfg.v_hi))
             upstream = _policy_upstream(batch, state, model, cfg, jac)
             live = np.any(upstream, axis=0)
-            ep_live.append(np.count_nonzero(live))
+            rows.append((lagrangian(batch, state, cfg), batch.mean_cost,
+                         np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi),
+                         batch.skipped, np.count_nonzero(live)))
             if live.any():
                 tape = batch.tape
                 missing = live & ~ran
@@ -496,29 +487,26 @@ def train(
                     else:
                         for h, e in zip(tape[1:], extra[1:]):
                             h[missing] = e[missing]
-                active |= live
-                settled &= ~live
-                backward_all(state.policy, tape, upstream, batch.v, out=grad,
-                             active=active & ~settled)
-            settled |= adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, active,
-                                   live, settled, horizon)
-            fresh[:, active & ~settled] = False
-            enforce_conditions(state.policy, k_max)
+                backward_all(state.policy, tape, upstream, batch.v, out=grad)
+            moved = adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, live, horizon)
+            fresh[:, moved] = False
+            enforce_conditions(state.policy, k_max)  # clips k, which the MLP term does not read
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = grad_lambda(batch, state, cfg)
                 state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo
                 state.lambda_hi = state.lambda_hi - sigma_lambda * g_hi
             state = dual_update(state, batch, cfg)
         state.epoch = epoch + 1
+        lag, mean_cost, lo, hi, skipped, n_live = zip(*rows)
         log.append({
             "epoch": epoch + 1,
-            "lagrangian": float(np.mean(ep_lag)),
-            "mean_cost": float(np.mean(ep_cost)),
-            "viol_rate_lo": float(np.mean(ep_viol_lo)),
-            "viol_rate_hi": float(np.mean(ep_viol_hi)),
+            "lagrangian": float(np.mean(lag)),
+            "mean_cost": float(np.mean(mean_cost)),
+            "viol_rate_lo": float(np.mean(lo)),
+            "viol_rate_hi": float(np.mean(hi)),
             "mu_norm": float(np.linalg.norm(np.concatenate([state.mu_lo, state.mu_hi]))),
-            "skipped": skipped,
-            "live_channels": float(np.mean(ep_live)),
+            "skipped": sum(skipped),
+            "live_channels": float(np.mean(n_live)),
         })
     return state, log
 

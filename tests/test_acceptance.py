@@ -37,7 +37,7 @@ from localopf.controller import solve_equilibria_batch
 from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
 from localopf.runner import (
-    generator_config,
+    day_settings,
     load_config,
     run_controller,
     run_baseline,
@@ -270,8 +270,8 @@ def desk():
     graph = load_feeder(DATA / cfg["feeder"])
     model = build_sensitivities(graph)
     scfg = cfg["scenario"]
-    gen_train = generator_config(cfg, int(scfg["horizon_train"]))
-    gen_test = generator_config(cfg, int(scfg["horizon_test"]))
+    gen_train, _ = day_settings(cfg, "train")
+    gen_test, _ = day_settings(cfg, "test")
     train_scns = [generate_profile(graph, gen_train, s) for s in scfg["train_seeds"]]
     test_scn = generate_profile(graph, gen_test, int(scfg["test_seed"]))
     limits = cfg["limits"]

@@ -17,7 +17,7 @@ from localopf.controller import plant_voltage
 from localopf.policy import forward_all, output
 from localopf.runner import (
     _trajectory,
-    generator_config,
+    day_settings,
     resolve_config,
     run_baseline,
     run_controller,
@@ -63,8 +63,9 @@ def _setup(feeder, request):
     comparator gains."""
     graph = request.getfixturevalue(f"graph{feeder}")
     model = request.getfixturevalue(f"model{feeder}")
-    cfg, _ = resolve_config(DATA / f"config_{feeder}bus.yaml")
-    scn = generate_profile(graph, generator_config(cfg, HORIZON), 1000)
+    cfg, _ = resolve_config(DATA / f"config_{feeder}bus.yaml", [f"scenario.horizon_test={HORIZON}"])
+    gen, (seed,) = day_settings(cfg, "test")
+    scn = generate_profile(graph, gen, seed)
     nodes = cfg["scenario"]["controllable"]
     pol = init_policy(graph, nodes, arch=(1, 8), k_max=0.5 / model.a_norm, seed=3)
     # a constant MLP term that puts the setpoints about 0.05 pu inside the box

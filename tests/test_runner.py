@@ -19,7 +19,7 @@ from localopf import (
 from localopf.cli import STAGE_EXIT, main
 from localopf.runner import (
     config_hash,
-    generator_config,
+    day_settings,
     load_trajectory,
     resolve_config,
     run_experiment,
@@ -202,11 +202,11 @@ def test_resolve_config_overrides_reach_every_field_type():
     cfg, feeder_path = resolve_config(CONFIG8, [
         "trainer.k_max_margin=0.5", "trainer.zo_step=2e-3", "trainer.sigma_lambda=0.01",
         "trainer.arch=[1, 4]", "trainer.mu_init=2", "limits.v_lo=0.81",
-        "scenario.joint_noise=false", "scenario.trend=[[0, 1]]"])
+        "scenario.joint_noise=false", "scenario.trend=[[0, 1]]", "scenario.horizon_train=5"])
     tr = trainer_config(cfg)
     assert (tr.k_max_margin, tr.zo_step, tr.sigma_lambda) == (0.5, 2e-3, 0.01)
     assert (tr.arch, tr.mu_init, tr.v_lo, tr.epochs) == ((1, 4), 2.0, 0.81, 10)
-    gen = generator_config(cfg, 5)
+    gen, _ = day_settings(cfg, "train")
     assert (gen.joint_noise, gen.trend, gen.horizon) == (False, ((0.0, 1.0),), 5)
     assert cfg["feeder"] == "feeder_8bus.txt"
     assert feeder_path == DATA / "feeder_8bus.txt"
@@ -503,6 +503,36 @@ def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
         args += ["--output", str(tmp_path / "out")]
     assert main(args) == STAGE_EXIT["config"]
     assert "[config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,override", [
+    ("run", "scenario.horizon_test=0"), ("sweep", "scenario.horizon_test=0"),
+    ("run", "scenario.horizon_train=0"), ("train", "scenario.horizon_train=0"),
+    ("gen-scenario", "scenario.horizon_train=0"), ("sweep", "scenario.horizon_train=0"),
+    ("run", "scenario.train_seeds=[]"), ("train", "scenario.train_seeds=[]"),
+    ("sweep", "scenario.train_seeds=[]"),
+    ("run", "scenario.noise_sd=-0.1"), ("train", "scenario.noise_sd=-0.1"),
+    ("gen-scenario", "scenario.noise_sd=-0.1"), ("sweep", "scenario.noise_sd=-0.1"),
+])
+def test_cli_bad_scenario_setting_exit_code(tmp_path, capsys, command, override):
+    """A scenario setting that cannot make a day fails at the config stage, before other work."""
+    args = [command, str(CONFIG8), "-o", override, "--output", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["-g", "trainer.seed=0"]
+    assert main(args) == STAGE_EXIT["config"]
+    assert "[config]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_missing_horizon_is_named(tmp_path, capsys):
+    cfg = yaml.safe_load(CONFIG8.read_text(encoding="utf-8"))
+    del cfg["scenario"]["horizon_test"]
+    cfg["feeder"] = str(DATA / cfg["feeder"])
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    assert main(["run", str(path), "--output", str(tmp_path / "out")]) == STAGE_EXIT["config"]
+    assert "[config] scenario.horizon_test is not set" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

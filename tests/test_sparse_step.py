@@ -1,13 +1,15 @@
 """The channel-sparse training step against dense references.
 
 ``forward_all`` can run on a subset of the channels, ``backward_all`` works
-only on channels with a nonzero upstream entry, and ``adam_update`` only on
-the active channel rows.  The dense versions below run every channel, as
-all three did before; the sparse ones must match them bit for bit on the
-rows they work on, give zero gradient rows and leave every other Adam row
-unchanged.  ``reference_train`` is the training loop over every channel in
-every minibatch; ``train``, which runs only the active channels and reads
-the frozen ones' MLP term from a store, must match it bit for bit.
+only on channels with a nonzero upstream entry, and ``adam_update`` steps
+each row by its kind (live, decay-only, settled or inactive) and reports
+the rows whose ``theta`` bytes changed.  The dense versions below run every
+channel; the sparse ones must match them bit for bit on the rows they work
+on, give zero dead gradient rows in a fresh vector, leave every inactive
+Adam row unchanged and report exactly the moved rows.  ``reference_train``
+is the training loop over every channel in every minibatch; ``train``,
+which keeps each channel's MLP term in a store for as long as its
+``theta`` row keeps its bits, must match it bit for bit.
 """
 
 import dataclasses
@@ -25,8 +27,7 @@ from localopf.policy import (
     param_views,
     set_input_scale,
 )
-from localopf.runner import _train_seeds, generator_config, load_network, resolve_config, \
-    trainer_config
+from localopf.runner import day_settings, load_network, resolve_config, trainer_config
 from localopf.scenario import convexity_constants, generate_profile
 from localopf.trainer import ADAM_BLOCK, AdamState, TrainerState, adam_update, train
 from conftest import DATA
@@ -127,18 +128,18 @@ def test_backward_all_matches_dense_reference(shipped, S, skipped):
         upstream[:, live] = rng.normal(size=(S, len(live)))
         if S > 1 and live:
             upstream[0, live[0]] = 0.0  # a zero entry in a live column
-        got = backward_all(pol, tape, upstream, v, out=np.full(C * P, np.nan))
-        want = dense_backward_all(pol, tape, upstream, v)
-        rows_got, rows_want = got.reshape(C, P), want.reshape(C, P)
+        want = dense_backward_all(pol, tape, upstream, v).reshape(C, P)
+        fresh = backward_all(pol, tape, upstream, v).reshape(C, P)
+        into = backward_all(pol, tape, upstream, v, out=np.full(C * P, np.nan)).reshape(C, P)
         dead = np.setdiff1d(np.arange(C), live)
-        assert np.all(rows_got[dead] == 0.0), name
-        assert rows_got[live].tobytes() == rows_want[live].tobytes(), name
+        assert np.all(fresh[dead] == 0.0), name
+        assert fresh[live].tobytes() == want[live].tobytes(), name
+        assert into[live].tobytes() == want[live].tobytes(), name
 
 
 def test_backward_all_reads_no_tape_without_live_channels(shipped):
     graph, pol = shipped
-    grad = backward_all(pol, None, np.zeros((4, pol.n_channels)),
-                        np.ones((4, graph.n)), out=np.full_like(pol.theta, np.nan))
+    grad = backward_all(pol, None, np.zeros((4, pol.n_channels)), np.ones((4, graph.n)))
     assert np.all(grad == 0.0)
 
 
@@ -151,36 +152,38 @@ def test_adam_update_on_active_rows_matches_dense_reference(shipped):
 
 
 def check_adam_against_dense(pol, walk_active):
-    """Live sets none, one, some, half, all in turn; ``active`` grows as in training.
+    """Live sets none, one, some, half, all in turn, as Adam's live rows or all rows live.
 
-    Walking the active rows, Adam is told the live rows too, so an active
-    run without one takes the step that reads no gradient.
+    Walking the live sets, the rows that were live before and are not now
+    take the step that reads no gradient, the rows never live are inactive,
+    and the gradient's dead rows hold NaN, which Adam must not read.  Row
+    C - 2, first live in the second step, sits at 1e17, where its steps
+    round to nothing.  Adam must report exactly the rows whose theta bytes
+    changed.
     """
     C, P = pol.n_channels, pol.row_size
     rng = np.random.default_rng(11)
+    pol.theta.reshape(C, P)[C - 2] = 1e17
     adam = AdamState.zeros_like(pol)
     ref_theta, ref = pol.theta.copy(), AdamState.zeros_like(pol)
-    active = np.zeros(C, dtype=bool)
     for t, live in enumerate(live_sets(C).values()):
         grad = np.zeros((C, P))
         grad[live] = rng.normal(size=(len(live), P))
         if t == 1:
             grad[0] = -0.0  # a row of negative zeros leaves theta, m and v as they are
-        grad = grad.ravel()
-        active[live] = True
-        idle_before = [a.reshape(C, P).copy() for a in (pol.theta, adam.m, adam.v)]
-        idle = ~(np.any(grad.reshape(C, P), axis=1) | np.any(adam.m.reshape(C, P), axis=1)
-                 | np.any(adam.v.reshape(C, P), axis=1))
-        dense_adam_update(ref_theta, grad.copy(), ref, lr=1e-3)
-        stepped, moved = active.copy(), np.isin(np.arange(C), live)
-        if not walk_active:
-            stepped = moved = np.ones(C, dtype=bool)
-        adam_update(pol, grad, adam, 1e-3, stepped, moved, np.zeros(C, dtype=bool), horizon=5)
+        live = np.isin(np.arange(C), live) if walk_active else np.ones(C, dtype=bool)
+        before = [a.reshape(C, P).copy() for a in (pol.theta, adam.m, adam.v)]
+        idle = ~(np.any(grad, axis=1) | np.any(before[1], axis=1) | np.any(before[2], axis=1))
+        dense_adam_update(ref_theta, grad.ravel().copy(), ref, lr=1e-3)
+        grad[~live] = np.nan
+        moved = adam_update(pol, grad.ravel(), adam, 1e-3, live, horizon=5)
         assert adam.t == ref.t
-        for got, want, before in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v),
-                                     idle_before):
+        for got, want, old in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v), before):
             assert got.tobytes() == want.tobytes()
-            assert got.reshape(C, P)[idle].tobytes() == before[idle].tobytes()
+            assert got.reshape(C, P)[idle].tobytes() == old[idle].tobytes()
+        changed = np.any(pol.theta.reshape(C, P).view(np.int64) != before[0].view(np.int64), axis=1)
+        assert moved.tolist() == changed.tolist()
+        assert not changed[C - 2]
 
 
 def test_adam_update_reports_unchanged_rows_across_blocks(graph37):
@@ -200,14 +203,15 @@ def test_adam_update_reports_unchanged_rows_across_blocks(graph37):
     pol.theta[:] = rng.uniform(1.0, 2.0, C * P)
     m = rng.normal(size=(C, P)) * 1e-200
     m[1] = m[3, 0] = m[7, -1] = 1e-3
-    adam = AdamState(m=m.ravel(), v=np.full(C * P, 1e-6), t=9)
-    ref, ref_theta = AdamState(m=adam.m.copy(), v=adam.v.copy(), t=9), pol.theta.copy()
-    active, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
-    settles = adam_update(pol, np.zeros(C * P), adam, 1e-3, active, none, none, horizon=100)
+    every, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
+    adam = AdamState(m=m.ravel(), v=np.full(C * P, 1e-6), active=every, settled=none.copy(), t=9)
+    ref, ref_theta = AdamState(adam.m.copy(), adam.v.copy(), every, none, t=9), pol.theta.copy()
+    moved = adam_update(pol, np.zeros(C * P), adam, 1e-3, none, horizon=100)
     dense_adam_update(ref_theta, np.zeros(C * P), ref, 1e-3)
     assert pol.theta.tobytes() == ref_theta.tobytes()
     assert adam.m.tobytes() == ref.m.tobytes() and adam.v.tobytes() == ref.v.tobytes()
-    assert np.flatnonzero(~settles).tolist() == [1, 3, 7]
+    assert np.flatnonzero(moved).tolist() == [1, 3, 7]
+    assert np.flatnonzero(~adam.settled).tolist() == [1, 3, 7]
 
 
 def test_settled_rows_stay_put_under_zero_gradients(graph37):
@@ -219,7 +223,8 @@ def test_settled_rows_stay_put_under_zero_gradients(graph37):
     left theta unchanged can move again later as v keeps shrinking while m
     is stuck (row 0 is built so): the guard must refuse such a row, which
     then keeps taking the decay step.  Every step of ``adam_update``,
-    settled rows and all, must match the dense step bit for bit.
+    settled rows and all, must match the dense step bit for bit and report
+    exactly the rows it moved.
     """
     pol = init_policy(graph37, range(1, 13), arch=(1, 4), k_max=1.0, seed=0)
     C, P = pol.n_channels, pol.row_size
@@ -236,28 +241,29 @@ def test_settled_rows_stay_put_under_zero_gradients(graph37):
     v = rng.uniform(0.0, 1.0, (C, P)) * 10.0 ** rng.choice([-30, -10, -2, 0, 2], (C, 1))
     # a row whose step leaves theta unchanged at step 5 and moves it at step 176
     rows[0], m[0], v[0] = 1e-300, 4 * 2.0**-1074, 1e-14
-    adam = AdamState(m=m.ravel(), v=v.ravel())
-    ref = AdamState(m=adam.m.copy(), v=adam.v.copy())
+    every, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
+    adam = AdamState(m=m.ravel(), v=v.ravel(), active=every, settled=none.copy())
+    ref = AdamState(m=adam.m.copy(), v=adam.v.copy(), active=every, settled=none)
     ref_theta = pol.theta.copy()
-    active, none = np.ones(C, dtype=bool), np.zeros(C, dtype=bool)
-    settled = none.copy()
     settled_at = np.full(C, -1)
     unchanged_at = np.full(C, -1)  # the first step from 5 on that left the row unchanged
     moved_after = none.copy()  # rows that moved again after such a step
     horizon = 2400
     for _ in range(horizon):
         before = pol.theta.reshape(C, P).copy()
-        settles = adam_update(pol, np.zeros(C * P), adam, 1.0, active, none, settled, horizon)
+        was = adam.settled.copy()
+        moved = adam_update(pol, np.zeros(C * P), adam, 1.0, none, horizon)
         dense_adam_update(ref_theta, np.zeros(C * P), ref, 1.0)
         assert pol.theta.tobytes() == ref_theta.tobytes(), adam.t
         assert adam.m.tobytes() == ref.m.tobytes() and adam.v.tobytes() == ref.v.tobytes(), adam.t
         same = np.all(pol.theta.reshape(C, P).view(np.int64) == before.view(np.int64), axis=1)
-        assert np.all(same[settled]) and np.all(same[settles])
+        assert moved.tolist() == (~same).tolist(), adam.t
+        assert np.all(same[adam.settled])
         if adam.t >= 5:
             moved_after |= (unchanged_at > 0) & ~same
             unchanged_at[(unchanged_at < 0) & same] = adam.t
-        settled_at[settles] = adam.t
-        settled |= settles
+        settled_at[adam.settled & ~was] = adam.t
+    settled = adam.settled
     assert np.all(settled_at[settled] < horizon - 2000)  # each then saw 2,000 steps settled
     assert len(set(kind[settled])) == 3  # zero, tiny and normal rows settle
     assert moved_after[0] and not np.any(settled & moved_after)  # refused rows kept stepping
@@ -280,31 +286,6 @@ def test_forward_all_on_channels_matches_full_pass(shipped, S):
         assert tape[0].tobytes() == tape_full[0].tobytes(), name
         for h, h_full in zip(tape[1:], tape_full[1:]):
             assert h[channels].tobytes() == h_full[channels].tobytes(), name
-
-
-def test_backward_all_writes_only_active_rows(shipped):
-    """Rows outside ``active`` are left at the caller's zeros; a live one outside it raises."""
-    graph, pol = shipped
-    C, P, n, S = pol.n_channels, pol.row_size, graph.n, 32
-    rng = np.random.default_rng(21)
-    v = rng.uniform(0.9, 1.1, (S, n))
-    _, tape = forward_all(pol, rng.normal(size=(S, n)), rng.normal(size=(S, n)), with_tape=True)
-    for name, live in live_sets(C).items():
-        upstream = np.zeros((S, C))
-        upstream[:, live] = rng.normal(size=(S, len(live)))
-        active = np.zeros(C, dtype=bool)
-        active[live] = True
-        active[::4] = True  # active rows that are not live this minibatch
-        out = np.zeros((C, P))
-        out[active] = np.nan  # Adam's scratch from the step before
-        got = backward_all(pol, tape, upstream, v, out=out.ravel(), active=active)
-        assert got.tobytes() == dense_backward_all(pol, tape, upstream, v).tobytes(), name
-        if len(live) < C:
-            inactive = active.copy()
-            inactive[live[0] if live else 1] = False
-            if live:
-                with pytest.raises(ValueError, match="outside the active rows"):
-                    backward_all(pol, tape, upstream, v, out=out.ravel(), active=inactive)
 
 
 def test_backward_all_on_a_subset_allocates_no_more_than_on_all(shipped):
@@ -404,8 +385,8 @@ def shipped_training(config, *overrides):
     """Training days, trainer settings, graph and model of a shipped config with overrides."""
     cfg, feeder_path = resolve_config(DATA / config, overrides)
     graph, model = load_network(feeder_path)
-    gen = generator_config(cfg, int(cfg["scenario"]["horizon_train"]))
-    scenarios = [generate_profile(graph, gen, s) for s in _train_seeds(cfg)]
+    gen, seeds = day_settings(cfg, "train")
+    scenarios = [generate_profile(graph, gen, s) for s in seeds]
     return scenarios, trainer_config(cfg), graph, model
 
 
@@ -440,6 +421,8 @@ SHIPPED_RUNS = {
     "37bus-3epochs": ("config_37bus.yaml", "trainer.epochs=3"),
     # every active channel settles in epoch 14 and every row is fresh from epoch 16 on
     "37bus-16epochs": ("config_37bus.yaml", "trainer.epochs=16"),
+    # theta never moves, so every stored term stays valid
+    "37bus-sigma_phi0": ("config_37bus.yaml", "trainer.epochs=3", "trainer.sigma_phi=0"),
 }
 
 
@@ -557,3 +540,46 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
             assert any(extra[c] for extra in masks[at + 1:]), f"channel {c}, minibatch {i}"
         turned |= masks[at]
     assert turned.any()
+
+
+def test_unmoved_rows_keep_their_stored_terms(monkeypatch):
+    """With ``sigma_phi = 0`` theta keeps its bits: from epoch 2 on no minibatch runs a main pass.
+
+    Every row of this config falls in a full minibatch, so after the first
+    epoch each MLP term comes from the store; a minibatch makes only the
+    extra pass that tapes its live channels, over exactly those.
+    """
+    scenarios, cfg, graph, model = shipped_training(*SHIPPED_RUNS["37bus-sigma_phi0"])
+    rows = sum(len(scn) for scn in scenarios)
+    assert rows % cfg.batch_size == 0
+    upstream, adam = trainer._policy_upstream, trainer.adam_update
+    events = []  # ("pass", channels), ("live", mask) and ("step", None), in call order
+
+    def counted_upstream(*a, **kw):
+        up = upstream(*a, **kw)
+        events.append(("live", np.any(up, axis=0)))
+        return up
+
+    def counted_pass(*a, channels=None, **kw):
+        events.append(("pass", channels))
+        return forward_all(*a, channels=channels, **kw)
+
+    def counted_step(*a, **kw):
+        events.append(("step", None))
+        return adam(*a, **kw)
+
+    monkeypatch.setattr(trainer, "_policy_upstream", counted_upstream)
+    monkeypatch.setattr(trainer, "forward_all", counted_pass)
+    monkeypatch.setattr(trainer, "adam_update", counted_step)
+    train(scenarios, cfg, graph, model)
+    ends = [i for i, (kind, _) in enumerate(events) if kind == "step"]
+    assert len(ends) == cfg.epochs * rows // cfg.batch_size
+    extra = 0
+    for a, b in list(zip([-1] + ends, ends))[rows // cfg.batch_size:]:
+        kinds, masks = zip(*events[a + 1:b])
+        at = kinds.index("live")
+        assert "pass" not in kinds[:at]  # no main pass
+        live = masks[at]
+        assert [m.tolist() for m in masks[at + 1:]] == ([live.tolist()] if live.any() else [])
+        extra += live.any()
+    assert extra

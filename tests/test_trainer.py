@@ -303,7 +303,7 @@ def test_adam_first_step_is_signed_lr(graph8):
     for b in grad_b:
         b[...] = -1.0
     every = np.ones(pol.n_channels, dtype=bool)
-    adam_update(pol, grad, adam, 0.01, every, every, ~every, horizon=1)
+    adam_update(pol, grad, adam, 0.01, every, horizon=1)
     # first Adam step moves every coordinate by ~lr against the gradient sign
     for w, w0 in zip(pol.weights, before):
         np.testing.assert_allclose(w, w0 - 0.01 * (1.0 / (1.0 + 1e-8)), atol=1e-9)
@@ -327,7 +327,7 @@ def test_adam_update_allocates_one_scratch_array(graph8):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            adam_update(pol, g, adam, 1e-3, every, every, ~every, horizon=1)
+            adam_update(pol, g, adam, 1e-3, every, horizon=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -346,13 +346,14 @@ def test_adam_blocks_match_one_shot_update(graph8):
     pol = init_policy(graph8, [3, 5, 7], arch=(3, 64), k_max=0.1, seed=0)
     assert pol.theta.size > ADAM_BLOCK and pol.theta.size % ADAM_BLOCK
     rng = np.random.default_rng(8)
-    adam = AdamState(m=rng.normal(size=pol.theta.size), v=rng.uniform(0.0, 2.0, pol.theta.size))
-    theta, m, v = pol.theta.copy(), adam.m.copy(), adam.v.copy()
     every = np.ones(pol.n_channels, dtype=bool)
+    adam = AdamState(m=rng.normal(size=pol.theta.size), v=rng.uniform(0.0, 2.0, pol.theta.size),
+                     active=every.copy(), settled=~every)
+    theta, m, v = pol.theta.copy(), adam.m.copy(), adam.v.copy()
     for t in (1, 2, 3):
         grad = rng.normal(size=pol.theta.size)
         theta, m, v = _adam_one_shot(theta, grad, m, v, t, lr=1e-3)
-        adam_update(pol, grad, adam, 1e-3, every, every, ~every, horizon=3)
+        adam_update(pol, grad, adam, 1e-3, every, horizon=3)
         np.testing.assert_array_equal(pol.theta, theta)
         np.testing.assert_array_equal(adam.m, m)
         np.testing.assert_array_equal(adam.v, v)
