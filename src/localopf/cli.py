@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .controller import check_stability
-from .policy import compute_k_max, init_policy, load_policy
+from .policy import load_policy
 from .runner import (
     STAGES,
     StageError,
@@ -33,7 +33,7 @@ from .runner import (
     trainer_config,
 )
 from .scenario import convexity_constants, generate_profile, save_scenario
-from .trainer import controllable_nodes
+from .trainer import controllable_nodes, initial_state
 
 # exit codes: 1 = generic (usage errors included), 2.. = stage-specific
 STAGE_EXIT = {name: i + 2 for i, name in enumerate(STAGES)}
@@ -110,14 +110,14 @@ def cmd_check_conditions(args) -> int:
     with stage("stability"):
         scn = generate_profile(graph, gen, test_seed)
         nodes = controllable_nodes(scn.box)  # the nodes training gives a policy
-        if policy is not None and (policy.n_bus, policy.nodes) != (graph.n, nodes):
+        if policy is None:  # the policy training starts from, on the held-out day
+            policy = initial_state(scn.p_u, scn.q_u, scn.cost, scn.box, tr_cfg, graph,
+                                   model).policy
+        elif (policy.n_bus, policy.nodes) != (graph.n, nodes):
             raise StageError("config", f"policy {args.policy} is for {policy.n_bus} buses with "
                              f"controllable nodes {list(policy.nodes)}, but the config's feeder "
                              f"has {graph.n} buses and controllable nodes {list(nodes)}")
         m, xi = convexity_constants(scn.cost)
-        if policy is None:
-            k_max = compute_k_max(tr_cfg.alpha, m, xi, model.a_norm, tr_cfg.k_max_margin)
-            policy = init_policy(graph, gen.controllable, k_max=k_max)
         report = check_stability(m, xi, model.a_norm, policy, tr_cfg.alpha)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     return 0 if report.all_ok else STAGE_EXIT["stability"]

@@ -39,7 +39,7 @@ from .scenario import (
     read_slots,
     write_slots,
 )
-from .trainer import StabilityError, TrainerConfig, train
+from .trainer import LOG_COLUMNS, StabilityError, TrainerConfig, train
 
 
 @dataclass(frozen=True)
@@ -393,25 +393,17 @@ def run_training(days: tuple[GeneratorConfig, list[int]], tr_cfg: TrainerConfig,
 
 
 def write_training_log(log, path) -> None:
-    """CSV, one row per epoch.
+    """CSV, one row per epoch, with the :data:`~localopf.trainer.LOG_COLUMNS` of each row.
 
-    Columns: `epoch,lagrangian,mean_cost,viol_rate_lo,viol_rate_hi,mu_norm`,
-    then `skipped` (the epoch's samples whose equilibrium did not converge)
-    and `live_channels` (the mean count per minibatch of policy channels
-    with a nonzero gradient).
+    Ints are written as ints and every other cell as ``repr(float(v))``;
+    the header is written even for an empty log.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lagrangian", "mean_cost", "viol_rate_lo", "viol_rate_hi",
-                         "mu_norm", "skipped", "live_channels"])
+        writer.writerow(LOG_COLUMNS)
         for row in log:
-            writer.writerow([
-                row["epoch"],
-                repr(float(row["lagrangian"])), repr(float(row["mean_cost"])),
-                repr(float(row["viol_rate_lo"])), repr(float(row["viol_rate_hi"])),
-                repr(float(row["mu_norm"])), int(row["skipped"]),
-                repr(float(row["live_channels"])),
-            ])
+            writer.writerow([v if isinstance(v, int) else repr(float(v))
+                             for v in (row[c] for c in LOG_COLUMNS)])
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -165,6 +165,12 @@ class GeneratorConfig:
         if self.horizon < 1 or self.noise_sd < 0.0:
             raise ValueError(f"horizon {self.horizon}, noise_sd {self.noise_sd}: a day needs "
                              "at least one slot and a nonnegative noise_sd")
+        if not (self.cost_weight > 0.0 and self.tau > 0.0):
+            raise ValueError(f"cost_weight {self.cost_weight}, tau {self.tau}: the cost must be "
+                             "strongly convex and a slot must last a positive time")
+        if not (self.p_cap_kva >= 0.0 and self.q_cap_kvar >= 0.0):
+            raise ValueError(f"p_cap_kva {self.p_cap_kva}, q_cap_kvar {self.q_cap_kvar}: "
+                             "a capability cap must be nonnegative")
 
 
 def trend_curve(breakpoints, horizon: int, tau: float) -> np.ndarray:

@@ -41,6 +41,9 @@ from .scenario import (
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
 ADAM_BLOCK = 32768  # elements per Adam block: a cache-sized scratch instead of a theta-sized one
+# keys of each per-epoch row of train's log, in the column order of training_log.csv
+LOG_COLUMNS = ("epoch", "lagrangian", "mean_cost", "viol_rate_lo", "viol_rate_hi", "mu_norm",
+               "skipped", "live_channels")
 
 
 def hinge_surrogate(lam, g):
@@ -102,6 +105,9 @@ class TrainerConfig:
                 or (self.sigma_lambda is not None and self.sigma_lambda < 0.0):
             raise ValueError("sigma_phi, sigma_lambda, sigma_mu, lambda_value and mu_init "
                              "must be nonnegative")
+        if not 0.0 < self.v_lo < self.v_hi:
+            raise ValueError(f"voltage band v_lo {self.v_lo}, v_hi {self.v_hi}: "
+                             "need 0 < v_lo < v_hi")
 
 
 @dataclass
@@ -373,16 +379,43 @@ def controllable_nodes(box: BoxLimits) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(free)[0])
 
 
+def initial_state(p_u: np.ndarray, q_u: np.ndarray, cost: CostModel, box: BoxLimits,
+                  cfg: TrainerConfig, graph: FeederGraph,
+                  model: LinearVoltageModel) -> TrainerState:
+    """The state training starts from, on the (T, N) injection rows ``p_u``, ``q_u``.
+
+    The policy covers the controllable nodes of ``box``, its gain clamp is
+    :func:`compute_k_max` of ``cost``'s convexity constants, and its inputs
+    are scaled by the rows.  The multipliers start at ``cfg.mu_init``, the
+    offsets at ``cfg.lambda_value`` and Adam at zero.  Raises
+    :class:`StabilityError` unless the policy meets the uniqueness and
+    step-size conditions.
+    """
+    m, xi = convexity_constants(cost)
+    k_max = compute_k_max(cfg.alpha, m, xi, model.a_norm, cfg.k_max_margin)
+    policy = init_policy(graph, controllable_nodes(box), cfg.arch, k_max, cfg.seed)
+    set_input_scale(policy, p_u, q_u)
+    report = check_stability(m, xi, model.a_norm, policy, cfg.alpha)
+    if not report.all_ok:
+        raise StabilityError(f"stability check failed before training: {report}")
+    n = graph.n
+    return TrainerState(policy=policy, mu_lo=np.full(n, float(cfg.mu_init)),
+                        mu_hi=np.full(n, float(cfg.mu_init)),
+                        lambda_lo=np.full(n, cfg.lambda_value),
+                        lambda_hi=np.full(n, cfg.lambda_value),
+                        adam_state=AdamState.zeros_like(policy))
+
+
 def train(
     scenarios,
     cfg: TrainerConfig,
     graph: FeederGraph,
     model: LinearVoltageModel,
-    policy: PolicyParams | None = None,
 ):
     """Primal-dual training over the pooled slots of ``scenarios``.
 
-    Every scenario must share the first one's cost and box.  A channel's
+    Every scenario must share the first one's cost and box; training starts
+    from :func:`initial_state` of the pooled rows.  A channel's
     MLP term on a pooled row is kept in a per-(row, channel) store, filled
     by passes of ``batch_size`` rows, and stays valid exactly as long as
     the channel's ``theta`` row keeps its bits: the rows Adam reports moved
@@ -412,23 +445,7 @@ def train(
     p_u = np.concatenate([scn.p_u for scn in scenarios])
     q_u = np.concatenate([scn.q_u for scn in scenarios])
     n = graph.n
-    m, xi = convexity_constants(cost)
-    k_max = compute_k_max(cfg.alpha, m, xi, model.a_norm, cfg.k_max_margin)
-    if policy is None:
-        policy = init_policy(graph, controllable_nodes(box), cfg.arch, k_max, cfg.seed)
-        set_input_scale(policy, p_u, q_u)
-    report = check_stability(m, xi, model.a_norm, policy, cfg.alpha)
-    if not report.all_ok:
-        raise StabilityError(f"stability check failed before training: {report}")
-
-    state = TrainerState(
-        policy=policy,
-        mu_lo=np.full(n, float(cfg.mu_init)),
-        mu_hi=np.full(n, float(cfg.mu_init)),
-        lambda_lo=np.full(n, cfg.lambda_value),
-        lambda_hi=np.full(n, cfg.lambda_value),
-        adam_state=AdamState.zeros_like(policy),
-    )
+    state = initial_state(p_u, q_u, cost, box, cfg, graph, model)
     sigma_lambda = cfg.sigma_phi if cfg.sigma_lambda is None else cfg.sigma_lambda
     rng = np.random.default_rng(cfg.seed)
     ctrl_cfg = ControllerConfig(
@@ -440,10 +457,10 @@ def train(
     x_warm = box.midpoint
     # Only full-size passes fill or read the store: a row of ``forward_all``
     # is bit-identical wherever it sits in batches of one size, not across sizes.
-    C, cols = policy.n_channels, policy.columns
+    C, cols = state.policy.n_channels, state.policy.columns
     stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
     fresh = np.zeros((len(p_u), C), dtype=bool)
-    grad = np.zeros_like(policy.theta)  # Adam reads only the live rows backward_all wrote
+    grad = np.zeros_like(state.policy.theta)  # Adam reads only the live rows backward_all wrote
     horizon = cfg.epochs * -(-len(p_u) // cfg.batch_size)  # the run's Adam steps
     log = []
     for epoch in range(cfg.epochs):
@@ -490,7 +507,7 @@ def train(
                 backward_all(state.policy, tape, upstream, batch.v, out=grad)
             moved = adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, live, horizon)
             fresh[:, moved] = False
-            enforce_conditions(state.policy, k_max)  # clips k, which the MLP term does not read
+            enforce_conditions(state.policy)  # clips k, which the MLP term does not read
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = grad_lambda(batch, state, cfg)
                 state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo

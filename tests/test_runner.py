@@ -388,6 +388,25 @@ def test_cli_check_conditions_rejects_policy_of_another_feeder(tmp_path, capsys,
     assert f"has {n_bus} buses and controllable nodes" in captured.err
 
 
+def test_cli_check_conditions_reports_the_training_start(tmp_path, capsys):
+    """Without ``--policy`` the report is that of the untrained policy a run starts from."""
+    out = tmp_path / "run"
+    assert main(["run", str(CONFIG8), "--output", str(out), "-o", "trainer.epochs=0"]) == 0
+    capsys.readouterr()
+    assert main(["check-conditions", str(CONFIG8)]) == 0
+    rep = json.loads((out / "report.json").read_text())["stability"]
+    assert capsys.readouterr().out == json.dumps(rep, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_check_conditions_unstable_start_exit_code(capsys):
+    """A training start that fails the pre-training check exits at the stability stage."""
+    code = main(["check-conditions", str(CONFIG8), "-o", "trainer.k_max_margin=2.5"])
+    assert code == STAGE_EXIT["stability"]
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "[stability] stability check failed before training: StabilityReport(" in captured.err
+
+
 def test_contraction_reported_apart_from_all_ok(run_dir, capsys):
     rep = json.loads((run_dir / "report.json").read_text())["stability"]
     assert rep["contraction_ok"] is (rep["rho"] < 1.0)
@@ -494,7 +513,7 @@ def test_cli_unknown_config_key_exit_code(tmp_path, command, key):
     "trainer.batch_size=-1", "trainer.alpha=0", "trainer.eq_tol=0", "trainer.epochs=-1",
     "trainer.zo_step=0", "trainer.k_max_margin=0", "trainer.eq_max_iters=0", "trainer.arch=[3,0]",
     "trainer.sigma_mu=-1", "trainer.lambda_value=-1e-4", "trainer.sigma_phi=-0.5",
-    "trainer.mu_init=-3", "trainer.sigma_lambda=-0.5",
+    "trainer.mu_init=-3", "trainer.sigma_lambda=-0.5", "limits.v_lo=1.2", "limits.v_lo=-0.1",
 ])
 def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
     """A value the trainer config rejects fails at the config stage, before any other work."""
@@ -514,6 +533,11 @@ def test_cli_bad_trainer_setting_exit_code(tmp_path, capsys, command, override):
     ("sweep", "scenario.train_seeds=[]"),
     ("run", "scenario.noise_sd=-0.1"), ("train", "scenario.noise_sd=-0.1"),
     ("gen-scenario", "scenario.noise_sd=-0.1"), ("sweep", "scenario.noise_sd=-0.1"),
+    ("run", "scenario.cost_weight=0"), ("train", "scenario.cost_weight=0"),
+    ("run", "scenario.cost_weight=-1"), ("sweep", "scenario.cost_weight=-1"),
+    ("run", "scenario.p_cap_kva=-5"), ("train", "scenario.q_cap_kvar=-1"),
+    ("gen-scenario", "scenario.p_cap_kva=-5"), ("gen-scenario", "scenario.tau=0"),
+    ("run", "scenario.tau=-6"),
 ])
 def test_cli_bad_scenario_setting_exit_code(tmp_path, capsys, command, override):
     """A scenario setting that cannot make a day fails at the config stage, before other work."""

@@ -12,24 +12,15 @@ which keeps each channel's MLP term in a store for as long as its
 ``theta`` row keeps its bits, must match it bit for bit.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from localopf import init_policy, trainer
 from localopf.controller import ControllerConfig
-from localopf.policy import (
-    backward_all,
-    compute_k_max,
-    enforce_conditions,
-    forward_all,
-    param_views,
-    set_input_scale,
-)
+from localopf.policy import backward_all, enforce_conditions, forward_all, param_views
 from localopf.runner import day_settings, load_network, resolve_config, trainer_config
-from localopf.scenario import convexity_constants, generate_profile
-from localopf.trainer import ADAM_BLOCK, AdamState, TrainerState, adam_update, train
+from localopf.scenario import generate_profile
+from localopf.trainer import ADAM_BLOCK, AdamState, adam_update, train
 from conftest import DATA
 
 SHIPPED_NODES = {  # controllable nodes of config_8bus.yaml and config_37bus.yaml
@@ -321,21 +312,14 @@ def reference_train(scenarios, cfg, graph, model):
 
     Each minibatch takes one all-channel ``forward_all`` pass (inside
     ``_solve_batch``), the dense backward and the dense Adam step over every
-    row.  The other parts are the trainer's own, looked up on the module at
-    call time, so a test that patches one patches it here too.
+    row.  The other parts, the start from ``initial_state`` included, are the
+    trainer's own, looked up on the module at call time, so a test that
+    patches one patches it here too.
     """
     p_u = np.concatenate([scn.p_u for scn in scenarios])
     q_u = np.concatenate([scn.q_u for scn in scenarios])
-    cost, box, n = scenarios[0].cost, scenarios[0].box, graph.n
-    m, xi = convexity_constants(cost)
-    k_max = compute_k_max(cfg.alpha, m, xi, model.a_norm, cfg.k_max_margin)
-    policy = init_policy(graph, trainer.controllable_nodes(box), cfg.arch, k_max, cfg.seed)
-    set_input_scale(policy, p_u, q_u)
-    state = TrainerState(policy=policy, mu_lo=np.full(n, float(cfg.mu_init)),
-                         mu_hi=np.full(n, float(cfg.mu_init)),
-                         lambda_lo=np.full(n, cfg.lambda_value),
-                         lambda_hi=np.full(n, cfg.lambda_value),
-                         adam_state=AdamState.zeros_like(policy))
+    cost, box = scenarios[0].cost, scenarios[0].box
+    state = trainer.initial_state(p_u, q_u, cost, box, cfg, graph, model)
     sigma_lambda = cfg.sigma_phi if cfg.sigma_lambda is None else cfg.sigma_lambda
     rng = np.random.default_rng(cfg.seed)
     ctrl_cfg = ControllerConfig(alpha=cfg.alpha, eq_tol=cfg.eq_tol, eq_max_iters=cfg.eq_max_iters,
@@ -360,7 +344,7 @@ def reference_train(scenarios, cfg, graph, model):
                          np.count_nonzero(np.any(upstream, axis=0))))
             grad = dense_backward_all(state.policy, batch.tape, upstream, batch.v)
             dense_adam_update(state.policy.theta, grad, state.adam_state, cfg.sigma_phi)
-            enforce_conditions(state.policy, k_max)
+            enforce_conditions(state.policy)
             if cfg.lambda_mode == "learned":
                 g_lo, g_hi = trainer.grad_lambda(batch, state, cfg)
                 state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo

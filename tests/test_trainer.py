@@ -23,7 +23,15 @@ from localopf import (
 )
 from localopf.policy import forward_all, param_views
 from localopf.powerflow import env_voltage
-from localopf.trainer import ADAM_BLOCK, AdamState, adam_update, controllable_nodes, indicator
+from localopf.trainer import (
+    ADAM_BLOCK,
+    LOG_COLUMNS,
+    AdamState,
+    adam_update,
+    controllable_nodes,
+    indicator,
+    initial_state,
+)
 from conftest import interior_step, make_step, solved_batch, train_scenario
 
 ALPHA = 0.48
@@ -373,6 +381,12 @@ def test_train_zero_epochs_returns_initial_state(graph8, model8):
     assert state.epoch == 0
     np.testing.assert_array_equal(state.mu_lo, np.ones(graph8.n))
     assert state.policy.nodes == (3, 5, 7)
+    start = initial_state(scn.p_u, scn.q_u, scn.cost, scn.box, cfg, graph8, model8)
+    assert state.policy.theta.tobytes() == start.policy.theta.tobytes()
+    assert state.policy.d_scale.tobytes() == start.policy.d_scale.tobytes()
+    assert state.policy.k_max == start.policy.k_max
+    for name in ("mu_lo", "mu_hi", "lambda_lo", "lambda_hi"):
+        assert getattr(state, name).tobytes() == getattr(start, name).tobytes(), name
 
 
 def test_train_rejects_scenarios_with_different_boxes(graph8, model8):
@@ -387,10 +401,9 @@ def test_train_rejects_scenarios_with_different_boxes(graph8, model8):
 
 def test_train_rejects_unstable_policy(graph8, model8):
     scn = train_scenario(graph8, horizon=8)
-    pol = init_policy(graph8, [3, 5, 7], k_max=10.0, seed=0)
-    pol.k[:] = 10.0
+    # the initial gains k_max/2 are then 1.25x the uniqueness bound, so C3 fails
     with pytest.raises(StabilityError, match="stability"):
-        train(scn, TrainerConfig(epochs=1), graph8, model8, policy=pol)
+        train(scn, TrainerConfig(epochs=1, k_max_margin=2.5), graph8, model8)
 
 
 def test_train_deterministic(graph8, model8):
@@ -409,6 +422,7 @@ def test_train_respects_gain_clamp_and_logs(graph8, model8):
     cfg = TrainerConfig(epochs=4, batch_size=8, v_lo=0.9604, v_hi=1.0816)
     state, log = train(scn, cfg, graph8, model8)
     assert len(log) == 4
+    assert all(tuple(e) == LOG_COLUMNS for e in log)  # the columns training_log.csv writes
     assert [e["epoch"] for e in log] == [1, 2, 3, 4]
     for e in log:
         assert np.isfinite(e["lagrangian"])
@@ -553,7 +567,9 @@ def test_trainer_config_validation():
                     {"eq_tol": 0.0}, {"zo_step": 0.0}, {"zo_step": -1e-3}, {"k_max_margin": 0.0},
                     {"eq_max_iters": 0}, {"arch": (3, 0)}, {"arch": (-1, 64)},
                     {"sigma_mu": -1.0}, {"lambda_value": -1e-4}, {"sigma_phi": -0.5},
-                    {"mu_init": -3.0}, {"sigma_lambda": -0.5, "lambda_mode": "learned"}):
+                    {"mu_init": -3.0}, {"sigma_lambda": -0.5, "lambda_mode": "learned"},
+                    {"v_lo": 1.2}, {"v_lo": -0.1}, {"v_lo": 0.0}, {"v_hi": 0.9025},
+                    {"v_lo": float("nan")}):
         with pytest.raises(ValueError):
             TrainerConfig(**setting)
     TrainerConfig(arch=(0, 64), sigma_mu=0.0, lambda_value=0.0)  # a linear model, no dual step
