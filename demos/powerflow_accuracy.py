@@ -1,5 +1,8 @@
 """Compare the exact branch-flow solver against the linearized model.
 
+The linearized voltages come from the linear plant,
+``plant_voltage(x, p_u, q_u, model, graph, "linear")``, at zero setpoints.
+
 Sweeps a uniform load ramp on the 8-bus feeder and reports the voltage error
 introduced by dropping the line-loss terms — the error grows quadratically
 with loading, which is why the linear model is safe for control but the
@@ -15,7 +18,7 @@ from localopf import (
     VoltageCollapseError,
     build_sensitivities,
     load_feeder,
-    solve_linear,
+    plant_voltage,
     solve_nonlinear,
 )
 
@@ -37,7 +40,7 @@ def main():
         except VoltageCollapseError as exc:
             print(f"{kva:>15.1f}  {exc} -- beyond the feeder's loadability limit")
             break
-        v_lin = solve_linear(model, s)
+        v_lin = plant_voltage(np.zeros(2 * n), s.p_u, s.q_u, model, graph, "linear")
         err = np.max(np.abs(sol.v - v_lin))
         print(f"{kva:>15.1f} {np.sqrt(sol.v.min()):>16.5f} {err:>12.2e} "
               f"{sol.iterations:>6d}")

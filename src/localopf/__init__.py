@@ -25,7 +25,6 @@ from .powerflow import (
     VoltageCollapseError,
     env_voltage,
     residual,
-    solve_linear,
     solve_nonlinear,
 )
 from .scenario import (
@@ -54,6 +53,7 @@ from .controller import (
     StabilityReport,
     check_stability,
     lemma1_check,
+    plant_voltage,
     rho_alpha,
     solve_equilibrium,
     step,

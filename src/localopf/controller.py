@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .feeder import FeederGraph, LinearVoltageModel
-from .powerflow import SWEEP_TOL, InjectionState, solve_nonlinear
-from .policy import PolicyParams, forward_all, output
+from .powerflow import SWEEP_TOL, InjectionState, env_voltage, solve_nonlinear
+from .policy import PolicyParams, forward_all, output, uniqueness_constants
 from .scenario import ScenarioStep, cost_grad, project_box
 
 
@@ -72,7 +72,7 @@ def plant_voltage(
     plant solves every row in one power-flow call.
     """
     if plant == "linear":
-        return x @ model.A.T + (model.v0 + p_u @ model.R.T + q_u @ model.X.T)
+        return x @ model.A.T + env_voltage(model, p_u, q_u)
     return _nonlinear_plant(x, p_u, q_u, model.v0, graph).v
 
 
@@ -105,10 +105,8 @@ def step(
     channels (all operations below are elementwise in the node index).
     Applying the setpoint and measuring the plant is the caller's part.
     """
-    n = len(v_hat)
     u = output(policy.gain, forward_all(policy, step_data.p_u, step_data.q_u), v_hat)
-    g = x - cfg.alpha * (cost_grad(step_data.cost, x[:n], x[n:]) + u)
-    return project_box(g, step_data.box)
+    return project_box(x - cfg.alpha * (cost_grad(step_data.cost, x) + u), step_data.box)
 
 
 def _picard_plant(p_u, q_u, model, graph, plant):
@@ -144,14 +142,12 @@ def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=No
     the largest row step of each iteration to ``gaps`` when given.  Returns
     (x, v, converged (S,), gap (S,), iterations).
     """
-    floor, lo, hi = cost.floor, box.lo, box.hi
-    two_w = 2.0 * cost.weight
     gap = np.full(len(x), np.inf)
     step = 0.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
         v = plant(x, step)
-        x_new = np.clip(x - alpha * (two_w * (x - floor) + output(gain, offset, v)), lo, hi)
+        x_new = project_box(x - alpha * (cost_grad(cost, x) + output(gain, offset, v)), box)
         gap = np.linalg.norm(x_new - x, axis=1)
         x = x_new
         step = float(np.max(gap))
@@ -272,14 +268,14 @@ def check_stability(
 
     C1 holds structurally (the voltage path is an additive linear term); C2
     holds whenever every gain is finite and nonnegative; C3 compares the
-    policy Lipschitz constant in v against its threshold, strictly.
+    policy Lipschitz constant in v against its threshold, strictly.  Raises
+    ValueError unless m and xi are positive.
     """
     L_theta = policy.lipschitz_v()
     c1_ok = True
     c2_ok = bool(np.all(np.isfinite(policy.k)) and np.all(policy.k >= 0.0))
-    step_bound = 2.0 * m / xi**2
+    rad, step_bound = uniqueness_constants(alpha, m, xi)
     step_ok = alpha < step_bound
-    rad = 1.0 - 2.0 * alpha * m + alpha**2 * xi**2
     if rad >= 0.0 and alpha > 0.0 and a_norm > 0.0:
         c3_bound = (1.0 - np.sqrt(rad)) / (alpha * a_norm)
     else:

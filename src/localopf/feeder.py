@@ -271,20 +271,18 @@ class LinearVoltageModel:
     a_norm: float
 
 
-def build_sensitivities(graph: FeederGraph, v0: float | None = None) -> LinearVoltageModel:
+def build_sensitivities(graph: FeederGraph) -> LinearVoltageModel:
     """Assemble R, X from the 2x common-root-path impedance sums.
 
     ``R[i][j]`` is twice the total resistance on the shared portion of the
     root paths of buses i+1 and j+1, i.e. ``path.T @ diag(2r) @ path``; X
-    likewise with reactances.
+    likewise with reactances.  The slack voltage ``v0`` is the feeder's.
     """
-    if v0 is None:
-        v0 = graph.v0
     path = graph.path
     R = (path.T * (2.0 * graph.r)) @ path
     X = (path.T * (2.0 * graph.x)) @ path
     A = np.hstack([R, X])
-    return LinearVoltageModel(R=R, X=X, A=A, v0=float(v0), a_norm=spectral_norm(A))
+    return LinearVoltageModel(R=R, X=X, A=A, v0=float(graph.v0), a_norm=spectral_norm(A))
 
 
 def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_iters: int = 10000) -> float:

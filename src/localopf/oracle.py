@@ -15,7 +15,7 @@ import numpy as np
 
 from .feeder import LinearVoltageModel
 from .powerflow import env_voltage
-from .scenario import ScenarioStep, cost_value
+from .scenario import ScenarioStep, cost_grad, cost_value, project_box
 
 
 class InfeasibleError(RuntimeError):
@@ -97,9 +97,9 @@ def solve_opf_linear(
     mu_v = 2.0 * cost.weight * u[2 * k:] / -r[-1]
     mu_hi, mu_lo = mu_v[:n], mu_v[n:]
 
-    grad = 2.0 * cost.weight * (x - cost.floor) + A.T @ (mu_hi - mu_lo)
+    grad = cost_grad(cost, x) + A.T @ (mu_hi - mu_lo)
     slack = np.concatenate([v_hi - v, v - v_lo])
-    kkt = max(float(np.max(np.abs(x - np.clip(x - grad, lo, hi)))),
+    kkt = max(float(np.max(np.abs(x - project_box(x - grad, step_data.box)))),
               float(np.max(-slack, initial=0.0)), float(np.max(np.abs(mu_v * slack))))
     if kkt > 1e-8:
         raise RuntimeError(f"oracle KKT certificate {kkt:.3g} exceeds 1e-8")
@@ -150,8 +150,7 @@ def baseline_step(
     """
     mu_lo = np.maximum(state.mu_lo + state.sigma_b * (v_lo - v_hat), 0.0)
     mu_hi = np.maximum(state.mu_hi + state.sigma_b * (v_hat - v_hi), 0.0)
-    cost = step_data.cost
-    grad = 2.0 * cost.weight * (state.x - cost.floor) + model.A.T @ (mu_hi - mu_lo)
-    x = np.clip(state.x - state.alpha_b * grad, step_data.box.lo, step_data.box.hi)
+    grad = cost_grad(step_data.cost, state.x) + model.A.T @ (mu_hi - mu_lo)
+    x = project_box(state.x - state.alpha_b * grad, step_data.box)
     return BaselineState(x=x, mu_lo=mu_lo, mu_hi=mu_hi, alpha_b=state.alpha_b,
                          sigma_b=state.sigma_b)

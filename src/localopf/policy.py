@@ -104,6 +104,16 @@ class StabilityError(ValueError):
     """The policy fails the uniqueness or step-size conditions before training."""
 
 
+def uniqueness_constants(alpha: float, m: float, xi: float) -> tuple[float, float]:
+    """(radicand 1 - 2*alpha*m + alpha^2*xi^2, step-size bound 2m/xi^2) of the uniqueness condition.
+
+    Raises ValueError unless the convexity constants m and xi are positive.
+    """
+    if not (m > 0.0 and xi > 0.0):
+        raise ValueError(f"convexity constants m = {m:g}, xi = {xi:g}: both must be positive")
+    return 1.0 - 2.0 * alpha * m + alpha**2 * xi**2, 2.0 * m / xi**2
+
+
 def compute_k_max(alpha: float, m: float, xi: float, a_norm: float, margin: float = 0.95) -> float:
     """Voltage-gain clamp from the uniqueness condition, with a safety margin.
 
@@ -111,14 +121,14 @@ def compute_k_max(alpha: float, m: float, xi: float, a_norm: float, margin: floa
     Raises :class:`StabilityError` when alpha is not below the step-size
     bound 2m/xi^2: there the clamp is not positive, so no gain is admissible.
     """
-    rad = 1.0 - 2.0 * alpha * m + alpha**2 * xi**2
+    rad, step_bound = uniqueness_constants(alpha, m, xi)
     if rad < 0.0:
         raise ValueError(f"invalid constants: negative radicand {rad}")
     if alpha <= 0.0 or a_norm <= 0.0:
         raise ValueError("alpha and a_norm must be positive")
-    if alpha * xi**2 >= 2.0 * m:
+    if alpha >= step_bound:
         raise StabilityError(f"step size alpha = {alpha:g} is not below the step-size bound "
-                             f"2m/xi^2 = {2.0 * m / xi**2:g}")
+                             f"2m/xi^2 = {step_bound:g}")
     return margin * (1.0 - np.sqrt(rad)) / (alpha * a_norm)
 
 

@@ -3,8 +3,10 @@
 ``solve_nonlinear`` runs a backward/forward sweep on the exact branch flow
 equations in matrix form (BIBC/BCBV: both sweeps are products with the
 feeder's root-path incidence matrix), on one injection row or a batch of
-``(..., N)`` rows at once; ``solve_linear`` evaluates the LinDistFlow
-surrogate.  Both return squared voltage magnitudes in per-unit^2.
+``(..., N)`` rows at once, and returns squared voltage magnitudes in
+per-unit^2.  ``env_voltage`` is the uncontrolled part of the LinDistFlow
+surrogate; ``controller.plant_voltage`` adds the setpoints' part and is the
+one entry point to either plant.
 """
 
 from __future__ import annotations
@@ -155,10 +157,9 @@ def residual(
 
 
 def env_voltage(model: LinearVoltageModel, p_u: np.ndarray, q_u: np.ndarray) -> np.ndarray:
-    """Uncontrolled voltage component v_env = v0*1 + R p_u + X q_u."""
-    return model.v0 + model.R @ p_u + model.X @ q_u
+    """Uncontrolled LinDistFlow voltages v0*1 + R p_u + X q_u of each (..., N) injection row.
 
-
-def solve_linear(model: LinearVoltageModel, s: InjectionState) -> np.ndarray:
-    """LinDistFlow voltages v = R p + X q + v_env."""
-    return model.R @ s.p + model.X @ s.q + env_voltage(model, s.p_u, s.q_u)
+    On a 1-D row ``p_u @ R.T`` makes the same BLAS call as ``R @ p_u``, so
+    both forms give the same bits.
+    """
+    return model.v0 + p_u @ model.R.T + q_u @ model.X.T

@@ -51,9 +51,9 @@ def cost_value(cost: CostModel, p: np.ndarray, q: np.ndarray):
     return val if val.ndim else float(val)
 
 
-def cost_grad(cost: CostModel, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Stacked gradient [d/dp; d/dq] = 2*weight*(x - floor)."""
-    return 2.0 * cost.weight * (np.concatenate([p, q]) - cost.floor)
+def cost_grad(cost: CostModel, x: np.ndarray) -> np.ndarray:
+    """Gradient 2*weight*(x - floor) of each stacked (..., 2N) row x = [p; q]."""
+    return 2.0 * cost.weight * (x - cost.floor)
 
 
 def convexity_constants(cost: CostModel) -> tuple[float, float]:
@@ -96,7 +96,7 @@ class BoxLimits:
 
 
 def project_box(x: np.ndarray, box: BoxLimits) -> np.ndarray:
-    """Euclidean projection onto the box: elementwise clamp."""
+    """Euclidean projection of each (..., 2N) row onto the box: elementwise clamp."""
     return np.clip(x, box.lo, box.hi)
 
 

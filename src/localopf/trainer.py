@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .controller import ControllerConfig, _nonlinear_plant, check_stability, solve_equilibria_batch
+from .controller import ControllerConfig, check_stability, plant_voltage, solve_equilibria_batch
 from .feeder import FeederGraph, LinearVoltageModel
 from .powerflow import solve_nonlinear  # noqa: F401  bound here for perfbench/test_perfbench.py
 from .policy import (
@@ -36,7 +36,9 @@ from .scenario import (
     CostModel,
     Scenario,
     convexity_constants,
+    cost_grad,
     cost_value,
+    project_box,
 )
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
@@ -225,14 +227,13 @@ def _policy_upstream(batch, state, model, cfg, voltage_jacobian):
         bracket_pq = np.concatenate([w_dual @ model.R, w_dual @ model.X], axis=1)
     else:
         bracket_pq = w_dual @ voltage_jacobian  # (S, 2N)
-    weight = batch.cost.weight
-    grad_f = 2.0 * weight * (x - batch.cost.floor)
+    grad_f = cost_grad(batch.cost, x)
     bracket = bracket_pq + grad_f
 
     g = x - cfg.alpha * (grad_f + output(state.policy.gain, batch.offset, v))
-    interior = np.abs(np.clip(g, batch.box.lo, batch.box.hi) - g) <= ACTIVITY_TOL
+    interior = np.abs(project_box(g, batch.box) - g) <= ACTIVITY_TOL
 
-    upstream = bracket * interior * (-1.0 / (2.0 * weight)) / S  # (S, 2N)
+    upstream = bracket * interior * (-1.0 / (2.0 * batch.cost.weight)) / S  # (S, 2N)
     return upstream[:, state.policy.columns]
 
 
@@ -261,34 +262,28 @@ def dual_update(state: TrainerState, batch: Batch, cfg: TrainerConfig) -> Traine
 
 
 def zo_voltage_jacobian(
-    graph: FeederGraph,
+    x_dag: np.ndarray,
     p_u: np.ndarray,
     q_u: np.ndarray,
-    x_dag: np.ndarray,
+    model: LinearVoltageModel,
+    graph: FeederGraph,
     zo_step: float = 1e-3,
-    v0: float = 1.0,
-    plant=None,
+    plant: str = "nonlinear",
 ) -> np.ndarray:
     """2n-point central-difference estimate of dv/dx around ``x_dag``.
 
-    The injections ``p_u``, ``q_u`` (N,) stay fixed.  ``plant`` maps
-    (rows, 2N) setpoints to (rows, N) squared voltages and is called once,
-    on the 4N probe rows ``[x + hE; x - hE]``; the default is the
-    controller's nonlinear plant with slack voltage ``v0``, which raises a
+    The injections ``p_u``, ``q_u`` (N,) stay fixed.  One
+    :func:`~localopf.controller.plant_voltage` call on ``plant`` evaluates
+    the 4N probe rows ``[x + hE; x - hE]``; the nonlinear plant raises a
     ControllerError unless the power flow converged.
     """
     if zo_step <= 0.0:
         raise ValueError("zo_step must be positive")
     n = graph.n
-    if plant is None:
-        rows = (4 * n, n)
-        p_rows, q_rows = np.broadcast_to(p_u, rows), np.broadcast_to(q_u, rows)
-
-        def plant(x):
-            return _nonlinear_plant(x, p_rows, q_rows, v0, graph).v
-
+    rows = (4 * n, n)
     probes = zo_step * np.eye(2 * n)
-    v = plant(np.concatenate([x_dag + probes, x_dag - probes]))
+    v = plant_voltage(np.concatenate([x_dag + probes, x_dag - probes]),
+                      np.broadcast_to(p_u, rows), np.broadcast_to(q_u, rows), model, graph, plant)
     return ((v[:2 * n] - v[2 * n:]) / (2.0 * zo_step)).T
 
 
@@ -484,8 +479,8 @@ def train(
             jac = None
             if cfg.mode == "gradient_free":
                 # probe around the first converged row under its own injections
-                jac = zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
-                                          cfg.zo_step, model.v0)
+                jac = zo_voltage_jacobian(batch.x[0], batch.p_u[0], batch.q_u[0], model, graph,
+                                          cfg.zo_step)
             upstream = _policy_upstream(batch, state, model, cfg, jac)
             live = np.any(upstream, axis=0)
             rows.append((lagrangian(batch, state, cfg), batch.mean_cost,
@@ -493,17 +488,11 @@ def train(
                          batch.skipped, np.count_nonzero(live)))
             if live.any():
                 tape = batch.tape
-                missing = live & ~ran
-                if missing.any():  # a channel turned live on stored values: tape it now
-                    _, extra = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
-                                           channels=missing)
+                if (live & ~ran).any():  # a channel turned live on stored values: tape all live
+                    _, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
+                                          channels=live)
                     if batch.kept is not None:
-                        extra = [e[:, batch.kept] for e in extra]
-                    if tape is None:
-                        tape = extra
-                    else:
-                        for h, e in zip(tape[1:], extra[1:]):
-                            h[missing] = e[missing]
+                        tape = [a[:, batch.kept] for a in tape]
                 backward_all(state.policy, tape, upstream, batch.v, out=grad)
             moved = adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, live, horizon)
             fresh[:, moved] = False

@@ -35,7 +35,6 @@ from localopf import (
 )
 from localopf.controller import solve_equilibria_batch
 from localopf.policy import forward_all, param_views
-from localopf.powerflow import env_voltage
 from localopf.runner import (
     day_settings,
     load_config,
@@ -239,17 +238,16 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
 def test_acceptance_6_zeroth_order(graph8, model8):
     n = graph8.n
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
-    v_env = env_voltage(model8, stp.p_u, stp.q_u)
-    jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=1e-3,
-                              plant=lambda x: x @ model8.A.T + v_env)
+    jac = zo_voltage_jacobian(stp.box.midpoint, stp.p_u, stp.q_u, model8, graph8, zo_step=1e-3,
+                              plant="linear")
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
 
     # O(eps^2) self-consistency on the nonlinear plant around eps = 1e-3
     x = stp.box.midpoint
-    j1 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=4e-3)
-    j2 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=2e-3)
-    j3 = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-3)
-    ref = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-5)
+    j1 = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=4e-3)
+    j2 = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=2e-3)
+    j3 = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=1e-3)
+    ref = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=1e-5)
     e1 = np.max(np.abs(j1 - ref))
     e2 = np.max(np.abs(j2 - ref))
     e3 = np.max(np.abs(j3 - ref))

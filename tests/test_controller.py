@@ -142,6 +142,14 @@ def test_step_size_condition(graph8, model8):
     assert not rep.step_ok  # bound is 2m/xi^2 = 1 for unit weight
 
 
+@pytest.mark.parametrize("m, xi", [(0.0, 0.0), (2.0, 0.0), (-1.0, 2.0), (0.0, 2.0)])
+def test_check_stability_rejects_nonpositive_convexity_constants(graph8, m, xi):
+    """m and xi are named in a ValueError: no division by xi = 0, no negative step bound."""
+    pol = init_policy(graph8, [3], k_max=0.01, seed=0)
+    with pytest.raises(ValueError, match=f"m = {m:g}, xi = {xi:g}"):
+        check_stability(m, xi, 6.0, pol, 0.48)
+
+
 def test_rho_alpha_arithmetic():
     m, xi, L, a, alpha = 2.0, 2.0, 0.1, 4.0, 0.48
     expected = np.sqrt(
@@ -170,7 +178,7 @@ def test_step_with_zero_policy_is_projected_gradient(graph8, model8):
     x0 = stp.box.midpoint
     x1 = step(x0, np.ones(n), stp, pol, ControllerConfig(alpha=ALPHA))
     expected = project_box(
-        x0 - ALPHA * cost_grad(stp.cost, x0[:n], x0[n:]), stp.box
+        x0 - ALPHA * cost_grad(stp.cost, x0), stp.box
     )
     np.testing.assert_allclose(x1, expected, atol=1e-15)
 

@@ -30,13 +30,12 @@ V_LO, V_HI = 0.9025, 1.1025
 
 
 def _reference_controller(scenario, policy, model, graph, cfg):
-    n = graph.n
     x = scenario.box.midpoint.copy()
     rows_x, rows_v = [], []
     for s in scenario.steps:
         v_hat = plant_voltage(x, s.p_u, s.q_u, model, graph, cfg.plant)
         u = output(policy.gain, forward_all(policy, s.p_u, s.q_u), v_hat)
-        x = project_box(x - cfg.alpha * (cost_grad(s.cost, x[:n], x[n:]) + u), s.box)
+        x = project_box(x - cfg.alpha * (cost_grad(s.cost, x) + u), s.box)
         rows_x.append(x)
         rows_v.append(plant_voltage(x, s.p_u, s.q_u, model, graph, cfg.plant))
     return _trajectory(scenario, rows_x, rows_v)

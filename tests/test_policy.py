@@ -257,8 +257,15 @@ def test_compute_k_max_arithmetic():
     alpha, m, xi, a_norm = 0.48, 2.0, 2.0, 4.0
     expected = 0.95 * (1.0 - np.sqrt(1.0 - 2 * alpha * m + alpha**2 * xi**2)) / (alpha * a_norm)
     assert compute_k_max(alpha, m, xi, a_norm) == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        compute_k_max(0.5, 2.0, 0.0, 4.0)  # negative radicand
+    with pytest.raises(ValueError, match="negative radicand"):
+        compute_k_max(0.5, 2.0, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("m, xi", [(0.0, 0.0), (2.0, 0.0), (-1.0, 2.0), (0.0, 2.0)])
+def test_compute_k_max_rejects_nonpositive_convexity_constants(m, xi):
+    """m and xi are named in a ValueError: no division by xi = 0, no negative step bound."""
+    with pytest.raises(ValueError, match=f"m = {m:g}, xi = {xi:g}"):
+        compute_k_max(0.48, m, xi, 6.0)
 
 
 def test_enforce_conditions_clamps(graph8):

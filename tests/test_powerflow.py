@@ -16,8 +16,8 @@ from localopf import (
     PowerFlowSolution,
     VoltageCollapseError,
     env_voltage,
+    plant_voltage,
     residual,
-    solve_linear,
     solve_nonlinear,
 )
 from localopf.feeder import Bus, Line, build_graph
@@ -172,19 +172,32 @@ def test_linear_close_to_nonlinear_at_light_load(graph37, model37):
     s = InjectionState(p=np.zeros(n), q=np.zeros(n),
                        p_u=-rng.uniform(0, 2e-4, n), q_u=-rng.uniform(0, 1e-4, n))
     v_nl = solve_nonlinear(graph37, s, 1.0).v
-    v_lin = solve_linear(model37, s)
+    v_lin = plant_voltage(np.zeros(2 * n), s.p_u, s.q_u, model37, graph37, "linear")
     # loss terms are second order in the flows
     assert np.max(np.abs(v_nl - v_lin)) < 1e-6
 
 
-def test_linear_is_affine(model37):
+def test_linear_is_affine(graph37, model37):
     n = model37.R.shape[0]
     rng = np.random.default_rng(11)
     p, q = rng.normal(size=n) * 0.01, rng.normal(size=n) * 0.01
     p_u, q_u = rng.normal(size=n) * 0.01, rng.normal(size=n) * 0.01
-    s = InjectionState(p=p, q=q, p_u=p_u, q_u=q_u)
-    expected = model37.A @ np.concatenate([p, q]) + env_voltage(model37, p_u, q_u)
-    np.testing.assert_allclose(solve_linear(model37, s), expected, atol=1e-15)
+    x = np.concatenate([p, q])
+    expected = model37.A @ x + env_voltage(model37, p_u, q_u)
+    np.testing.assert_allclose(plant_voltage(x, p_u, q_u, model37, graph37, "linear"), expected,
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("feeder", [8, 37])
+def test_env_voltage_row_is_matrix_vector_form(feeder, request):
+    """On a 1-D row, ``p_u @ R.T`` gives the bits of ``R @ p_u``."""
+    model = request.getfixturevalue(f"model{feeder}")
+    n = model.R.shape[0]
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        p_u, q_u = -rng.uniform(0.0, 0.02, n), -rng.uniform(0.0, 0.012, n)
+        np.testing.assert_array_equal(env_voltage(model, p_u, q_u),
+                                      model.v0 + model.R @ p_u + model.X @ q_u)
 
 
 def test_voltage_collapse_heavy_load():

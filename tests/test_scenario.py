@@ -134,10 +134,21 @@ def test_cost_value_and_grad_hand_computed():
     q = np.array([0.2, 0.0])
     expected = 3.0 * ((0.2**2 + 0.1**2) + (0.2**2 + 0.2**2))
     assert cost_value(cost, p, q) == pytest.approx(expected, abs=1e-15)
-    g = cost_grad(cost, p, q)
+    g = cost_grad(cost, np.concatenate([p, q]))
     np.testing.assert_allclose(
         g, 6.0 * np.array([0.2, 0.1, 0.2, 0.2]), atol=1e-15
     )
+
+
+def test_cost_grad_rows_match_single_rows():
+    """An (S, 2N) batch gives each row's single-row gradient bit for bit."""
+    rng = np.random.default_rng(5)
+    cost = CostModel(rng.normal(size=37), rng.normal(size=37), weight=1.3)
+    x = rng.normal(size=(6, 74))
+    rows = cost_grad(cost, x)
+    assert rows.shape == (6, 74)
+    for k in range(6):
+        np.testing.assert_array_equal(rows[k], cost_grad(cost, x[k]))
 
 
 def test_cost_value_rows_match_single_rows():
@@ -158,8 +169,8 @@ def test_cost_grad_matches_finite_difference():
     rng = np.random.default_rng(0)
     cost = CostModel(rng.normal(size=3), rng.normal(size=3), weight=1.7)
     p, q = rng.normal(size=3), rng.normal(size=3)
-    g = cost_grad(cost, p, q)
     x = np.concatenate([p, q])
+    g = cost_grad(cost, x)
     eps = 1e-6
     for i in range(6):
         e = np.zeros(6)

@@ -336,8 +336,8 @@ def reference_train(scenarios, cfg, graph, model):
                                                  model, graph, ctrl_cfg, x_warm, mlp)
             jac = None
             if cfg.mode == "gradient_free":
-                jac = trainer.zo_voltage_jacobian(graph, batch.p_u[0], batch.q_u[0], batch.x[0],
-                                                  cfg.zo_step, model.v0)
+                jac = trainer.zo_voltage_jacobian(batch.x[0], batch.p_u[0], batch.q_u[0], model,
+                                                  graph, cfg.zo_step)
             upstream = trainer._policy_upstream(batch, state, model, cfg, jac)
             rows.append((trainer.lagrangian(batch, state, cfg), batch.mean_cost,
                          np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi), batch.skipped,

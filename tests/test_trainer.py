@@ -22,7 +22,6 @@ from localopf import (
     zo_voltage_jacobian,
 )
 from localopf.policy import forward_all, param_views
-from localopf.powerflow import env_voltage
 from localopf.trainer import (
     ADAM_BLOCK,
     LOG_COLUMNS,
@@ -264,24 +263,20 @@ def test_grad_policy_zero_where_projection_active(graph8, model8):
 def test_zo_jacobian_exact_on_linear_plant(graph8, model8):
     n = graph8.n
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
-    v_env = env_voltage(model8, stp.p_u, stp.q_u)
-
-    def plant(x):
-        return x @ model8.A.T + v_env
-
-    jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=1e-3, plant=plant)
+    jac = zo_voltage_jacobian(stp.box.midpoint, stp.p_u, stp.q_u, model8, graph8, zo_step=1e-3,
+                              plant="linear")
     np.testing.assert_allclose(jac, model8.A, atol=1e-10)
 
 
-def test_zo_jacobian_second_order_on_nonlinear_plant(graph8):
+def test_zo_jacobian_second_order_on_nonlinear_plant(graph8, model8):
     """Central-difference error decays quadratically in the probe size."""
     n = graph8.n
     stp = make_step(n, -0.01 * np.ones(n), -0.005 * np.ones(n), [3, 5, 7])
     x = stp.box.midpoint
-    ref = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=1e-6)
+    ref = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=1e-6)
     err = {}
     for h in (4e-2, 2e-2, 1e-2):
-        jac = zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, x, zo_step=h)
+        jac = zo_voltage_jacobian(x, stp.p_u, stp.q_u, model8, graph8, zo_step=h)
         err[h] = np.max(np.abs(jac - ref))
     r1 = err[4e-2] / err[2e-2]
     r2 = err[2e-2] / err[1e-2]
@@ -289,11 +284,11 @@ def test_zo_jacobian_second_order_on_nonlinear_plant(graph8):
     assert 2.5 < r2 < 6.0
 
 
-def test_zo_jacobian_rejects_bad_step(graph8):
+def test_zo_jacobian_rejects_bad_step(graph8, model8):
     stp = make_step(graph8.n, -0.01 * np.ones(graph8.n),
                     -0.005 * np.ones(graph8.n), [3])
     with pytest.raises(ValueError):
-        zo_voltage_jacobian(graph8, stp.p_u, stp.q_u, stp.box.midpoint, zo_step=0.0)
+        zo_voltage_jacobian(stp.box.midpoint, stp.p_u, stp.q_u, model8, graph8, zo_step=0.0)
 
 
 # ---------------------------------------------------------------------------
