@@ -27,6 +27,7 @@ from .scenario import ScenarioStep, cost_grad, project_box
 # an order of magnitude below the step; once the step is below ``eq_tol``
 # (1e-9) the tolerance is back at about ``SWEEP_TOL``.
 PICARD_PF_TOL_FRACTION = 0.1
+LEMMA1_PROBE = 1e-5  # constant added to every channel output by lemma1_check
 
 
 class ControllerError(RuntimeError):
@@ -307,17 +308,14 @@ def lemma1_check(
     model: LinearVoltageModel,
     graph: FeederGraph,
     cfg: ControllerConfig,
-    probe_scale: float = 1e-5,
 ) -> float:
     """Measured equilibrium sensitivity to a constant policy-output probe.
 
-    Solves the equilibrium with and without ``probe_scale`` added to every
+    Solves the equilibrium with and without ``LEMMA1_PROBE`` added to every
     controllable channel output, as one batch, and returns ||dx|| / ||probe||.
     """
-    if probe_scale == 0.0:
-        return 0.0
     delta = np.zeros(2 * graph.n)
-    delta[policy.columns] = probe_scale
+    delta[policy.columns] = LEMMA1_PROBE
     p_u, q_u = np.tile(step_data.p_u, (2, 1)), np.tile(step_data.q_u, (2, 1))
     offset = forward_all(policy, p_u, q_u)
     offset[1] += delta

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+POWER_ITER_TOL, POWER_ITER_MAX = 1e-12, 10000  # spectral_norm's relative stop rule, its cap
+
 
 class FeederError(ValueError):
     """Raised for malformed feeder files or non-tree topologies."""
@@ -285,24 +287,24 @@ def build_sensitivities(graph: FeederGraph) -> LinearVoltageModel:
     return LinearVoltageModel(R=R, X=X, A=A, v0=float(graph.v0), a_norm=spectral_norm(A))
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_iters: int = 10000) -> float:
+def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value by power iteration on A^T A.
 
     Deterministic all-ones start; iterates until the Rayleigh estimate moves
-    by less than ``tol`` relative, so the result is reproducible across runs.
+    by at most ``POWER_ITER_TOL`` relative, so the result is reproducible.
     """
     m = A.T @ A
     v = np.ones(m.shape[0])
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_ITER_MAX):
         w = m @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new_est = float(v @ (m @ v))
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
+        if abs(new_est - est) <= POWER_ITER_TOL * max(new_est, 1.0):
             est = new_est
             break
         est = new_est

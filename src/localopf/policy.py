@@ -172,15 +172,12 @@ def set_input_scale(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray) -> N
     params.d_scale = np.where(sd > 0, sd, 1.0)
 
 
-def enforce_conditions(params: PolicyParams, k_max: float | None = None) -> PolicyParams:
-    """Clamp every voltage gain into [0, k_max]; MLP weights untouched.
+def enforce_conditions(params: PolicyParams) -> PolicyParams:
+    """Clamp every voltage gain into [0, ``params.k_max``]; MLP weights untouched.
 
     Mutates ``params`` in place and returns it.
     """
-    if k_max is None:
-        k_max = params.k_max
-    np.clip(params.k, 0.0, k_max, out=params.k)
-    params.k_max = float(k_max)
+    np.clip(params.k, 0.0, params.k_max, out=params.k)
     return params
 
 

@@ -19,6 +19,7 @@ from .feeder import FeederGraph, LinearVoltageModel
 
 
 SWEEP_TOL = 1e-10  # default stop rule: every row moved less than this on the last sweep
+SWEEP_MAX_ITERS = 500  # sweeps before a solve gives up as not converged
 
 
 class VoltageCollapseError(RuntimeError):
@@ -72,7 +73,6 @@ def solve_nonlinear(
     s: InjectionState,
     v0: float,
     tol: float = SWEEP_TOL,
-    max_iters: int = 500,
     start: PowerFlowSolution | None = None,
 ) -> PowerFlowSolution:
     """Backward/forward sweep fixed point of the branch flow equations.
@@ -104,7 +104,7 @@ def solve_nonlinear(
                              f"injections' shape {neg_p.shape}") from None
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, SWEEP_MAX_ITERS + 1):
         P = (neg_p + r * ell) @ path.T
         Q = (neg_q + x * ell) @ path.T
         v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path

@@ -13,7 +13,7 @@ exactly by :func:`read_slots`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,10 +32,12 @@ class CostModel:
     p_floor: np.ndarray
     q_floor: np.ndarray
     weight: float = 1.0
+    floor: np.ndarray = field(init=False, repr=False)  # [p_floor; q_floor], stacked once, read-only
 
-    @property
-    def floor(self) -> np.ndarray:
-        return np.concatenate([self.p_floor, self.q_floor])
+    def __post_init__(self):
+        floor = np.concatenate([self.p_floor, self.q_floor])
+        floor.flags.writeable = False
+        object.__setattr__(self, "floor", floor)
 
 
 def cost_value(cost: CostModel, p: np.ndarray, q: np.ndarray):

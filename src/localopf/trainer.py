@@ -43,6 +43,7 @@ from .scenario import (
 
 ACTIVITY_TOL = 1e-12  # projection considered inactive when |proj(g) - g| <= this
 ADAM_BLOCK = 32768  # elements per Adam block: a cache-sized scratch instead of a theta-sized one
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # adam_update's settle rule assumes these
 # keys of each per-epoch row of train's log, in the column order of training_log.csv
 LOG_COLUMNS = ("epoch", "lagrangian", "mean_cost", "viol_rate_lo", "viol_rate_hi", "mu_norm",
                "skipped", "live_channels")
@@ -151,14 +152,12 @@ class Batch:
     """Converged equilibria of one minibatch, stacked row-wise.
 
     Every row shares ``cost`` and ``box``; ``skipped`` counts the samples
-    left out because their equilibrium solve did not converge, and
-    ``kept`` then gives the positions of the rows that stay.  ``offset``
-    and ``tape`` come from the minibatch's one ``forward_all`` pass, so the
-    gradient reuses them; like ``x`` they hold only the converged rows.
-    In training the pass covers only the channels with a stale stored term
-    on the minibatch's rows, whose tape entries alone are written, and the
-    other columns of ``offset`` come from the store; with no such channel
-    there is no pass and ``tape`` is None (see :func:`train`).
+    left out because their equilibrium solve did not converge.  ``offset``
+    comes from the minibatch's one ``forward_all`` pass and, like ``x``,
+    holds only the converged rows.  ``tape`` is that pass's tape, written
+    for the ``taped`` channels alone; it is None, and ``taped`` all False,
+    when no channel ran or a row was skipped.  :func:`grad_policy` reuses
+    the tape when it covers every live channel.
     """
 
     p_u: np.ndarray  # (S, N)
@@ -167,10 +166,10 @@ class Batch:
     v: np.ndarray  # (S, N) equilibrium squared voltages
     offset: np.ndarray  # (S, 2N) MLP term of the policy output
     tape: list | None  # forward_all tape of ``offset``: post-activations, channel-major
+    taped: np.ndarray  # (C,) channels whose entries of ``tape`` are written
     cost: CostModel
     box: BoxLimits
     skipped: int = 0
-    kept: np.ndarray | None = None  # (S,) minibatch positions of the rows, when some were skipped
 
     @cached_property
     def mean_cost(self) -> float:
@@ -196,6 +195,7 @@ def grad_policy(
     model: LinearVoltageModel,
     cfg: TrainerConfig,
     voltage_jacobian: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """Batch policy gradient via the chain rule through the equilibrium map.
 
@@ -209,11 +209,22 @@ def grad_policy(
     gains).  The exact implicit derivative, -(2wI + G[A; A])^-1 with G the
     diagonal gain matrix, was tried and gave a larger tracking gap, so it
     is not used.  The voltage band and the step size alpha come from
-    ``cfg``.  Reuses ``batch.offset`` and ``batch.tape``; returns a fresh
-    vector laid out like ``state.policy.theta``.
+    ``cfg``.  Returns ``(grad, live)``, ``live`` being the (C,) mask of
+    channels with a nonzero upstream entry: the only rows of ``grad`` that
+    may be nonzero, and with ``out`` the only rows written in full.
+    Backward runs only if one is live, on ``batch.tape`` if it covers every
+    live channel, else on one ``forward_all`` pass over the live channels of
+    the batch's rows; it writes into ``out`` when given (left as it is with
+    none live), else into a fresh zero vector.
     """
     upstream = _policy_upstream(batch, state, model, cfg, voltage_jacobian)
-    return backward_all(state.policy, batch.tape, upstream, batch.v)
+    live = np.any(upstream, axis=0)
+    if not live.any():
+        return np.zeros_like(state.policy.theta) if out is None else out, live
+    tape = batch.tape
+    if (live & ~batch.taped).any():  # a channel turned live on stored values, or no tape
+        _, tape = forward_all(state.policy, batch.p_u, batch.q_u, with_tape=True, channels=live)
+    return backward_all(state.policy, tape, upstream, batch.v, out=out), live
 
 
 def _policy_upstream(batch, state, model, cfg, voltage_jacobian):
@@ -291,8 +302,7 @@ def zo_voltage_jacobian(
 # Training loop.
 
 def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: float,
-                live: np.ndarray, horizon: int, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> np.ndarray:
+                live: np.ndarray, horizon: int) -> np.ndarray:
     """In-place adaptive-moment descent step on ``policy.theta``; returns the rows it moved.
 
     ``live``, a (C,) mask over ``theta``'s (C, P) rows, names the rows whose
@@ -314,8 +324,8 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
 
     - with g = 0, u = lr (m/bc1) / (sqrt(v/bc2) + eps) keeps its sign and
       |u_{t+1}| / |u_t| <= b1 sqrt(bc2_{t+1} / (b2 bc2_t)), below 1 from
-      t = 5 on for (0.9, 0.999) by 1.4% to 10%, which covers the roundings
-      of u while its operands are normal numbers;
+      t = 5 on for (b1, b2) = (0.9, 0.999) by 1.4% to 10%, which covers the
+      roundings of u while its operands are normal numbers;
     - rounding and the k clip are monotone, so once fl(theta - u_t) = theta
       no later zero-gradient step moves theta;
     - a subnormal m, or lr m, stops shrinking under *b1 while v falls, so
@@ -323,6 +333,7 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
       sqrt(v/bc2) + eps)) and times b1 per step left, stay at least
       ``np.finfo(float).tiny``.
     """
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     adam.t += 1
     bc1 = 1.0 - beta1**adam.t
     bc2 = 1.0 - beta2**adam.t
@@ -410,18 +421,18 @@ def train(
     """Primal-dual training over the pooled slots of ``scenarios``.
 
     Every scenario must share the first one's cost and box; training starts
-    from :func:`initial_state` of the pooled rows.  A channel's
-    MLP term on a pooled row is kept in a per-(row, channel) store, filled
-    by passes of ``batch_size`` rows, and stays valid exactly as long as
-    the channel's ``theta`` row keeps its bits: the rows Adam reports moved
-    are cleared, and a pass runs only on the channels with a stale entry
-    among the minibatch's rows (none when all are fresh; a short minibatch
-    runs every channel).  Backward runs on the live channels alone, and
-    Adam steps each row by its kind (see :func:`adam_update`).  The result
-    is bit for bit that of a step over every channel as long as a row's
-    MLP term does not depend on the other rows of a pass of ``batch_size``
-    rows, which ``tests/test_sparse_step.py`` checks.
-    Returns (final TrainerState, per-epoch log list).  Each log row also carries
+    from :func:`initial_state` of the pooled rows.  A channel's MLP term on
+    a pooled row is kept in a per-(row, channel) store, filled by passes of
+    ``batch_size`` rows, and stays valid exactly as long as the channel's
+    ``theta`` row keeps its bits: the rows Adam reports moved are cleared,
+    and a pass runs only on the channels with a stale entry among the
+    minibatch's rows (none when all are fresh; a short minibatch runs every
+    channel).  Each minibatch's gradient is :func:`grad_policy`'s, and Adam
+    steps each row by its kind (see :func:`adam_update`).  The result is
+    bit for bit that of a step over every channel as long as a row's MLP
+    term does not depend on the other rows of a pass of ``batch_size``
+    rows, which ``tests/test_sparse_step.py`` checks.  Returns (final
+    TrainerState, per-epoch log list).  Each log row also carries
     ``skipped``, the samples whose equilibrium did not converge, and
     ``live_channels``, the mean count per minibatch of channels whose
     gradient is not exactly zero (a nonzero upstream entry).  Deterministic
@@ -439,7 +450,6 @@ def train(
                                  "the first scenario's; training shares one cost and one box")
     p_u = np.concatenate([scn.p_u for scn in scenarios])
     q_u = np.concatenate([scn.q_u for scn in scenarios])
-    n = graph.n
     state = initial_state(p_u, q_u, cost, box, cfg, graph, model)
     sigma_lambda = cfg.sigma_phi if cfg.sigma_lambda is None else cfg.sigma_lambda
     rng = np.random.default_rng(cfg.seed)
@@ -455,7 +465,7 @@ def train(
     C, cols = state.policy.n_channels, state.policy.columns
     stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
     fresh = np.zeros((len(p_u), C), dtype=bool)
-    grad = np.zeros_like(state.policy.theta)  # Adam reads only the live rows backward_all wrote
+    grad = np.zeros_like(state.policy.theta)  # Adam reads only the live rows grad_policy wrote
     horizon = cfg.epochs * -(-len(p_u) // cfg.batch_size)  # the run's Adam steps
     log = []
     for epoch in range(cfg.epochs):
@@ -469,31 +479,22 @@ def train(
                 offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
                                            channels=ran)
             else:
-                offset, tape = np.zeros((len(chunk), 2 * n)), None
+                offset, tape = np.zeros((len(chunk), 2 * graph.n)), None
             if full:
                 offset[:, cols[~ran]] = stored[np.ix_(chunk, ~ran)]
                 stored[np.ix_(chunk, ran)] = offset[:, cols[ran]]
                 fresh[np.ix_(chunk, ran)] = True
             batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
-                                         graph, ctrl_cfg, x_warm, (offset, tape))
+                                         graph, ctrl_cfg, x_warm, offset, tape, ran)
             jac = None
             if cfg.mode == "gradient_free":
                 # probe around the first converged row under its own injections
                 jac = zo_voltage_jacobian(batch.x[0], batch.p_u[0], batch.q_u[0], model, graph,
                                           cfg.zo_step)
-            upstream = _policy_upstream(batch, state, model, cfg, jac)
-            live = np.any(upstream, axis=0)
+            grad, live = grad_policy(batch, state, model, cfg, jac, out=grad)
             rows.append((lagrangian(batch, state, cfg), batch.mean_cost,
                          np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi),
                          batch.skipped, np.count_nonzero(live)))
-            if live.any():
-                tape = batch.tape
-                if (live & ~ran).any():  # a channel turned live on stored values: tape all live
-                    _, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
-                                          channels=live)
-                    if batch.kept is not None:
-                        tape = [a[:, batch.kept] for a in tape]
-                backward_all(state.policy, tape, upstream, batch.v, out=grad)
             moved = adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, live, horizon)
             fresh[:, moved] = False
             enforce_conditions(state.policy)  # clips k, which the MLP term does not read
@@ -517,17 +518,17 @@ def train(
     return state, log
 
 
-def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp):
+def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, offset, tape, taped):
     """Equilibria for one minibatch on ``ctrl_cfg.plant``, and the warm start for the next one.
 
-    ``p_u``, ``q_u`` are the minibatch's (S, N) rows; ``mlp`` is the
-    ``(offset, tape)`` of their ``forward_all`` pass.  Every row starts
-    from ``x_warm`` and all rows are solved as one batch; the next
-    minibatch starts from the last row.
-    When every row converged the batch holds the solve's arrays themselves;
-    otherwise it holds copies of the converged rows.
+    ``p_u``, ``q_u`` are the minibatch's (S, N) rows; ``offset`` and
+    ``tape`` come from their ``forward_all`` pass, whose tape covers the
+    ``taped`` channels (see :class:`Batch`).  Every row starts from
+    ``x_warm`` and all rows are solved as one batch; the next minibatch
+    starts from the last row.  When every row converged the batch holds the
+    solve's arrays themselves; otherwise it holds copies of the converged
+    rows and no tape.
     """
-    offset, tape = mlp
     x, v, conv, _ = solve_equilibria_batch(
         p_u, q_u, offset, cost, box, policy, model, graph, ctrl_cfg,
         np.tile(x_warm, (len(p_u), 1)),
@@ -539,11 +540,9 @@ def _solve_batch(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, ml
         )
     x_next = x[-1]
     skipped = int(np.sum(~conv))
-    kept = None
     if skipped:
-        kept = np.flatnonzero(conv)
-        p_u, q_u, x, v, offset = p_u[kept], q_u[kept], x[kept], v[kept], offset[kept]
-        tape = None if tape is None else [a[:, kept] for a in tape]
-    batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape,
-                  cost=cost, box=box, skipped=skipped, kept=kept)
+        p_u, q_u, x, v, offset = p_u[conv], q_u[conv], x[conv], v[conv], offset[conv]
+        tape, taped = None, np.zeros_like(taped)
+    batch = Batch(p_u=p_u, q_u=q_u, x=x, v=v, offset=offset, tape=tape, taped=taped,
+                  cost=cost, box=box, skipped=skipped)
     return batch, x_next

@@ -93,6 +93,7 @@ def solved_batch(samples, policy, model, graph, cfg):
         v=np.array([e.v_dag for e in eqs]),
         offset=offset,
         tape=tape,
+        taped=np.ones(policy.n_channels, dtype=bool),
         cost=samples[0].cost,
         box=samples[0].box,
     )

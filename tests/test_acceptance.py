@@ -197,7 +197,7 @@ def test_acceptance_5_gradient_fidelity(graph8, model8):
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=50_000)
 
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg))
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg)[0])
 
     def lag():
         return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, tr_cfg)

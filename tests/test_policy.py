@@ -271,7 +271,8 @@ def test_compute_k_max_rejects_nonpositive_convexity_constants(m, xi):
 def test_enforce_conditions_clamps(graph8):
     pol = init_policy(graph8, [3], k_max=1.0, seed=0)
     pol.k[:] = [-0.3, 2.0]
-    enforce_conditions(pol, k_max=0.5)
+    pol.k_max = 0.5
+    enforce_conditions(pol)
     np.testing.assert_array_equal(pol.k, [0.0, 0.5])
     assert pol.k_max == 0.5
     assert pol.lipschitz_v() == 0.5
@@ -312,7 +313,8 @@ def test_theta_layout(policy, tmp_path):
             pos += block.size
         assert pos == (c + 1) * P
     policy.k[:] = np.linspace(-0.5, 0.5, C)
-    enforce_conditions(policy, k_max=0.2)
+    policy.k_max = 0.2
+    enforce_conditions(policy)
     np.testing.assert_array_equal(theta.reshape(C, P)[:, -1],
                                   np.clip(np.linspace(-0.5, 0.5, C), 0.0, 0.2))
     save_policy(policy, tmp_path / "pol.npz")

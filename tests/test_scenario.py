@@ -216,3 +216,11 @@ def test_box_limits_stack_once_as_read_only_arrays():
     assert _box.lo is _box.lo and _box.hi is _box.hi
     with pytest.raises(ValueError):
         _box.lo[0] = 5.0
+
+
+def test_cost_floor_stacks_once_as_a_read_only_array():
+    cost = CostModel(np.array([0.1, -0.2]), np.array([0.3, 0.0]), weight=2.0)
+    assert cost.floor is cost.floor
+    np.testing.assert_array_equal(cost.floor, np.concatenate([cost.p_floor, cost.q_floor]))
+    with pytest.raises(ValueError):
+        cost.floor[0] = 5.0

@@ -310,11 +310,13 @@ def test_backward_all_on_a_subset_allocates_no_more_than_on_all(shipped):
 def reference_train(scenarios, cfg, graph, model):
     """``train`` as a loop that runs the MLP of every channel in every minibatch.
 
-    Each minibatch takes one all-channel ``forward_all`` pass (inside
-    ``_solve_batch``), the dense backward and the dense Adam step over every
-    row.  The other parts, the start from ``initial_state`` included, are the
-    trainer's own, looked up on the module at call time, so a test that
-    patches one patches it here too.
+    Each minibatch takes one all-channel ``forward_all`` pass, the dense
+    backward and the dense Adam step over every row.  A minibatch with a
+    row left out as not converged has no tape, so its gradient tapes one
+    more pass over the kept rows, as ``grad_policy`` does.  The other
+    parts, the start from ``initial_state`` included, are the trainer's
+    own, looked up on the module at call time, so a test that patches one
+    patches it here too.
     """
     p_u = np.concatenate([scn.p_u for scn in scenarios])
     q_u = np.concatenate([scn.q_u for scn in scenarios])
@@ -331,9 +333,10 @@ def reference_train(scenarios, cfg, graph, model):
         rows = []
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
-            mlp = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True)
+            offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True)
             batch, x_warm = trainer._solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy,
-                                                 model, graph, ctrl_cfg, x_warm, mlp)
+                                                 model, graph, ctrl_cfg, x_warm, offset, tape,
+                                                 np.ones(state.policy.n_channels, dtype=bool))
             jac = None
             if cfg.mode == "gradient_free":
                 jac = trainer.zo_voltage_jacobian(batch.x[0], batch.p_u[0], batch.q_u[0], model,
@@ -342,7 +345,10 @@ def reference_train(scenarios, cfg, graph, model):
             rows.append((trainer.lagrangian(batch, state, cfg), batch.mean_cost,
                          np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi), batch.skipped,
                          np.count_nonzero(np.any(upstream, axis=0))))
-            grad = dense_backward_all(state.policy, batch.tape, upstream, batch.v)
+            tape = batch.tape
+            if tape is None:
+                _, tape = forward_all(state.policy, batch.p_u, batch.q_u, with_tape=True)
+            grad = dense_backward_all(state.policy, tape, upstream, batch.v)
             dense_adam_update(state.policy.theta, grad, state.adam_state, cfg.sigma_phi)
             enforce_conditions(state.policy)
             if cfg.lambda_mode == "learned":
@@ -416,7 +422,7 @@ def count_tapeless(monkeypatch):
     solve = trainer._solve_batch
 
     def counted(*args):
-        tapeless.append(args[-1][1] is None)
+        tapeless.append(args[-2] is None)
         return solve(*args)
 
     monkeypatch.setattr(trainer, "_solve_batch", counted)
@@ -436,6 +442,29 @@ def test_train_matches_reference_loop(monkeypatch, run):
         assert any(tapeless)  # some minibatches read every channel from the store
 
 
+def test_train_forms_every_gradient_in_grad_policy(monkeypatch):
+    """One ``grad_policy`` call per minibatch, and Adam steps on the vector it returns."""
+    scenarios, cfg, graph, model = shipped_training("config_8bus.yaml")
+    grad_policy, adam = trainer.grad_policy, trainer.adam_update
+    formed, stepped = [], []
+
+    def counted_grad(*a, **kw):
+        grad, live = grad_policy(*a, **kw)
+        formed.append(grad)
+        return grad, live
+
+    def counted_step(policy, grad, *a, **kw):
+        stepped.append(grad)
+        return adam(policy, grad, *a, **kw)
+
+    monkeypatch.setattr(trainer, "grad_policy", counted_grad)
+    monkeypatch.setattr(trainer, "adam_update", counted_step)
+    train(scenarios, cfg, graph, model)
+    minibatches = -(-sum(len(scn) for scn in scenarios) // cfg.batch_size)
+    assert len(formed) == len(stepped) == cfg.epochs * minibatches
+    assert all(g is h for g, h in zip(formed, stepped))
+
+
 @pytest.mark.parametrize("run", ["8bus", "8bus-short_tail", "37bus-3epochs", "37bus-16epochs"])
 def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
     """Each minibatch's MLP term, stored columns included, is a fresh 32-row pass's, bit for bit."""
@@ -444,11 +473,13 @@ def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
     solve = trainer._solve_batch
     tapeless = []
 
-    def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp):
+    def checked(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, offset, tape, taped):
         if len(p_u) == cfg.batch_size:
-            assert mlp[0].tobytes() == forward_all(policy, p_u, q_u).tobytes()
-        tapeless.append(mlp[1] is None)
-        return solve(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, mlp)
+            assert offset.tobytes() == forward_all(policy, p_u, q_u).tobytes()
+        assert (tape is None) == (not taped.any())
+        tapeless.append(tape is None)
+        return solve(p_u, q_u, cost, box, policy, model, graph, ctrl_cfg, x_warm, offset, tape,
+                     taped)
 
     monkeypatch.setattr(trainer, "_solve_batch", checked)
     calls = count_passes(monkeypatch)
@@ -461,18 +492,19 @@ def test_stored_rows_equal_fresh_full_pass(monkeypatch, run):
 
 @pytest.mark.parametrize("drop_row", [False, True])
 def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
-    """A frozen channel that first goes live on stored values is taped by one extra pass.
+    """A frozen channel that first goes live on stored values is taped inside ``grad_policy``.
 
     ``_policy_upstream`` is patched, in both loops alike, to hold channel c's
     column at zero until minibatch 6 + 5c, so a channel turns live only in a
     later epoch, after its MLP term was stored (on this config only channel
     4 ever does, at minibatch 26).  With ``drop_row`` the
     equilibrium solve also reports row 1 of every minibatch as not
-    converged, so the extra pass must be cut to the kept rows.
+    converged, so no batch has a tape and ``grad_policy`` tapes the kept
+    rows of every minibatch with a live channel.
     """
     args = shipped_training("config_8bus.yaml", "trainer.sigma_mu=3.0")
     upstream, solve = trainer._policy_upstream, trainer.solve_equilibria_batch
-    events = []  # ("pass", channels), ("live", mask) and ("step", None), in call order
+    events = []  # ("pass", channels), ("live", mask), ("enter"/"leave", None), ("step", None)
 
     def gated():
         seen = []
@@ -497,7 +529,7 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
     want = reference_train(*args)
     events.clear()
     monkeypatch.setattr(trainer, "_policy_upstream", gated())
-    adam = trainer.adam_update
+    adam, grad_policy = trainer.adam_update, trainer.grad_policy
 
     def counted_pass(*a, channels=None, **kw):
         events.append(("pass", channels))
@@ -507,21 +539,33 @@ def test_channel_turning_live_late_gets_its_tape(monkeypatch, drop_row):
         events.append(("step", None))
         return adam(*a, **kw)
 
+    def counted_grad(*a, **kw):
+        events.append(("enter", None))
+        result = grad_policy(*a, **kw)
+        events.append(("leave", None))
+        return result
+
     monkeypatch.setattr(trainer, "forward_all", counted_pass)
     monkeypatch.setattr(trainer, "adam_update", counted_step)
+    monkeypatch.setattr(trainer, "grad_policy", counted_grad)
     got = train(*args)
     assert_same_training(got, want)
     assert got[1][0]["skipped"] == (4 if drop_row else 0)
     # A minibatch's events: its pass, if a channel is stale on its rows, then
-    # the upstream, the extra passes and the Adam step.  Each channel's
-    # turn-on minibatch must tape it in an extra pass.
+    # one grad_policy call holding the upstream and the extra passes, then
+    # the Adam step.  Each channel's turn-on minibatch must tape it in an
+    # extra pass inside that call.
     turned = np.zeros(got[0].policy.n_channels, dtype=bool)
     ends = [i for i, (kind, _) in enumerate(events) if kind == "step"]
     for i, (a, b) in enumerate(zip([-1] + ends, ends)):
         kinds, masks = zip(*events[a + 1:b])
         at = kinds.index("live")
+        assert kinds.count("enter") == 1 and kinds[at - 1] == "enter" and kinds[-1] == "leave"
+        extras = masks[at + 1:-1]  # the passes inside grad_policy
+        if drop_row:
+            assert [m.tolist() for m in extras] == ([masks[at].tolist()] if masks[at].any() else [])
         for c in np.flatnonzero(masks[at] & ~turned):
-            assert any(extra[c] for extra in masks[at + 1:]), f"channel {c}, minibatch {i}"
+            assert any(extra[c] for extra in extras), f"channel {c}, minibatch {i}"
         turned |= masks[at]
     assert turned.any()
 

@@ -96,6 +96,7 @@ def _fabricated_batch(policy):
         v=np.array([np.full(n, 0.96), np.full(n, 1.01)]),
         offset=offset,
         tape=tape,
+        taped=np.ones(policy.n_channels, dtype=bool),
         cost=steps[0].cost,
         box=steps[0].box,
     )
@@ -171,7 +172,7 @@ def test_grad_policy_matches_finite_difference(graph8, model8):
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-13, eq_max_iters=20_000)
 
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg))
+    grad_w, grad_b, _ = param_views(pol, grad_policy(batch, state, model8, tr_cfg)[0])
 
     def lag():
         return lagrangian(solved_batch(samples, pol, model8, graph8, cfg), state, tr_cfg)
@@ -218,10 +219,11 @@ def test_grad_policy_with_explicit_jacobian_matches_linear(graph8, model8):
     samples = [interior_step(graph8, rng, t) for t in range(4)]
     cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
     batch = solved_batch(samples, pol, model8, graph8, cfg)
-    g0 = grad_policy(batch, state, model8, tr_cfg)
+    g0, live0 = grad_policy(batch, state, model8, tr_cfg)
     jac = np.concatenate([model8.R, model8.X], axis=1)
-    g1 = grad_policy(batch, state, model8, tr_cfg, voltage_jacobian=jac)
+    g1, live1 = grad_policy(batch, state, model8, tr_cfg, voltage_jacobian=jac)
     np.testing.assert_allclose(g1, g0, atol=1e-14)
+    np.testing.assert_array_equal(live1, live0)
 
 
 def test_grad_policy_returns_fresh_array_without_out(graph8, model8):
@@ -231,10 +233,14 @@ def test_grad_policy_returns_fresh_array_without_out(graph8, model8):
     tr_cfg = _tiny_cfg(beta=0.3)
     samples = [interior_step(graph8, rng, t) for t in range(3)]
     batch = solved_batch(samples, pol, model8, graph8, ControllerConfig(alpha=ALPHA, eq_tol=1e-11))
-    g0 = grad_policy(batch, state, model8, tr_cfg)
-    g1 = grad_policy(batch, state, model8, tr_cfg)
+    g0, live = grad_policy(batch, state, model8, tr_cfg)
+    g1, _ = grad_policy(batch, state, model8, tr_cfg)
     assert not np.shares_memory(g0, g1)
     np.testing.assert_array_equal(g0, g1)
+    assert live.all()  # interior equilibria: every channel gets a gradient
+    out = np.full_like(g0, np.nan)
+    assert grad_policy(batch, state, model8, tr_cfg, out=out)[0] is out
+    np.testing.assert_array_equal(out, g0)
 
 
 def test_grad_policy_zero_where_projection_active(graph8, model8):
@@ -250,10 +256,15 @@ def test_grad_policy_zero_where_projection_active(graph8, model8):
     batch = solved_batch(samples, pol, model8, graph8, cfg)
     assert np.all(np.abs(batch.x[:, np.array(pol.nodes) - 1]) < 1e-9)  # pinned at zero
     state = _tiny_state(n, pol, mu=0.7)
-    grad_w, _, grad_k = param_views(pol, grad_policy(batch, state, model8, _tiny_cfg()))
+    grad, live = grad_policy(batch, state, model8, _tiny_cfg())
+    assert not live.any()
+    grad_w, _, grad_k = param_views(pol, grad)
     for l in range(len(grad_w)):
         np.testing.assert_allclose(grad_w[l], 0.0, atol=1e-15)
     np.testing.assert_allclose(grad_k, 0.0, atol=1e-15)
+    out = np.full_like(grad, np.nan)  # with no live channel, out comes back as it was
+    assert grad_policy(batch, state, model8, _tiny_cfg(), out=out)[0] is out
+    assert np.isnan(out).all()
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +513,18 @@ def _solve(samples, pol, model, graph, cfg):
     p_u, q_u = np.array([s.p_u for s in samples]), np.array([s.q_u for s in samples])
     mlp = forward_all(pol, p_u, q_u, with_tape=True)
     batch, _ = trainer._solve_batch(p_u, q_u, samples[0].cost, samples[0].box, pol, model, graph,
-                                    cfg, samples[0].box.midpoint, mlp)
+                                    cfg, samples[0].box.midpoint, *mlp,
+                                    np.ones(pol.n_channels, dtype=bool))
     return batch, mlp
 
 
 def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
-    """A row dropped as not converged leaves offset, tape and gradient on the kept rows."""
+    """A row dropped as not converged leaves offset and gradient on the kept rows.
+
+    The batch drops the tape instead of slicing it by rows, so
+    ``grad_policy`` tapes one pass over the kept rows, and the gradient is
+    that of a batch of the kept rows alone.
+    """
     rng = np.random.default_rng(41)
     pol = init_policy(graph8, [3, 5, 7], arch=(1, 5), k_max=0.1, seed=4)
     samples = [interior_step(graph8, rng, t) for t in range(4)]
@@ -525,15 +542,21 @@ def test_skipped_row_keeps_tape_aligned(graph8, model8, monkeypatch):
     kept = [samples[i] for i in (0, 2, 3)]
     assert batch.skipped == 1
     np.testing.assert_array_equal(batch.p_u, [s.p_u for s in kept])
-    offset, tape = forward_all(pol, batch.p_u, batch.q_u, with_tape=True)
+    offset = forward_all(pol, batch.p_u, batch.q_u)
     np.testing.assert_allclose(batch.offset, offset, rtol=1e-14, atol=0.0)
-    assert len(batch.tape) == len(tape)
-    for a, b in zip(batch.tape, tape):
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+    assert batch.tape is None and not batch.taped.any()
     state = _tiny_state(graph8.n, pol, lam=0.02, mu=0.7)
     tr_cfg = _tiny_cfg(beta=0.3)
-    grad = grad_policy(batch, state, model8, tr_cfg)
-    ref = grad_policy(solved_batch(kept, pol, model8, graph8, cfg), state, model8, tr_cfg)
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(len(args[1]))
+        return forward_all(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_all", counted)
+    grad, live = grad_policy(batch, state, model8, tr_cfg)
+    assert passes == [3] and live.all()  # one pass, over the kept rows
+    ref, _ = grad_policy(solved_batch(kept, pol, model8, graph8, cfg), state, model8, tr_cfg)
     assert np.any(ref != 0.0)
     np.testing.assert_allclose(grad, ref, atol=1e-10)
 
