@@ -20,7 +20,7 @@ def describe(name):
     print(f"== {name} ==")
     print(f"  non-root buses : {graph.n}")
     print(f"  base power     : {graph.base_power:.0f} kVA")
-    depth = max(len(list(_path(graph, j))) for j in range(1, graph.n + 1))
+    depth = int(graph.path.sum(axis=0).max())  # lines on the longest root path
     print(f"  feeder depth   : {depth}")
     print(f"  ||A||_2        : {model.a_norm:.4f}")
     print(f"  R eigenvalues  : [{np.linalg.eigvalsh(model.R)[0]:.4f}, "
@@ -32,12 +32,6 @@ def describe(name):
     print(f"  most voltage-sensitive bus: {deepest} "
           f"(dv/dq = {model.X[deepest - 1, deepest - 1]:.4f})")
     print()
-
-
-def _path(graph, j):
-    from localopf import path_to_root
-
-    return path_to_root(graph, j)
 
 
 if __name__ == "__main__":

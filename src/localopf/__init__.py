@@ -10,14 +10,12 @@ ground-truth solvers plus metrics to benchmark the tracking performance.
 __version__ = "0.1.0"
 
 from .feeder import (
-    Bus,
     FeederError,
     FeederGraph,
     Line,
     LinearVoltageModel,
     build_sensitivities,
     load_feeder,
-    path_to_root,
 )
 from .powerflow import (
     InjectionState,

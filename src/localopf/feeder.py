@@ -3,13 +3,16 @@
 A feeder is a tree rooted at bus 0 (the substation).  All electrical
 quantities inside the package are per-unit on the feeder's power base;
 the file loader converts ohmic line data when a voltage base is given.
-The tree's shape reaches the numerics through one matrix, the root-path
-incidence ``FeederGraph.path``: the sensitivities and the branch-flow sweep
-are both products with it.
+A ``FeederGraph`` holds the tree once, as each non-root bus's ``parent``
+and the ``r``, ``x`` of the line feeding it.  The root-path incidence
+``FeederGraph.path`` is derived from ``parent`` once: the sensitivities and
+the branch-flow sweep are both products with it, while the power-flow
+residual reads ``parent`` itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +25,8 @@ class FeederError(ValueError):
 
 
 @dataclass(frozen=True)
-class Bus:
-    id: int
-    name: str = ""
-
-
-@dataclass(frozen=True)
 class Line:
-    """One series branch, oriented parent (closer to root) -> child."""
+    """One series branch as a feeder file lists it: either endpoint first, per-unit impedance."""
 
     from_bus: int
     to_bus: int
@@ -37,71 +34,84 @@ class Line:
     x: float  # per-unit
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.x > 0.0):
+        if not (0.0 < self.r < math.inf and 0.0 < self.x < math.inf):
             raise FeederError(
-                f"line {self.from_bus}->{self.to_bus}: impedance must be "
+                f"impedance of line {self.from_bus}->{self.to_bus} must be finite and "
                 f"strictly positive (r={self.r}, x={self.x})"
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeederGraph:
-    """Validated radial network.
+    """Radial network as arrays indexed by non-root bus.
 
-    Lines are stored parent->child and indexed so that ``lines[j-1]`` is the
-    unique line feeding bus ``j``.  ``order`` lists non-root buses so that
-    every parent appears before its children.  ``path[l, j]`` is 1 when line
-    ``l`` (feeding bus ``l+1``) lies on the root path of bus ``j+1``, else 0.
-    ``r``, ``x`` and ``z2`` = r² + x² hold the line impedances indexed like
-    ``lines``; ``send[l]`` is the sending-end bus of line ``l`` as a 0-based
-    voltage index (0 for the ``root_lines``, which the slack bus feeds).
+    Bus ``j`` (1..N) hangs off bus ``parent[j-1]`` (0 is the substation)
+    through the line of per-unit impedance ``r[j-1] + i x[j-1]``; line ``l``
+    is the one feeding bus ``l+1``.  ``build_graph`` makes one from a line
+    list; a ``parent`` whose walk from some bus misses bus 0 raises
+    :class:`FeederError`.  Derived once here, and not settable:
+    ``path[l, j]`` is 1 when line ``l`` lies on the root path of bus ``j+1``,
+    else 0; ``z2`` = r² + x²; ``send[l]`` is the sending-end bus of line
+    ``l`` as a 0-based voltage index (0 for the ``root_lines``, which the
+    slack bus feeds).
     """
 
-    buses: tuple[Bus, ...]
-    lines: tuple[Line, ...]
-    children: dict[int, tuple[int, ...]]
+    parent: np.ndarray  # (N,) int
+    r: np.ndarray  # (N,)
+    x: np.ndarray  # (N,)
     base_power: float  # kVA
     v0: float = 1.0  # squared slack voltage, per-unit^2
-    parent: tuple[int, ...] = field(default=())  # parent[j-1] for bus j
-    order: tuple[int, ...] = field(default=())  # root-to-leaf bus order
-    path: np.ndarray = field(default=None, repr=False, compare=False)  # (N, N) incidence
-    r: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
-    x: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
-    z2: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
-    send: np.ndarray = field(default=None, repr=False, compare=False)  # (N,)
-    root_lines: np.ndarray = field(default=None, repr=False, compare=False)  # (N,) bool
+    path: np.ndarray = field(init=False, repr=False)  # (N, N) incidence
+    z2: np.ndarray = field(init=False, repr=False)  # (N,)
+    send: np.ndarray = field(init=False, repr=False)  # (N,)
+    root_lines: np.ndarray = field(init=False, repr=False)  # (N,) bool
+
+    def __post_init__(self):
+        up = np.asarray(self.parent)
+        r, x = np.asarray(self.r, dtype=float), np.asarray(self.x, dtype=float)
+        n = len(up)
+        # walk each bus's parents to the root; a tree's root paths hold fewer than n*n
+        # lines in all, so a walk still going past that is in a cycle
+        walk, rows, cols = up.tolist(), [], []
+        for j in range(1, n + 1):
+            bus = j
+            while 0 < bus <= n and len(rows) < n * n:
+                rows.append(bus - 1)
+                cols.append(j - 1)
+                bus = walk[bus - 1]
+            if bus != 0:
+                raise FeederError(f"bus {j} does not reach the root through parent")
+        path = np.zeros((n, n))
+        path[rows, cols] = 1.0
+        for name, value in (("parent", up), ("r", r), ("x", x), ("path", path),
+                            ("z2", r * r + x * x),
+                            ("send", np.maximum(up - 1, 0)), ("root_lines", up == 0)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         """Number of non-root buses."""
-        return len(self.buses) - 1
-
-    def line_to(self, bus: int) -> Line:
-        if not 1 <= bus <= self.n:
-            raise FeederError(f"unknown non-root bus id {bus}")
-        return self.lines[bus - 1]
+        return len(self.parent)
 
 
-def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
-    """Orient, validate, and freeze a feeder description.
+def build_graph(n_buses, lines, base_power, v0=1.0) -> FeederGraph:
+    """Orient and validate the lines of buses ``0..n_buses-1`` into a FeederGraph.
 
-    Input lines may list either endpoint first; an orientation pass from the
-    root fixes the parent->child direction.  Raises :class:`FeederError` on
-    cycles, disconnected buses, duplicate lines, or bad ids.
+    Input lines may list either endpoint first; a breadth-first pass from the
+    root fixes the parent->child direction and takes each bus's ``parent``,
+    ``r`` and ``x`` from the line that reaches it.  Raises
+    :class:`FeederError` on a line count other than ``n_buses - 1``, an
+    unknown bus, a duplicate line, a self-loop, a cycle or a disconnected bus.
     """
-    buses = tuple(sorted(buses, key=lambda b: b.id))
-    ids = [b.id for b in buses]
-    n = len(buses) - 1
-    if ids != list(range(n + 1)):
-        raise FeederError(f"bus ids must be contiguous 0..{n}, got {ids}")
+    n = n_buses - 1
     if len(lines) != n:
-        raise FeederError(f"expected {n} lines for {n + 1} buses, got {len(lines)}")
+        raise FeederError(f"expected {n} lines for {n_buses} buses, got {len(lines)}")
 
-    adj: dict[int, list[tuple[int, Line]]] = {b.id: [] for b in buses}
+    adj: list[list[Line]] = [[] for _ in range(n_buses)]
     seen = set()
     for ln in lines:
         for end in (ln.from_bus, ln.to_bus):
-            if end not in adj:
+            if not 0 <= end < n_buses:
                 raise FeederError(f"line references unknown bus {end}")
         key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
         if key in seen:
@@ -109,60 +119,31 @@ def build_graph(buses, lines, base_power, v0=1.0) -> FeederGraph:
         if ln.from_bus == ln.to_bus:
             raise FeederError(f"self-loop at bus {ln.from_bus}")
         seen.add(key)
-        adj[ln.from_bus].append((ln.to_bus, ln))
-        adj[ln.to_bus].append((ln.from_bus, ln))
+        adj[ln.from_bus].append(ln)
+        adj[ln.to_bus].append(ln)
 
     # BFS orientation from the root; with |lines| == n, revisiting a bus
     # means a cycle and unvisited buses mean disconnection.
-    oriented: list[Line | None] = [None] * n
-    parent = [-1] * n
-    order: list[int] = []
-    visited = {0}
-    queue = [0]
-    children: dict[int, list[int]] = {b.id: [] for b in buses}
+    parent, r, x = [-1] * n, [0.0] * n, [0.0] * n
+    visited, queue = {0}, [0]
     while queue:
         u = queue.pop(0)
-        for w, ln in adj[u]:
+        for ln in adj[u]:
+            w = ln.to_bus if ln.from_bus == u else ln.from_bus
             if w in visited:
-                is_parent_edge = u != 0 and parent[u - 1] == w
-                if not is_parent_edge:
+                if u == 0 or parent[u - 1] != w:
                     raise FeederError(f"cycle detected through bus {w}")
                 continue
             visited.add(w)
-            oriented[w - 1] = Line(u, w, ln.r, ln.x)
-            parent[w - 1] = u
-            children[u].append(w)
-            order.append(w)
+            parent[w - 1], r[w - 1], x[w - 1] = u, ln.r, ln.x
             queue.append(w)
-    if len(visited) != n + 1:
-        missing = sorted(set(ids) - visited)
+    if len(visited) != n_buses:
+        missing = sorted(set(range(n_buses)) - visited)
         raise FeederError(f"disconnected buses {missing}")
+    return FeederGraph(np.array(parent), np.array(r), np.array(x), float(base_power), float(v0))
 
-    # a bus's root path is its parent's plus the line feeding it
-    path = np.zeros((n, n))
-    for w in order:
-        if parent[w - 1] != 0:
-            path[:, w - 1] = path[:, parent[w - 1] - 1]
-        path[w - 1, w - 1] = 1.0
-    r = np.array([ln.r for ln in oriented])
-    x = np.array([ln.x for ln in oriented])
-    up = np.array(parent)
 
-    return FeederGraph(
-        buses=buses,
-        lines=tuple(oriented),  # type: ignore[arg-type]
-        children={k: tuple(v) for k, v in children.items()},
-        base_power=float(base_power),
-        v0=float(v0),
-        parent=tuple(parent),
-        order=tuple(order),
-        path=path,
-        r=r,
-        x=x,
-        z2=r * r + x * x,
-        send=np.maximum(up - 1, 0),
-        root_lines=up == 0,
-    )
+HEADER_KEYS = ("buses", "base_kva", "v0", "base_kv")  # base_kv is optional
 
 
 def load_feeder(path) -> FeederGraph:
@@ -173,89 +154,64 @@ def load_feeder(path) -> FeederGraph:
         buses: N, base_kva: B, v0: V [, base_kv: K]
         line,<from>,<to>,<r>,<x>,<ohm|pu>
 
-    Ohmic impedances require ``base_kv`` in the header and are converted to
-    per-unit on (base_kva, base_kv).
+    The header names each key at most once and no other key; ``N`` is an
+    integer of at least 2 and ``B``, ``V`` and ``K`` are finite and positive.
+    Ohmic impedances require ``base_kv`` and are converted to per-unit on
+    (base_kva, base_kv); every impedance must be finite and positive.  Each
+    malformed line raises :class:`FeederError` naming its file line; the
+    topology is then checked by :func:`build_graph`.
     """
-    header = None
-    raw_lines = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if header is None:
-                header = _parse_header(text, lineno)
-                continue
-            raw_lines.append((lineno, text))
-    if header is None:
+        texts = [(lineno, text) for lineno, raw in enumerate(fh, start=1)
+                 if (text := raw.split("#", 1)[0].strip())]
+    if not texts:
         raise FeederError(f"{path}: empty feeder file")
-    n_buses, base_kva, v0, base_kv = header
-
-    z_base = None
-    if base_kv is not None:
-        z_base = (base_kv * 1e3) ** 2 / (base_kva * 1e3)  # ohm
+    n_buses, base_kva, v0, base_kv = _parse_header(*texts[0])
+    z_base = None if base_kv is None else (base_kv * 1e3) ** 2 / (base_kva * 1e3)  # ohm
 
     lines = []
-    for lineno, text in raw_lines:
+    for lineno, text in texts[1:]:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 6 or parts[0] != "line":
             raise FeederError(f"line {lineno}: expected 'line,from,to,r,x,units'")
-        try:
-            f, t = int(parts[1]), int(parts[2])
-            r, x = float(parts[3]), float(parts[4])
-        except ValueError as exc:
-            raise FeederError(f"line {lineno}: {exc}") from exc
         units = parts[5]
-        if units == "ohm":
-            if z_base is None:
-                raise FeederError(
-                    f"line {lineno}: ohmic data but no base_kv in header"
-                )
-            r, x = r / z_base, x / z_base
-        elif units != "pu":
+        if units not in ("ohm", "pu"):
             raise FeederError(f"line {lineno}: unknown units '{units}'")
-        if not (r > 0.0 and x > 0.0):
-            raise FeederError(
-                f"line {lineno}: nonpositive impedance on line {f}->{t}"
-            )
-        lines.append(Line(f, t, r, x))
+        if units == "ohm" and z_base is None:
+            raise FeederError(f"line {lineno}: ohmic data but no base_kv in header")
+        scale = z_base if units == "ohm" else 1.0
+        try:
+            lines.append(Line(int(parts[1]), int(parts[2]),
+                              float(parts[3]) / scale, float(parts[4]) / scale))
+        except ValueError as exc:  # a number that does not parse, or Line's impedance check
+            raise FeederError(f"line {lineno}: {exc}") from exc
+    return build_graph(n_buses, lines, base_kva, v0)
 
-    buses = [Bus(i) for i in range(n_buses)]
-    return build_graph(buses, lines, base_kva, v0)
 
-
-def _parse_header(text, lineno):
+def _parse_header(lineno, text):
     fields = {}
     for chunk in text.split(","):
         if ":" not in chunk:
             raise FeederError(f"line {lineno}: malformed header field '{chunk}'")
-        key, val = chunk.split(":", 1)
-        fields[key.strip()] = val.strip()
+        key, val = (part.strip() for part in chunk.split(":", 1))
+        if key not in HEADER_KEYS:
+            raise FeederError(f"line {lineno}: unknown header key '{key}' "
+                              f"(known: {', '.join(HEADER_KEYS)})")
+        if key in fields:
+            raise FeederError(f"line {lineno}: header key '{key}' given twice")
+        fields[key] = val
     try:
         n_buses = int(fields["buses"])
-        base_kva = float(fields["base_kva"])
-        v0 = float(fields["v0"])
+        base_kva, v0 = float(fields["base_kva"]), float(fields["v0"])
+        base_kv = float(fields["base_kv"]) if "base_kv" in fields else None
     except (KeyError, ValueError) as exc:
         raise FeederError(f"line {lineno}: bad header ({exc})") from exc
-    base_kv = float(fields["base_kv"]) if "base_kv" in fields else None
     if n_buses < 2:
         raise FeederError(f"line {lineno}: need at least 2 buses")
+    for key, val in (("base_kva", base_kva), ("v0", v0), ("base_kv", base_kv)):
+        if val is not None and not 0.0 < val < math.inf:
+            raise FeederError(f"line {lineno}: {key} must be finite and positive, got {val}")
     return n_buses, base_kva, v0, base_kv
-
-
-def path_to_root(graph: FeederGraph, node: int) -> list[Line]:
-    """Ordered line sequence from ``node`` up to the root (empty for node 0)."""
-    if node == 0:
-        return []
-    if not 1 <= node <= graph.n:
-        raise FeederError(f"unknown bus id {node}")
-    path = []
-    cur = node
-    while cur != 0:
-        ln = graph.line_to(cur)
-        path.append(ln)
-        cur = ln.from_bus
-    return path
 
 
 @dataclass(frozen=True)

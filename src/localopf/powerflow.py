@@ -85,7 +85,10 @@ def solve_nonlinear(
     whose ``v`` and ``ell`` broadcast to the injections' shape, is given;
     the sweep then begins from them, which saves sweeps when the injections
     are close to those ``start`` solved.  The stop rule is the same either
-    way: a batch sweeps until every row moved less than ``tol``.
+    way: a batch sweeps until every row moved less than ``tol``.  A lossless
+    start never stops after its first pass: that pass runs on the guess
+    ell = 0, and its voltages match the start's exactly when every line's
+    r*P + x*Q is zero.
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
@@ -117,7 +120,7 @@ def solve_nonlinear(
         ell = (P * P + Q * Q) / v_send
         delta = np.abs(v_new - v).max()
         v = v_new
-        if delta < tol:
+        if delta < tol and (iterations > 1 or start is not None):
             converged = True
             break
     return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
@@ -126,34 +129,26 @@ def solve_nonlinear(
 def residual(
     graph: FeederGraph, s: InjectionState, sol: PowerFlowSolution, v0: float
 ) -> float:
-    """Max-abs violation of the four branch flow equation families.
+    """Max-abs violation of the four branch flow equation families over all (..., N) rows.
 
-    Evaluated from scratch on the supplied solution, independent of the
-    sweep recursion.
+    Evaluated from scratch on the supplied solution from ``graph.parent``,
+    ``r`` and ``x`` alone: each line's flow sums its children's through a
+    child-incidence product and its sending-end voltage is read through
+    ``parent``, so the check is independent of the sweep's ``path`` products.
     """
-    n = graph.n
-    p_net = s.p + s.p_u
-    q_net = s.q + s.q_u
-    res = 0.0
-    for j in range(1, n + 1):
-        jj = j - 1
-        ln = graph.line_to(j)
-        kids = graph.children[j]
-        sum_P = sum(sol.P[k - 1] for k in kids)
-        sum_Q = sum(sol.Q[k - 1] for k in kids)
-        res = max(res, abs(sol.P[jj] - (-p_net[jj] + sum_P + ln.r * sol.ell[jj])))
-        res = max(res, abs(sol.Q[jj] - (-q_net[jj] + sum_Q + ln.x * sol.ell[jj])))
-        v_up = v0 if ln.from_bus == 0 else sol.v[ln.from_bus - 1]
-        z2 = ln.r**2 + ln.x**2
-        res = max(
-            res,
-            abs(
-                sol.v[jj]
-                - (v_up - 2.0 * (ln.r * sol.P[jj] + ln.x * sol.Q[jj]) + z2 * sol.ell[jj])
-            ),
-        )
-        res = max(res, abs(sol.ell[jj] * v_up - (sol.P[jj] ** 2 + sol.Q[jj] ** 2)))
-    return res
+    up, r, x = graph.parent, graph.r, graph.x
+    P, Q, v, ell = sol.P, sol.Q, sol.v, sol.ell
+    fed = np.flatnonzero(up)  # lines whose sending end is a non-root bus
+    kids = np.zeros((graph.n, graph.n))  # kids[k, j] = 1 when bus k+1 hangs off bus j+1
+    kids[fed, up[fed] - 1] = 1.0
+    v_up = np.concatenate([np.full((*v.shape[:-1], 1), float(v0)), v], axis=-1)[..., up]
+    gaps = (
+        P - (-(s.p + s.p_u) + P @ kids + r * ell),
+        Q - (-(s.q + s.q_u) + Q @ kids + x * ell),
+        v - (v_up - 2.0 * (r * P + x * Q) + (r * r + x * x) * ell),
+        ell * v_up - (P * P + Q * Q),
+    )
+    return float(max(np.abs(gap).max() for gap in gaps))
 
 
 def env_voltage(model: LinearVoltageModel, p_u: np.ndarray, q_u: np.ndarray) -> np.ndarray:

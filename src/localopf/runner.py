@@ -427,9 +427,8 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     if out is None:
         raise StageError("config", "no output directory configured")
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-
     graph, model = load_network(feeder_path)
+    out.mkdir(parents=True, exist_ok=True)
     with stage("scenario"):
         test_scn = generate_profile(graph, test_gen, test_seed)
     state, _ = run_training(train_days, tr_cfg, graph, model, out)

@@ -1,14 +1,41 @@
 """Topology validation and sensitivity-matrix correctness.
 
 The R/X oracle here is deliberately independent of the library's path-matrix
-product: it intersects explicit root-path line sets per node pair.
+product: it intersects explicit root-path line sets per node pair, found by
+walking ``parent`` up from each bus.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from localopf import FeederError, build_sensitivities, load_feeder, path_to_root
-from localopf.feeder import Bus, Line, build_graph, spectral_norm
+from localopf import (
+    FeederError,
+    FeederGraph,
+    InjectionState,
+    build_sensitivities,
+    load_feeder,
+    residual,
+    solve_nonlinear,
+)
+from localopf.feeder import Line, build_graph, spectral_norm
+from conftest import DATA
+
+
+def path_to_root(graph, node):
+    """Ordered line sequence from ``node`` up to the root (empty for node 0)."""
+    lines = []
+    while node != 0:
+        up = int(graph.parent[node - 1])
+        lines.append(Line(up, node, float(graph.r[node - 1]), float(graph.x[node - 1])))
+        node = up
+    return lines
+
+
+def parents_first(graph):
+    """Non-root buses by root-path length, so each parent comes before its children."""
+    return sorted(range(1, graph.n + 1), key=lambda j: len(path_to_root(graph, j)))
 
 
 def path_intersection_oracle(graph):
@@ -64,13 +91,20 @@ def test_path_marks_root_path_lines(fixture, request):
 
 
 def test_lines_indexed_by_child(graph8):
-    for j in range(1, graph8.n + 1):
-        assert graph8.line_to(j).to_bus == j
+    """The file's line ``f,t`` lands in slot ``t - 1`` of parent, r and x (the 8-bus file
+    lists the parent end first)."""
+    rows = [ln.split(",") for ln in (DATA / "feeder_8bus.txt").read_text().splitlines()
+            if ln.startswith("line,")]
+    assert len(rows) == graph8.n
+    for _, f, t, r, x, _ in rows:
+        child = int(t) - 1
+        assert (graph8.parent[child], graph8.r[child], graph8.x[child]) == (int(f), float(r),
+                                                                               float(x))
 
 
-def test_order_parents_first(graph37):
+def test_parents_first_order(graph37):
     seen = {0}
-    for bus in graph37.order:
+    for bus in parents_first(graph37):
         assert graph37.parent[bus - 1] in seen
         seen.add(bus)
     assert len(seen) == graph37.n + 1
@@ -82,26 +116,51 @@ def test_path_to_root_depth(graph8):
     assert [ln.to_bus for ln in path] == [7, 3, 2, 1]
 
 
-def _buses(n):
-    return [Bus(i) for i in range(n)]
-
-
 def test_cycle_detection():
     lines = [Line(0, 1, 0.01, 0.01), Line(1, 2, 0.01, 0.01), Line(2, 0, 0.01, 0.01)]
     with pytest.raises(FeederError, match="cycle|expected"):
-        build_graph(_buses(3), lines, 1000.0)
+        build_graph(3, lines, 1000.0)
 
 
 def test_disconnected_detection():
     lines = [Line(0, 1, 0.01, 0.01), Line(2, 3, 0.01, 0.01), Line(3, 2, 0.01, 0.02)]
     with pytest.raises(FeederError):
-        build_graph(_buses(4), lines, 1000.0)
+        build_graph(4, lines, 1000.0)
 
 
 def test_duplicate_line_rejected():
     lines = [Line(0, 1, 0.01, 0.01), Line(1, 0, 0.02, 0.02)]
     with pytest.raises(FeederError, match="duplicate"):
-        build_graph(_buses(3), lines, 1000.0)
+        build_graph(3, lines, 1000.0)
+
+
+@pytest.mark.parametrize("lines,match", [
+    ([Line(0, 1, 0.01, 0.01)], "expected 2 lines"),
+    ([Line(0, 1, 0.01, 0.01), Line(1, 3, 0.01, 0.01)], "unknown bus 3"),
+    ([Line(0, 1, 0.01, 0.01), Line(-1, 2, 0.01, 0.01)], "unknown bus -1"),
+    ([Line(0, 1, 0.01, 0.01), Line(2, 2, 0.01, 0.01)], "self-loop at bus 2"),
+])
+def test_topology_errors_named(lines, match):
+    with pytest.raises(FeederError, match=match):
+        build_graph(3, lines, 1000.0)
+
+
+def test_graph_derives_its_incidence_arrays():
+    for name in ("path", "z2", "send", "root_lines"):
+        with pytest.raises(TypeError):
+            FeederGraph(np.array([0]), np.array([0.1]), np.array([0.2]), 1000.0,
+                        **{name: np.ones(1)})
+    g = FeederGraph(np.array([0, 1]), np.array([0.1, 0.2]), np.array([0.3, 0.4]), 1000.0)
+    np.testing.assert_array_equal(g.path, [[1.0, 1.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(g.send, [0, 0])
+    np.testing.assert_array_equal(g.root_lines, [True, False])
+
+
+@pytest.mark.parametrize("parent", [[2, 1], [1], [0, 3], [0, -1]])
+def test_graph_rejects_parent_that_misses_the_root(parent):
+    n = len(parent)
+    with pytest.raises(FeederError, match="does not reach the root"):
+        FeederGraph(np.array(parent), np.full(n, 0.1), np.full(n, 0.1), 1000.0)
 
 
 def test_nonpositive_impedance_rejected():
@@ -111,10 +170,10 @@ def test_nonpositive_impedance_rejected():
 
 def test_reversed_orientation_fixed():
     # child-first listing is re-oriented parent->child
-    g = build_graph(_buses(3), [Line(1, 0, 0.01, 0.02), Line(2, 1, 0.03, 0.04)], 1000.0)
-    assert g.line_to(1).from_bus == 0
-    assert g.line_to(2).from_bus == 1
-    assert g.line_to(2).r == 0.03
+    g = build_graph(3, [Line(1, 0, 0.01, 0.02), Line(2, 1, 0.03, 0.04)], 1000.0)
+    assert g.parent.tolist() == [0, 1]
+    assert g.r.tolist() == [0.01, 0.03]
+    assert g.x.tolist() == [0.02, 0.04]
 
 
 def test_ohmic_conversion(tmp_path):
@@ -125,8 +184,8 @@ def test_ohmic_conversion(tmp_path):
         f"line,0,1,{0.01 * z_base},{0.02 * z_base},ohm\n"
     )
     g = load_feeder(f)
-    assert g.line_to(1).r == pytest.approx(0.01, rel=1e-12)
-    assert g.line_to(1).x == pytest.approx(0.02, rel=1e-12)
+    assert g.r[0] == pytest.approx(0.01, rel=1e-12)
+    assert g.x[0] == pytest.approx(0.02, rel=1e-12)
 
 
 def test_ohmic_without_base_kv_rejected(tmp_path):
@@ -146,3 +205,55 @@ def test_malformed_header_rejected(tmp_path):
 def test_spectral_norm_of_known_matrix():
     a = np.array([[3.0, 0.0], [0.0, 4.0]])
     assert spectral_norm(a) == pytest.approx(4.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("r,x", [("0.0", "0.02"), ("0.01", "-0.02"), ("nan", "0.02"),
+                                 ("0.01", "inf")])
+def test_bad_impedance_in_file_names_its_line(tmp_path, r, x):
+    f = tmp_path / "feeder.txt"
+    f.write_text("# two lines\nbuses: 3, base_kva: 1000, v0: 1.0\n"
+                 f"line,0,1,0.01,0.02,pu\n\nline,1,2,{r},{x},pu\n")
+    with pytest.raises(FeederError, match=r"^line 5: impedance of line 1->2 must be finite and "
+                                          r"strictly positive"):
+        load_feeder(f)
+
+
+@st.composite
+def random_trees(draw):
+    """A parent array over shuffled bus ids, with its lines listed in random order and
+    each line's endpoints in random order."""
+    n = draw(st.integers(1, 12))
+    label = [0, *draw(st.permutations(range(1, n + 1)))]  # a bus's id in the drawn tree
+    parent = np.zeros(n, dtype=int)
+    for j in range(1, n + 1):  # bus j of a tree whose every parent has a smaller number
+        parent[label[j] - 1] = label[draw(st.integers(0, j - 1))]
+    impedance = st.floats(1e-3, 0.1)
+    r = np.array(draw(st.lists(impedance, min_size=n, max_size=n)))
+    x = np.array(draw(st.lists(impedance, min_size=n, max_size=n)))
+    lines = []
+    for c in draw(st.permutations(range(n))):
+        ends = (int(parent[c]), c + 1)
+        if draw(st.booleans()):
+            ends = ends[::-1]
+        lines.append(Line(*ends, r[c], x[c]))
+    p, q, p_u, q_u = (sign * np.array(draw(st.lists(st.floats(0.0, 0.02), min_size=n,
+                                                      max_size=n))) for sign in (1, 1, -1, -1))
+    return parent, r, x, lines, InjectionState(p=p, q=q, p_u=p_u, q_u=q_u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_trees())
+def test_build_graph_recovers_random_trees(tree):
+    parent, r, x, lines, s = tree
+    g = build_graph(len(parent) + 1, lines, 1000.0)
+    np.testing.assert_array_equal(g.parent, parent)
+    np.testing.assert_array_equal(g.r, r)
+    np.testing.assert_array_equal(g.x, x)
+    oracle = np.zeros((g.n, g.n))
+    for j in range(1, g.n + 1):
+        for ln in path_to_root(g, j):
+            oracle[ln.to_bus - 1, j - 1] = 1.0
+    np.testing.assert_array_equal(g.path, oracle)
+    sol = solve_nonlinear(g, s, 1.0)
+    assert sol.converged
+    assert residual(g, s, sol, 1.0) <= 1e-9

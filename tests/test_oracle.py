@@ -17,14 +17,14 @@ from localopf import (
     solve_opf_linear,
 )
 from localopf.controller import plant_voltage
-from localopf.feeder import Bus, Line, build_graph
+from localopf.feeder import Line, build_graph
 from localopf.oracle import OpfSolution, _nnls
 from localopf.powerflow import env_voltage
 from conftest import DATA, make_step
 
 
 def two_bus_setup(r=0.2, x=0.3):
-    graph = build_graph([Bus(0), Bus(1)], [Line(0, 1, r, x)], 1000.0)
+    graph = build_graph(2, [Line(0, 1, r, x)], 1000.0)
     return graph, build_sensitivities(graph)
 
 

@@ -20,7 +20,8 @@ from localopf import (
     residual,
     solve_nonlinear,
 )
-from localopf.feeder import Bus, Line, build_graph
+from localopf.feeder import Line, build_graph
+from test_feeder import parents_first
 
 
 def newton_raphson_2bus(r, x, p_net, q_net, v0=1.0, tol=1e-12):
@@ -54,16 +55,14 @@ def loop_sweep(graph, s, v0, tol=1e-10, max_iters=500):
     n = graph.n
     p_net = s.p + s.p_u
     q_net = s.q + s.q_u
-    r = np.array([ln.r for ln in graph.lines])
-    x = np.array([ln.x for ln in graph.lines])
+    r, x, parent = graph.r, graph.x, graph.parent
     z2 = r * r + x * x
-    parent = np.array(graph.parent)
-    order = list(graph.order)  # parents before children
+    order = parents_first(graph)
     v = np.full(n, v0)
     ell = np.zeros(n)
     P = np.zeros(n)
     Q = np.zeros(n)
-    for _ in range(max_iters):
+    for sweep in range(max_iters):
         # backward: leaves to root
         P[:] = 0.0
         Q[:] = 0.0
@@ -84,7 +83,7 @@ def loop_sweep(graph, s, v0, tol=1e-10, max_iters=500):
         ell = (P * P + Q * Q) / v_send
         delta = np.max(np.abs(v_new - v))
         v = v_new
-        if delta < tol:
+        if delta < tol and sweep > 0:
             return v, P, Q, ell
     raise AssertionError("reference sweep did not converge")
 
@@ -110,7 +109,7 @@ def matrix_sweep(graph, s, v0, tol=1e-10, max_iters=500):
         ell = (P * P + Q * Q) / v_send
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if delta < tol:
+        if delta < tol and iterations > 1:
             converged = True
             break
     return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
@@ -125,7 +124,7 @@ def _random_rows(n, rng, rows=()):
 
 
 def two_bus_graph(r=0.05, x=0.1):
-    return build_graph([Bus(0), Bus(1)], [Line(0, 1, r, x)], 1000.0)
+    return build_graph(2, [Line(0, 1, r, x)], 1000.0)
 
 
 @pytest.mark.parametrize("p_net,q_net", [
@@ -139,6 +138,19 @@ def test_two_bus_matches_newton_raphson(p_net, q_net):
     assert sol.converged
     v_oracle = newton_raphson_2bus(0.05, 0.1, p_net, q_net)
     assert sol.v[0] == pytest.approx(v_oracle, abs=1e-8)
+
+
+def test_lossless_first_pass_with_no_drop_is_not_the_last():
+    """With r = x and p_net = -q_net the lossless pass leaves v at v0 exactly; the losses
+    it left out still move the flows, so the sweep goes on."""
+    g = two_bus_graph(r=0.015625, x=0.015625)
+    s = InjectionState(p=np.array([0.015625]), q=np.zeros(1), p_u=np.zeros(1),
+                       q_u=np.array([-0.015625]))
+    sol = solve_nonlinear(g, s, 1.0)
+    assert sol.converged and sol.iterations > 1
+    assert residual(g, s, sol, 1.0) <= 1e-12
+    assert sol.v[0] == pytest.approx(newton_raphson_2bus(0.015625, 0.015625, 0.015625,
+                                                         -0.015625), abs=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["graph8", "graph37"])
@@ -236,13 +248,17 @@ def test_batched_rows_match_single_solves(fixture, request):
     assert sol.converged and isinstance(sol.converged, bool)
     assert isinstance(sol.iterations, int)
     assert sol.v.shape == sol.P.shape == sol.ell.shape == (12, graph.n)
+    rows = []
     for k in range(12):
         row = InjectionState(p=s.p[k], q=s.q[k], p_u=s.p_u[k], q_u=s.q_u[k])
         single = solve_nonlinear(graph, row, 1.0)
         np.testing.assert_allclose(sol.v[k], single.v, rtol=0.0, atol=1e-9)
         batched = PowerFlowSolution(v=sol.v[k], P=sol.P[k], Q=sol.Q[k], ell=sol.ell[k],
                                     iterations=sol.iterations, converged=sol.converged)
-        assert residual(graph, row, batched, 1.0) <= 1e-8
+        rows.append(residual(graph, row, batched, 1.0))
+        assert rows[-1] <= 1e-8
+    # the residual of the whole batch is its worst row's
+    assert residual(graph, s, sol, 1.0) == pytest.approx(max(rows), rel=0.0, abs=1e-14)
 
 
 def test_batch_with_one_collapsing_row_raises():

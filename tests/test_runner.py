@@ -309,6 +309,34 @@ def test_cli_build_feeder_bad_path(tmp_path, capsys):
     assert main(["build-feeder", str(cfg)]) == STAGE_EXIT["feeder"]
 
 
+@pytest.mark.parametrize("header,message", [
+    ("buses: 8, base_kva: 1000, v0: 0.0", "v0 must be finite and positive, got 0.0"),
+    ("buses: 8, base_kva: 1000, v0: -1.0", "v0 must be finite and positive, got -1.0"),
+    ("buses: 8, base_kva: 1000, v0: nan", "v0 must be finite and positive, got nan"),
+    ("buses: 8, base_kva: 0, v0: 1.0", "base_kva must be finite and positive, got 0.0"),
+    ("buses: 8, base_kva: -1000, v0: 1.0", "base_kva must be finite and positive, got -1000.0"),
+    ("buses: 8, base_kva: 1000, v0: 1.0, base_kv: 0", "base_kv must be finite and positive"),
+    ("buses: 8, base_kva: 1000, v0: 1.0, base_kV: 4.16", "unknown header key 'base_kV'"),
+    ("buses: 8, base_kva: 1000, v0: 1.0, v0: 1.1", "header key 'v0' given twice"),
+])
+def test_cli_bad_feeder_header_fails_at_feeder_stage(tmp_path, capsys, header, message):
+    """A header value the numerics cannot use stops build-feeder and run before anything is
+    written, with the file line named."""
+    body = [ln for ln in (DATA / "feeder_8bus.txt").read_text().splitlines()
+            if ln.startswith("line,")]
+    feeder = tmp_path / "feeder.txt"
+    feeder.write_text("# header on line 2\n" + header + "\n" + "\n".join(body) + "\n")
+    cfg = yaml.safe_load(CONFIG8.read_text(encoding="utf-8"))
+    cfg["feeder"] = str(feeder)
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (["build-feeder", str(config)], ["run", str(config), "--output", str(out)]):
+        assert main(argv) == STAGE_EXIT["feeder"]
+        assert f"line 2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gen_scenario(tmp_path, capsys):
     out = tmp_path / "scn.csv"
     assert main(["gen-scenario", str(CONFIG8), "--seed", "3",
