@@ -4,10 +4,11 @@ A feeder is a tree rooted at bus 0 (the substation).  All electrical
 quantities inside the package are per-unit on the feeder's power base;
 the file loader converts ohmic line data when a voltage base is given.
 A ``FeederGraph`` holds the tree once, as each non-root bus's ``parent``
-and the ``r``, ``x`` of the line feeding it.  The root-path incidence
-``FeederGraph.path`` is derived from ``parent`` once: the sensitivities and
-the branch-flow sweep are both products with it, while the power-flow
-residual reads ``parent`` itself.
+and the ``r``, ``x`` of the line feeding it, in read-only copies.  The
+root-path incidence ``FeederGraph.path`` is derived from ``parent`` once, and
+the sensitivities are products with it.  The branch-flow sweep's matrices
+``W`` and ``B`` are derived from it once too, so that each sweep is one
+product with ``W``; the power-flow residual reads ``parent`` itself.
 """
 
 from __future__ import annotations
@@ -43,17 +44,21 @@ class Line:
 
 @dataclass(frozen=True, eq=False)
 class FeederGraph:
-    """Radial network as arrays indexed by non-root bus.
+    """Radial network as read-only arrays indexed by non-root bus.
 
     Bus ``j`` (1..N) hangs off bus ``parent[j-1]`` (0 is the substation)
     through the line of per-unit impedance ``r[j-1] + i x[j-1]``; line ``l``
     is the one feeding bus ``l+1``.  ``build_graph`` makes one from a line
     list; a ``parent`` whose walk from some bus misses bus 0 raises
-    :class:`FeederError`.  Derived once here, and not settable:
+    :class:`FeederError`.  The graph keeps its own copies of ``parent``,
+    ``r`` and ``x``.  Derived once here, and not settable:
     ``path[l, j]`` is 1 when line ``l`` lies on the root path of bus ``j+1``,
-    else 0; ``z2`` = r² + x²; ``send[l]`` is the sending-end bus of line
-    ``l`` as a 0-based voltage index (0 for the ``root_lines``, which the
-    slack bus feeds).
+    else 0; ``W`` (N, 4N) and ``B`` (2N, 4N) are one branch-flow sweep as an
+    affine map of the line losses ``ell`` held from the previous pass.  The
+    sweep's line flows ``P``, ``Q``, bus voltages ``v`` and sending-end
+    voltages ``v_send`` (``v_send[l]`` is the voltage at the bus feeding line
+    ``l``, the slack voltage ``v0`` for the lines the slack bus feeds) are
+    ``[P | Q | v - v0 | v_send - v0] = ell @ W + [-(p+p_u) | -(q+q_u)] @ B``.
     """
 
     parent: np.ndarray  # (N,) int
@@ -62,13 +67,12 @@ class FeederGraph:
     base_power: float  # kVA
     v0: float = 1.0  # squared slack voltage, per-unit^2
     path: np.ndarray = field(init=False, repr=False)  # (N, N) incidence
-    z2: np.ndarray = field(init=False, repr=False)  # (N,)
-    send: np.ndarray = field(init=False, repr=False)  # (N,)
-    root_lines: np.ndarray = field(init=False, repr=False)  # (N,) bool
+    W: np.ndarray = field(init=False, repr=False)  # (N, 4N): ell -> [P | Q | v | v_send]
+    B: np.ndarray = field(init=False, repr=False)  # (2N, 4N): injections -> the same blocks
 
     def __post_init__(self):
-        up = np.asarray(self.parent)
-        r, x = np.asarray(self.r, dtype=float), np.asarray(self.x, dtype=float)
+        up = np.array(self.parent)
+        r, x = np.array(self.r, dtype=float), np.array(self.x, dtype=float)
         n = len(up)
         # walk each bus's parents to the root; a tree's root paths hold fewer than n*n
         # lines in all, so a walk still going past that is in a cycle
@@ -83,9 +87,18 @@ class FeederGraph:
                 raise FeederError(f"bus {j} does not reach the root through parent")
         path = np.zeros((n, n))
         path[rows, cols] = 1.0
+        # rows [-(p+p_u) | -(q+q_u) | ell] -> columns [P | Q | v - v0 | v_send - v0]:
+        # each line's flow sums its downstream injections and r*ell, x*ell losses, and
+        # each bus's voltage drops by 2(r P + x Q) - (r² + x²) ell along its root path
+        flows = np.zeros((3 * n, 2 * n))
+        flows[:n, :n] = flows[n:2 * n, n:] = path.T
+        flows[2 * n:, :n], flows[2 * n:, n:] = r[:, None] * path.T, x[:, None] * path.T
+        volts = flows @ np.vstack([-2.0 * r[:, None] * path, -2.0 * x[:, None] * path])
+        volts[2 * n:] += (r * r + x * x)[:, None] * path
+        sweep = np.hstack([flows, volts, volts[:, np.maximum(up - 1, 0)] * (up != 0)])
         for name, value in (("parent", up), ("r", r), ("x", x), ("path", path),
-                            ("z2", r * r + x * x),
-                            ("send", np.maximum(up - 1, 0)), ("root_lines", up == 0)):
+                            ("W", sweep[2 * n:]), ("B", sweep[:2 * n])):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property

@@ -1,12 +1,13 @@
 """Branch-flow power flow on radial feeders.
 
 ``solve_nonlinear`` runs a backward/forward sweep on the exact branch flow
-equations in matrix form (BIBC/BCBV: both sweeps are products with the
-feeder's root-path incidence matrix), on one injection row or a batch of
-``(..., N)`` rows at once, and returns squared voltage magnitudes in
-per-unit^2.  ``env_voltage`` is the uncontrolled part of the LinDistFlow
-surrogate; ``controller.plant_voltage`` adds the setpoints' part and is the
-one entry point to either plant.
+equations in matrix form (BIBC/BCBV, Teng 2003): with the line losses held
+from the previous pass a sweep is affine in them, so each sweep is one
+product with the feeder's derived matrix ``FeederGraph.W``.  It solves one
+injection row or a batch of ``(..., N)`` rows at once and returns squared
+voltage magnitudes in per-unit^2.  ``env_voltage`` is the uncontrolled part
+of the LinDistFlow surrogate; ``controller.plant_voltage`` adds the
+setpoints' part and is the one entry point to either plant.
 """
 
 from __future__ import annotations
@@ -43,13 +44,15 @@ class InjectionState:
         shape = np.shape(self.p)
         if not shape:
             raise ValueError("injections must have at least one dimension")
-        for name in ("p", "q", "p_u", "q_u"):
-            vec = np.asarray(getattr(self, name), dtype=float)
+        names = ("p", "q", "p_u", "q_u")
+        vecs = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        for name, vec in zip(names, vecs):
             if vec.shape != shape:
                 raise ValueError(f"{name} has shape {vec.shape}, expected {shape}")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vec)
+        if not np.isfinite(vecs).all():  # one pass over all four; then name the first bad one
+            bad = next(name for name, vec in zip(names, vecs) if not np.isfinite(vec).all())
+            raise ValueError(f"{bad} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,12 @@ def solve_nonlinear(
     """Backward/forward sweep fixed point of the branch flow equations.
 
     The backward pass sums each line's downstream injections and r*ell /
-    x*ell losses (ell frozen from the previous pass) through ``path``; the
-    forward pass subtracts the line drops along each root path from the
-    slack voltage; ell is then refreshed from the sending-end voltage.
+    x*ell losses (ell frozen from the previous pass); the forward pass
+    subtracts the line drops along each root path from the slack voltage;
+    ell is then refreshed from the sending-end voltage.  Both passes are one
+    product per sweep: the flows P, Q, the voltages v and the sending-end
+    voltages are ``ell @ graph.W + b``, where ``b``, the injections' part
+    through ``graph.B`` plus ``v0``, is formed once per call.
     Starts lossless (ell = 0, v = v0) unless ``start``, an earlier solution
     whose ``v`` and ``ell`` broadcast to the injections' shape, is given;
     the sweep then begins from them, which saves sweeps when the injections
@@ -92,32 +98,29 @@ def solve_nonlinear(
     """
     if v0 <= 0:
         raise ValueError("v0 must be positive")
-    neg_p = -(s.p + s.p_u)
-    neg_q = -(s.q + s.q_u)
-    r, x, z2, path = graph.r, graph.x, graph.z2, graph.path
-
-    v = np.full(neg_p.shape, float(v0))
-    P = Q = ell = np.zeros(neg_p.shape)
+    n, W = graph.n, graph.W
+    b = -np.concatenate([s.p + s.p_u, s.q + s.q_u], axis=-1) @ graph.B
+    b[..., 2 * n:] += v0  # the slack voltage on the v and v_send blocks
+    shape = s.p.shape
+    v = np.full(shape, float(v0))
+    P = Q = ell = np.zeros(shape)
     if start is not None:
         try:
-            v = np.broadcast_to(start.v, neg_p.shape)
-            ell = np.broadcast_to(start.ell, neg_p.shape)
+            v = np.broadcast_to(start.v, shape)
+            ell = np.broadcast_to(start.ell, shape)
         except ValueError:
             raise ValueError(f"start of shape {np.shape(start.v)} does not broadcast to the "
-                             f"injections' shape {neg_p.shape}") from None
+                             f"injections' shape {shape}") from None
     converged = False
     iterations = 0
     for iterations in range(1, SWEEP_MAX_ITERS + 1):
-        P = (neg_p + r * ell) @ path.T
-        Q = (neg_q + x * ell) @ path.T
-        v_new = v0 - (2.0 * (r * P + x * Q) - z2 * ell) @ path
+        out = ell @ W + b  # [P | Q | v | v_send] with this pass's ell held
+        v_new = out[..., 2 * n:3 * n]
         if v_new.min() <= 0.0:
             bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
             raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
-        # refresh squared currents from the sending-end voltage
-        v_send = v_new[..., graph.send]
-        v_send[..., graph.root_lines] = v0
-        ell = (P * P + Q * Q) / v_send
+        P, Q = out[..., :n], out[..., n:2 * n]
+        ell = (P * P + Q * Q) / out[..., 3 * n:]  # squared currents from the sending-end voltage
         delta = np.abs(v_new - v).max()
         v = v_new
         if delta < tol and (iterations > 1 or start is not None):

@@ -1,4 +1,4 @@
-"""Shared fixtures: shipped feeders and small synthetic scenarios."""
+"""Shared fixtures: shipped feeders, root-path walks and small synthetic scenarios."""
 
 import dataclasses
 from pathlib import Path
@@ -17,6 +17,7 @@ from localopf import (
     load_feeder,
     solve_equilibrium,
 )
+from localopf.feeder import Line
 from localopf.policy import forward_all
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "localopf" / "data"
@@ -40,6 +41,21 @@ def model8(graph8):
 @pytest.fixture(scope="session")
 def model37(graph37):
     return build_sensitivities(graph37)
+
+
+def path_to_root(graph, node):
+    """Ordered line sequence from ``node`` up to the root (empty for node 0)."""
+    lines = []
+    while node != 0:
+        up = int(graph.parent[node - 1])
+        lines.append(Line(up, node, float(graph.r[node - 1]), float(graph.x[node - 1])))
+        node = up
+    return lines
+
+
+def parents_first(graph):
+    """Non-root buses by root-path length, so each parent comes before its children."""
+    return sorted(range(1, graph.n + 1), key=lambda j: len(path_to_root(graph, j)))
 
 
 def make_step(n, p_u, q_u, ctrl, p_cap=0.5, q_cap=0.3, weight=1.0, t=0):

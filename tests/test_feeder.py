@@ -20,22 +20,8 @@ from localopf import (
     solve_nonlinear,
 )
 from localopf.feeder import Line, build_graph, spectral_norm
-from conftest import DATA
-
-
-def path_to_root(graph, node):
-    """Ordered line sequence from ``node`` up to the root (empty for node 0)."""
-    lines = []
-    while node != 0:
-        up = int(graph.parent[node - 1])
-        lines.append(Line(up, node, float(graph.r[node - 1]), float(graph.x[node - 1])))
-        node = up
-    return lines
-
-
-def parents_first(graph):
-    """Non-root buses by root-path length, so each parent comes before its children."""
-    return sorted(range(1, graph.n + 1), key=lambda j: len(path_to_root(graph, j)))
+from conftest import DATA, parents_first, path_to_root
+from test_powerflow import assert_agrees_with_three_products
 
 
 def path_intersection_oracle(graph):
@@ -146,14 +132,45 @@ def test_topology_errors_named(lines, match):
 
 
 def test_graph_derives_its_incidence_arrays():
-    for name in ("path", "z2", "send", "root_lines"):
+    for name in ("path", "W", "B"):
         with pytest.raises(TypeError):
             FeederGraph(np.array([0]), np.array([0.1]), np.array([0.2]), 1000.0,
                         **{name: np.ones(1)})
     g = FeederGraph(np.array([0, 1]), np.array([0.1, 0.2]), np.array([0.3, 0.4]), 1000.0)
     np.testing.assert_array_equal(g.path, [[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(g.send, [0, 0])
-    np.testing.assert_array_equal(g.root_lines, [True, False])
+
+
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_sweep_matrices_match_their_block_formulas(fixture, request):
+    """W = [diag(r)Pi' | diag(x)Pi' | K | K_send] with
+    K = -(2(diag(r)Pi'diag(r) + diag(x)Pi'diag(x)) - diag(r^2 + x^2))Pi, and B maps
+    [-(p+p_u) | -(q+q_u)] to [P | Q | c | c_send] of the lossless sweep."""
+    g = request.getfixturevalue(fixture)
+    path, r, x, up = g.path, np.diag(g.r), np.diag(g.x), g.parent
+    send = [j - 1 if j else None for j in up]  # None: the slack bus feeds the line
+
+    def at_send(m):
+        return np.stack([m[:, j] if j is not None else np.zeros(len(m)) for j in send], axis=1)
+
+    k = -(2.0 * (r @ path.T @ r + x @ path.T @ x) - (r @ r + x @ x)) @ path
+    W = np.hstack([r @ path.T, x @ path.T, k, at_send(k)])
+    zero = np.zeros_like(path)
+    c = np.vstack([-2.0 * path.T @ r @ path, -2.0 * path.T @ x @ path])
+    B = np.hstack([np.vstack([path.T, zero]), np.vstack([zero, path.T]), c, at_send(c)])
+    assert g.W.shape == (g.n, 4 * g.n) and g.B.shape == (2 * g.n, 4 * g.n)
+    np.testing.assert_allclose(g.W, W, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(g.B, B, rtol=1e-13, atol=1e-15)
+
+
+def test_graph_copies_and_freezes_its_arrays(graph8):
+    parent, r, x = graph8.parent.copy(), graph8.r.copy(), graph8.x.copy()
+    g = FeederGraph(parent, r, x, 1000.0)
+    kept = {name: getattr(g, name).copy() for name in ("parent", "r", "x", "path", "W", "B")}
+    parent[3], r[:], x[0] = 0, 9.0, 9.0  # a caller's later writes
+    for name, value in kept.items():
+        np.testing.assert_array_equal(getattr(g, name), value)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1
 
 
 @pytest.mark.parametrize("parent", [[2, 1], [1], [0, 3], [0, -1]])
@@ -254,6 +271,8 @@ def test_build_graph_recovers_random_trees(tree):
         for ln in path_to_root(g, j):
             oracle[ln.to_bus - 1, j - 1] = 1.0
     np.testing.assert_array_equal(g.path, oracle)
-    sol = solve_nonlinear(g, s, 1.0)
+    sol = assert_agrees_with_three_products(g, s)
     assert sol.converged
     assert residual(g, s, sol, 1.0) <= 1e-9
+    half = InjectionState(*(0.5 * a for a in (s.p, s.q, s.p_u, s.q_u)))
+    assert_agrees_with_three_products(g, s, start=solve_nonlinear(g, half, 1.0))

@@ -3,9 +3,11 @@
 The 2-bus oracle is a polar Newton-Raphson on the bus admittance matrix --
 a completely different formulation from the library's branch-flow sweep.
 ``loop_sweep`` is the same sweep written bus by bus over the tree; it is the
-reference for the library's matrix form.  ``matrix_sweep`` is the matrix form
-with its per-iteration checks written as ``np.any``/``np.max`` reductions; the
-library's sweep must agree with it bit for bit.
+reference for the library's matrix form.  ``matrix_sweep`` is the library's
+one-product sweep with its per-iteration checks written as
+``np.any``/``np.max`` reductions; the library's sweep must agree with it bit
+for bit.  ``three_product_sweep`` is the sweep as three products with the
+root-path incidence per pass; the library must agree with it to rounding.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from localopf import (
     solve_nonlinear,
 )
 from localopf.feeder import Line, build_graph
-from test_feeder import parents_first
+from conftest import parents_first
 
 
 def newton_raphson_2bus(r, x, p_net, q_net, v0=1.0, tol=1e-12):
@@ -89,12 +91,42 @@ def loop_sweep(graph, s, v0, tol=1e-10, max_iters=500):
 
 
 def matrix_sweep(graph, s, v0, tol=1e-10, max_iters=500):
-    """The library's sweep loop with ``np.any``/``np.max`` checks; returns a solution."""
+    """The library's one-product sweep with ``np.any``/``np.max`` checks; returns a solution."""
+    n = graph.n
+    b = -np.concatenate([s.p + s.p_u, s.q + s.q_u], axis=-1) @ graph.B
+    b[..., 2 * n:] += v0
+    v = np.full(s.p.shape, float(v0))
+    P = Q = ell = np.zeros(s.p.shape)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        out = ell @ graph.W + b
+        v_new = out[..., 2 * n:3 * n]
+        if np.any(v_new <= 0.0):
+            bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
+            raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
+        P, Q = out[..., :n], out[..., n:2 * n]
+        ell = (P * P + Q * Q) / out[..., 3 * n:]
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if delta < tol and iterations > 1:
+            converged = True
+            break
+    return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
+
+
+def three_product_sweep(graph, s, v0, tol=1e-10, start=None, max_iters=500):
+    """The sweep as three products with ``path`` per pass (flows P, Q, then voltages), from
+    ``parent``, ``r`` and ``x`` alone; returns a solution."""
     neg_p = -(s.p + s.p_u)
     neg_q = -(s.q + s.q_u)
-    r, x, z2, path = graph.r, graph.x, graph.z2, graph.path
+    r, x, path, parent = graph.r, graph.x, graph.path, graph.parent
+    z2 = r * r + x * x
     v = np.full(neg_p.shape, float(v0))
     P = Q = ell = np.zeros(neg_p.shape)
+    if start is not None:
+        v = np.broadcast_to(start.v, neg_p.shape)
+        ell = np.broadcast_to(start.ell, neg_p.shape)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
@@ -104,15 +136,26 @@ def matrix_sweep(graph, s, v0, tol=1e-10, max_iters=500):
         if np.any(v_new <= 0.0):
             bus = np.argwhere(v_new <= 0.0)[0][-1] + 1
             raise VoltageCollapseError(f"voltage collapse at bus {bus} on iteration {iterations}")
-        v_send = v_new[..., graph.send]
-        v_send[..., graph.root_lines] = v0
+        v_send = v_new[..., np.maximum(parent - 1, 0)]
+        v_send[..., parent == 0] = v0
         ell = (P * P + Q * Q) / v_send
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if delta < tol and iterations > 1:
+        if delta < tol and (iterations > 1 or start is not None):
             converged = True
             break
     return PowerFlowSolution(v=v, P=P, Q=Q, ell=ell, iterations=iterations, converged=converged)
+
+
+def assert_agrees_with_three_products(graph, s, v0=1.0, start=None):
+    """The library's sweep and ``three_product_sweep`` run the same passes to the same
+    result, within 1e-12 relative."""
+    want = three_product_sweep(graph, s, v0, start=start)
+    got = solve_nonlinear(graph, s, v0, start=start)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    for name in ("v", "P", "Q", "ell"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0)
+    return got
 
 
 def _random_rows(n, rng, rows=()):
@@ -228,6 +271,17 @@ def test_injection_state_validation():
                        p_u=np.zeros(1), q_u=np.zeros(1))
 
 
+@pytest.mark.parametrize("bad,first", [(("q", "q_u"), "q"), (("p_u",), "p_u"),
+                                       (("p", "q", "p_u", "q_u"), "p"), (("q_u",), "q_u")])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_injection_state_names_first_nonfinite_array(bad, first, value):
+    arrays = {name: np.zeros((2, 3)) for name in ("p", "q", "p_u", "q_u")}
+    for name in bad:
+        arrays[name][1, 2] = value
+    with pytest.raises(ValueError, match=f"^{first} contains non-finite entries$"):
+        InjectionState(**arrays)
+
+
 @pytest.mark.parametrize("fixture", ["graph8", "graph37"])
 def test_matrix_sweep_matches_loop_reference(fixture, request):
     graph = request.getfixturevalue(fixture)
@@ -302,11 +356,11 @@ def test_collapse_names_the_same_bus_as_reference_loop(graph8):
     s = _random_rows(graph8.n, rng, rows=(3,))
     s.p_u[1, 4:] = -2.0  # one row's far buses collapse
     messages = []
-    for solve in (solve_nonlinear, matrix_sweep):
+    for solve in (solve_nonlinear, matrix_sweep, three_product_sweep):
         with pytest.raises(VoltageCollapseError) as err:
             solve(graph8, s, 1.0)
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
     assert messages[0].startswith("voltage collapse at bus ")
 
 
@@ -314,6 +368,18 @@ def _nearby(s, rng, scale=1e-3):
     """Injections moved by up to ``scale`` per entry, like consecutive Picard iterates."""
     return InjectionState(p=s.p + rng.uniform(-scale, scale, s.p.shape),
                           q=s.q + rng.uniform(-scale, scale, s.q.shape), p_u=s.p_u, q_u=s.q_u)
+
+
+@pytest.mark.parametrize("rows", [(), (2,), (32,), (2, 3)])
+@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
+def test_sweep_agrees_with_three_product_form(fixture, rows, request):
+    graph = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(16)
+    s = _random_rows(graph.n, rng, rows=rows)
+    cold = assert_agrees_with_three_products(graph, s)
+    assert cold.converged
+    warm = assert_agrees_with_three_products(graph, _nearby(s, rng), start=cold)
+    assert warm.converged and warm.iterations < cold.iterations
 
 
 @pytest.mark.parametrize("rows", [(), (2,), (2, 3)])
