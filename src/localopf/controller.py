@@ -73,8 +73,13 @@ def plant_voltage(
     plant solves every row in one power-flow call.
     """
     if plant == "linear":
-        return x @ model.A.T + env_voltage(model, p_u, q_u)
+        return _linear_plant(x, model, env_voltage(model, p_u, q_u))
     return _nonlinear_plant(x, p_u, q_u, model.v0, graph).v
+
+
+def _linear_plant(x, model, env):
+    """LinDistFlow voltages of setpoints ``x`` (..., 2N) over the uncontrolled voltages ``env``."""
+    return x @ model.A.T + env
 
 
 def _nonlinear_plant(x, p_u, q_u, v0, graph, tol=SWEEP_TOL, start=None):
@@ -114,12 +119,16 @@ def _picard_plant(p_u, q_u, model, graph, plant):
     """Plant of one Picard solve: ``plant(x, step)`` maps setpoint rows to squared voltages.
 
     ``step`` is the largest row step of the previous Picard iteration (0 for
-    full precision).  The linear plant ignores it.  The nonlinear plant keeps
-    the solve's last power-flow solution, starts each sweep from it, and
-    stops at ``max(SWEEP_TOL, PICARD_PF_TOL_FRACTION * step)``.
+    full precision).  The linear plant ignores it and computes the
+    uncontrolled voltages :func:`~localopf.powerflow.env_voltage` once per
+    solve, not once per call.  The nonlinear plant keeps the solve's last
+    power-flow solution, whose ``v`` and ``ell`` have the injections' shape,
+    starts each sweep from it, and stops at ``max(SWEEP_TOL,
+    PICARD_PF_TOL_FRACTION * step)``.
     """
     if plant == "linear":
-        return lambda x, step: plant_voltage(x, p_u, q_u, model, graph, plant)
+        env = env_voltage(model, p_u, q_u)
+        return lambda x, step: _linear_plant(x, model, env)
     last = None
 
     def solve(x, step):
@@ -139,7 +148,9 @@ def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=No
     first call and on the final one, which returns the equilibrium's
     voltages at full precision (see :func:`_picard_plant`).  The policy
     output is ``output(gain, offset, v)`` with the MLP term ``offset``
-    (S, 2N) fixed.  Stops once every row moved less than ``eq_tol``; appends
+    (S, 2N) fixed.  A row's step is its Euclidean length, summed as
+    ``np.linalg.norm(d, axis=1)`` sums it for real input.  Stops once every
+    row moved less than ``eq_tol``; appends
     the largest row step of each iteration to ``gaps`` when given.  Returns
     (x, v, converged (S,), gap (S,), iterations).
     """
@@ -149,7 +160,8 @@ def _picard(x, plant, offset, gain, cost, box, alpha, eq_tol, max_iters, gaps=No
     for iterations in range(1, max_iters + 1):
         v = plant(x, step)
         x_new = project_box(x - alpha * (cost_grad(cost, x) + output(gain, offset, v)), box)
-        gap = np.linalg.norm(x_new - x, axis=1)
+        d = x_new - x
+        gap = np.sqrt(np.add.reduce(d * d, axis=1))
         x = x_new
         step = float(np.max(gap))
         if gaps is not None:

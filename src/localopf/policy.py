@@ -199,9 +199,14 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
 
     ``channels``, a (C,) boolean mask, limits the pass to those channels:
     the others' columns of the result are zero and their hidden-layer tape
-    entries are left unwritten.  Each run of consecutive channels works on
-    views of its weights, so a channel's products are the same, bit for
-    bit, as in a pass over every channel.
+    entries hold no meaningful values.  A strict subset gathers its
+    channels' weights and biases once per layer and runs one stacked
+    product per layer on them, whatever runs of consecutive channels the
+    mask holds.  Each layer is made packed in the first rows of its tape
+    entry, which needs no further buffer, and moved to its channels' rows at
+    the end.  Each channel's product is still its own BLAS call on the same
+    layout, so its results are the same, bit for bit, as in a pass over
+    every channel, which writes its tape in place.
     """
     C = params.n_channels
     batch_shape = np.shape(p_u)[:-1]
@@ -209,22 +214,32 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     # channel-major (C, S, n) layout
     h0 = (d / params.d_scale).reshape(-1, C).T[..., None]  # (C, S, 1)
     S = h0.shape[1]
+    every = channels is None or channels.all()
+    sel = slice(None) if every else np.flatnonzero(channels)
+
+    def gather(a):  # a layer's (C, ...) weights or biases of the pass's channels
+        return a if every else a[sel]
+
     hs = [h0] + [np.empty((C, S, w.shape[1])) for w in params.weights[:-1]]
-    top = np.zeros((C, S, 1))
-    for run in [slice(None)] if channels is None else channel_runs(channels):
-        h = h0[run]
-        for l in range(len(hs) - 1):
-            w, nxt = params.weights[l][run], hs[l + 1][run]
-            if l == 0:
-                h = np.multiply(h, w[:, None, :, 0], out=nxt)
-            else:
-                h = np.matmul(h, w.transpose(0, 2, 1), out=nxt)
-            h += params.biases[l][run][:, None, :]
-            np.maximum(h, 0.0, out=h)
-        np.matmul(h, params.weights[-1][run].transpose(0, 2, 1), out=top[run])
-        top[run] += params.biases[-1][run][:, None, :]
+    h = h0[sel]
+    for l, w in enumerate(params.weights[:-1]):
+        w = gather(w)
+        nxt = hs[l + 1][:len(w)]  # a subset's rows stay packed in front until the pass ends
+        if l == 0:
+            h = np.multiply(h, w[:, None, :, 0], out=nxt)
+        else:
+            h = np.matmul(h, w.transpose(0, 2, 1), out=nxt)
+        h += gather(params.biases[l])[:, None, :]
+        np.maximum(h, 0.0, out=h)
+    top = np.matmul(h, gather(params.weights[-1]).transpose(0, 2, 1))  # (channels, S, 1)
+    top += gather(params.biases[-1])[:, None, :]
+    if not every:  # packed row i moves to row sel[i] >= i: last first, none is overwritten unmoved
+        rows = list(enumerate(sel.tolist()))[::-1]
+        for layer in hs[1:]:
+            for i, c in rows:
+                layer[c] = layer[i]
     u = np.zeros(batch_shape + (2 * params.n_bus,))
-    u[..., params.columns] = top[:, :, 0].T.reshape(batch_shape + (C,))
+    u[..., params.columns[sel]] = top[:, :, 0].T.reshape(batch_shape + (len(top),))
     return (u, hs) if with_tape else u
 
 

@@ -88,10 +88,11 @@ def solve_nonlinear(
     voltages are ``ell @ graph.W + b``, where ``b``, the injections' part
     through ``graph.B`` plus ``v0``, is formed once per call.
     Starts lossless (ell = 0, v = v0) unless ``start``, an earlier solution
-    whose ``v`` and ``ell`` broadcast to the injections' shape, is given;
-    the sweep then begins from them, which saves sweeps when the injections
-    are close to those ``start`` solved.  The stop rule is the same either
-    way: a batch sweeps until every row moved less than ``tol``.  A lossless
+    whose ``v`` and ``ell`` have the injections' shape, is given; the sweep
+    then begins from them, which saves sweeps when the injections are close
+    to those ``start`` solved; a start of another shape raises ValueError.
+    The stop rule is the same either way: a batch sweeps until every row
+    moved less than ``tol``.  A lossless
     start never stops after its first pass: that pass runs on the guess
     ell = 0, and its voltages match the start's exactly when every line's
     r*P + x*Q is zero.
@@ -105,12 +106,10 @@ def solve_nonlinear(
     v = np.full(shape, float(v0))
     P = Q = ell = np.zeros(shape)
     if start is not None:
-        try:
-            v = np.broadcast_to(start.v, shape)
-            ell = np.broadcast_to(start.ell, shape)
-        except ValueError:
-            raise ValueError(f"start of shape {np.shape(start.v)} does not broadcast to the "
-                             f"injections' shape {shape}") from None
+        if not np.shape(start.v) == np.shape(start.ell) == shape:
+            raise ValueError(f"start of shape {np.shape(start.v)} does not match the "
+                             f"injections' shape {shape}")
+        v, ell = start.v, start.ell
     converged = False
     iterations = 0
     for iterations in range(1, SWEEP_MAX_ITERS + 1):

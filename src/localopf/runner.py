@@ -257,9 +257,13 @@ def stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+# libyaml's parser when PyYAML was built with it; both build the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        cfg = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(cfg, dict):
         raise StageError("config", f"config root must be a mapping: {path}")
     return cfg

@@ -98,8 +98,12 @@ class BoxLimits:
 
 
 def project_box(x: np.ndarray, box: BoxLimits) -> np.ndarray:
-    """Euclidean projection of each (..., 2N) row onto the box: elementwise clamp."""
-    return np.clip(x, box.lo, box.hi)
+    """Euclidean projection of each (..., 2N) row onto the box: elementwise clamp.
+
+    Two plain ufuncs in ``np.clip``'s order, lower bound first, give its
+    bits on signed zeros, NaN and infinities at less per-call overhead.
+    """
+    return np.minimum(np.maximum(x, box.lo), box.hi)
 
 
 @dataclass(frozen=True)

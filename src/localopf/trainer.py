@@ -23,7 +23,6 @@ from .policy import (
     PolicyParams,
     StabilityError,
     backward_all,
-    channel_runs,
     compute_k_max,
     enforce_conditions,
     forward_all,
@@ -180,12 +179,22 @@ class Batch:
 
 def lagrangian(batch: Batch, state: TrainerState, cfg: TrainerConfig) -> float:
     """Empirical Lagrangian: batch-mean cost plus dual-weighted surrogates (band, beta: ``cfg``)."""
+    return _lagrangian(batch, state, _surrogate_slack(batch, state, cfg))
+
+
+def _surrogate_slack(batch, state, cfg):
+    """(N,) lower and upper hinge means over the rows of ``batch``, minus ``beta * lambda``."""
     v = batch.v
     hinge_lo = hinge_surrogate(state.lambda_lo, cfg.v_lo - v).mean(axis=0)
     hinge_hi = hinge_surrogate(state.lambda_hi, v - cfg.v_hi).mean(axis=0)
+    return hinge_lo - cfg.beta * state.lambda_lo, hinge_hi - cfg.beta * state.lambda_hi
+
+
+def _lagrangian(batch, state, slack):
+    """:func:`lagrangian` from the minibatch's :func:`_surrogate_slack`."""
     val = batch.mean_cost
-    val += float(state.mu_lo @ (hinge_lo - cfg.beta * state.lambda_lo))
-    val += float(state.mu_hi @ (hinge_hi - cfg.beta * state.lambda_hi))
+    val += float(state.mu_lo @ slack[0])
+    val += float(state.mu_hi @ slack[1])
     return val
 
 
@@ -260,15 +269,15 @@ def grad_lambda(batch: Batch, state: TrainerState, cfg: TrainerConfig):
 
 def dual_update(state: TrainerState, batch: Batch, cfg: TrainerConfig) -> TrainerState:
     """Projected dual ascent (step ``cfg.sigma_mu``) on the surrogate constraint violations."""
-    v = batch.v
-    asc_lo = (hinge_surrogate(state.lambda_lo, cfg.v_lo - v).mean(axis=0)
-              - cfg.beta * state.lambda_lo)
-    asc_hi = (hinge_surrogate(state.lambda_hi, v - cfg.v_hi).mean(axis=0)
-              - cfg.beta * state.lambda_hi)
+    return _dual_step(state, cfg.sigma_mu, _surrogate_slack(batch, state, cfg))
+
+
+def _dual_step(state, sigma_mu, slack):
+    """:func:`dual_update` from the minibatch's :func:`_surrogate_slack`."""
     return replace(
         state,
-        mu_lo=np.maximum(state.mu_lo + cfg.sigma_mu * asc_lo, 0.0),
-        mu_hi=np.maximum(state.mu_hi + cfg.sigma_mu * asc_hi, 0.0),
+        mu_lo=np.maximum(state.mu_lo + sigma_mu * slack[0], 0.0),
+        mu_hi=np.maximum(state.mu_hi + sigma_mu * slack[1], 0.0),
     )
 
 
@@ -316,8 +325,10 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
     - settled: ``m *= b1; v *= b2``;
     - inactive: nothing, as zero m, v and g leave theta as it is.
 
-    The two stepping forms run in ``ADAM_BLOCK``-element blocks with one
-    scratch and compare new with old theta as int64: the returned (C,) mask
+    One scan of the rows' kinds cuts them into runs of one kind, which the
+    step walks once.  The two stepping forms run in ``ADAM_BLOCK``-element
+    blocks with one scratch and compare new with old theta as int64; a block
+    boundary does not change an elementwise result.  The returned (C,) mask
     is exactly the rows whose theta bytes changed.  A decay-only row left
     unchanged settles from step 5 on if it passes the guard up to
     ``horizon``, the run's last step.  Why it then stays put:
@@ -340,36 +351,42 @@ def adam_update(policy: PolicyParams, grad: np.ndarray, adam: AdamState, lr: flo
     theta, P = policy.theta, policy.row_size
     adam.active |= live
     adam.settled &= ~live
-    quiet = adam.active & ~adam.settled & ~live  # rows of the decay-only form
+    # each row's kind, 0 inactive, 1 live, 2 decay-only or 3 settled, and the runs of one kind
+    kind = 2 * adam.active - live + adam.settled
+    kinds = kind.tolist()
+    cuts = [c for c in range(len(kinds) + 1) if c in (0, len(kinds)) or kinds[c] != kinds[c - 1]]
     scratch = np.empty(min(ADAM_BLOCK, theta.size))  # temporaries cost more than the math
     moved = np.zeros_like(live)
-    for full, rows in ((True, live), (False, quiet)):
-        for run in channel_runs(rows):
-            stop = run.stop * P
-            for start in range(run.start * P, stop, ADAM_BLOCK):
-                blk = slice(start, min(start + ADAM_BLOCK, stop))
-                g, m, v, th = grad[blk], adam.m[blk], adam.v[blk], theta[blk]
-                tmp = scratch[:g.size]
-                v *= beta2
-                m *= beta1
-                if full:
-                    v += np.multiply(np.multiply(g, 1.0 - beta2, out=tmp), g, out=tmp)
-                    m += np.multiply(g, 1.0 - beta1, out=g)
-                np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
-                np.multiply(np.divide(m, bc1, out=g), lr, out=g)
-                np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
-                np.subtract(th, g, out=tmp)
-                flag = g.view(np.bool_)[:g.size]  # the first bytes of g, free once u is spent
-                np.not_equal(tmp.view(np.int64), th.view(np.int64), out=flag)
-                th[...] = tmp
-                touched = range(start // P, (blk.stop - 1) // P + 1)  # rows the block touches
-                moved[touched.start:touched.stop] |= np.logical_or.reduceat(
-                    flag, [max(r * P - start, 0) for r in touched])
-    for run in channel_runs(adam.settled):
-        adam.m[run.start * P:run.stop * P] *= beta1
-        adam.v[run.start * P:run.stop * P] *= beta2
+    for a, b in zip(cuts, cuts[1:]):
+        form = kinds[a]
+        if form == 0:
+            continue
+        if form == 3:
+            adam.m[a * P:b * P] *= beta1
+            adam.v[a * P:b * P] *= beta2
+            continue
+        stop = b * P
+        for start in range(a * P, stop, ADAM_BLOCK):
+            blk = slice(start, min(start + ADAM_BLOCK, stop))
+            g, m, v, th = grad[blk], adam.m[blk], adam.v[blk], theta[blk]
+            tmp = scratch[:g.size]
+            v *= beta2
+            m *= beta1
+            if form == 1:
+                v += np.multiply(np.multiply(g, 1.0 - beta2, out=tmp), g, out=tmp)
+                m += np.multiply(g, 1.0 - beta1, out=g)
+            np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), eps, out=tmp)
+            np.multiply(np.divide(m, bc1, out=g), lr, out=g)
+            np.divide(g, tmp, out=g)  # lr * (m/bc1) / (sqrt(v/bc2) + eps)
+            np.subtract(th, g, out=tmp)
+            flag = g.view(np.bool_)[:g.size]  # the first bytes of g, free once u is spent
+            np.not_equal(tmp.view(np.int64), th.view(np.int64), out=flag)
+            th[...] = tmp
+            touched = range(start // P, (blk.stop - 1) // P + 1)  # rows the block touches
+            moved[touched.start:touched.stop] |= np.logical_or.reduceat(
+                flag, [max(r * P - start, 0) for r in touched])
     if beta1**2 * (1.0 - beta2**(adam.t + 1)) < beta2 * bc2 * (1.0 - 1e-9):  # |u| falls
-        same = quiet & ~moved
+        same = (kind == 2) & ~moved
         reach = beta1**(horizon - adam.t)
         for c in np.flatnonzero(same):
             m, v = adam.m[c * P:(c + 1) * P], adam.v[c * P:(c + 1) * P]
@@ -473,27 +490,30 @@ def train(
         rows = []  # per minibatch: lagrangian, cost, violation rates, skipped, live count
         for start in range(0, len(p_u), cfg.batch_size):
             chunk = perm[start:start + cfg.batch_size]
+            p_mb, q_mb = p_u[chunk], q_u[chunk]  # the minibatch's injection rows
             full = len(chunk) == cfg.batch_size
             ran = ~fresh[chunk].all(axis=0) if full else np.ones(C, dtype=bool)
             if ran.any():
-                offset, tape = forward_all(state.policy, p_u[chunk], q_u[chunk], with_tape=True,
-                                           channels=ran)
+                offset, tape = forward_all(state.policy, p_mb, q_mb, with_tape=True, channels=ran)
             else:
                 offset, tape = np.zeros((len(chunk), 2 * graph.n)), None
             if full:
-                offset[:, cols[~ran]] = stored[np.ix_(chunk, ~ran)]
-                stored[np.ix_(chunk, ran)] = offset[:, cols[ran]]
-                fresh[np.ix_(chunk, ran)] = True
-            batch, x_warm = _solve_batch(p_u[chunk], q_u[chunk], cost, box, state.policy, model,
-                                         graph, ctrl_cfg, x_warm, offset, tape, ran)
+                at, on, off = chunk[:, None], np.flatnonzero(ran), np.flatnonzero(~ran)
+                offset[:, cols[off]] = stored[at, off]
+                stored[at, on] = offset[:, cols[on]]
+                fresh[at, on] = True
+            batch, x_warm = _solve_batch(p_mb, q_mb, cost, box, state.policy, model, graph,
+                                         ctrl_cfg, x_warm, offset, tape, ran)
             jac = None
             if cfg.mode == "gradient_free":
                 # probe around the first converged row under its own injections
                 jac = zo_voltage_jacobian(batch.x[0], batch.p_u[0], batch.q_u[0], model, graph,
                                           cfg.zo_step)
             grad, live = grad_policy(batch, state, model, cfg, jac, out=grad)
-            rows.append((lagrangian(batch, state, cfg), batch.mean_cost,
-                         np.mean(batch.v < cfg.v_lo), np.mean(batch.v > cfg.v_hi),
+            slack = _surrogate_slack(batch, state, cfg)  # read by the log and the dual step
+            rows.append((_lagrangian(batch, state, slack), batch.mean_cost,
+                         np.count_nonzero(batch.v < cfg.v_lo) / batch.v.size,
+                         np.count_nonzero(batch.v > cfg.v_hi) / batch.v.size,
                          batch.skipped, np.count_nonzero(live)))
             moved = adam_update(state.policy, grad, state.adam_state, cfg.sigma_phi, live, horizon)
             fresh[:, moved] = False
@@ -502,7 +522,8 @@ def train(
                 g_lo, g_hi = grad_lambda(batch, state, cfg)
                 state.lambda_lo = state.lambda_lo - sigma_lambda * g_lo
                 state.lambda_hi = state.lambda_hi - sigma_lambda * g_hi
-            state = dual_update(state, batch, cfg)
+                slack = _surrogate_slack(batch, state, cfg)  # the offsets moved
+            state = _dual_step(state, cfg.sigma_mu, slack)
         state.epoch = epoch + 1
         lag, mean_cost, lo, hi, skipped, n_live = zip(*rows)
         log.append({

@@ -16,9 +16,10 @@ from localopf import (
     step,
     tracking_bound,
 )
+from localopf import controller
 from localopf.controller import plant_voltage, solve_equilibria_batch
 from localopf.policy import forward_all
-from localopf.powerflow import InjectionState, residual, solve_nonlinear
+from localopf.powerflow import InjectionState, env_voltage, residual, solve_nonlinear
 from localopf.scenario import cost_grad, project_box
 from conftest import make_step
 
@@ -239,6 +240,52 @@ def test_batch_equilibria_match_per_sample(graph8, model8, plant):
         eq = solve_equilibrium(steps[s], pol, model8, graph8, cfg)
         np.testing.assert_allclose(x[s], eq.x_dag, atol=1e-8)
         np.testing.assert_allclose(v[s], eq.v_dag, atol=1e-8)
+
+
+@pytest.mark.parametrize("feeder", ["8", "37"])
+def test_picard_step_is_the_row_norm(feeder, request):
+    """Each row's Picard step has the bytes of ``np.linalg.norm(move, axis=1)``.
+
+    One-iteration solves from rows of very different sizes, some pinned to
+    a box corner so that they do not move at all.
+    """
+    graph = request.getfixturevalue(f"graph{feeder}")
+    model = request.getfixturevalue(f"model{feeder}")
+    rng = np.random.default_rng(600)
+    n, S = graph.n, 32
+    stp = make_step(n, np.zeros(n), np.zeros(n), range(1, n + 1, 2))
+    p_u, q_u = -rng.uniform(0.0, 0.02, (S, n)), -rng.uniform(0.0, 0.012, (S, n))
+    offset = rng.normal(scale=0.05, size=(S, 2 * n))
+    gain = rng.uniform(0.0, 0.1, 2 * n)
+    x = np.tile(stp.box.midpoint, (S, 1)) * 10.0 ** rng.integers(-8, 4, (S, 1))
+    x[:4], offset[:4] = stp.box.lo, 1.0  # the gradient step cannot leave the lower corner
+    plant = controller._picard_plant(p_u, q_u, model, graph, "linear")
+    for _ in range(4):
+        x_new, _, _, gap, iterations = controller._picard(
+            x, plant, offset, gain, stp.cost, stp.box, ALPHA, 1e-9, 1)
+        assert iterations == 1
+        assert gap.tobytes() == np.linalg.norm(x_new - x, axis=1).tobytes()
+        x = x_new
+    assert np.all(gap[:4] == 0.0) and np.all(gap[4:] > 0.0)
+
+
+def test_linear_picard_solve_computes_the_envelope_once(graph8, model8, monkeypatch):
+    """The uncontrolled voltages of a linear-plant solve are formed once, not per iteration."""
+    rng = np.random.default_rng(601)
+    pol, stp = _random_policy(graph8, rng), _random_step(graph8, rng)
+    p_u, q_u = np.tile(stp.p_u, (3, 1)), np.tile(stp.q_u, (3, 1))
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return env_voltage(*args)
+
+    monkeypatch.setattr(controller, "env_voltage", counted)
+    cfg = ControllerConfig(alpha=ALPHA, eq_tol=1e-11)
+    x, v, conv, iterations = solve_equilibria_batch(
+        p_u, q_u, forward_all(pol, p_u, q_u), stp.cost, stp.box, pol, model8, graph8, cfg)
+    assert conv.all() and iterations > 1 and len(calls) == 1
+    assert v.tobytes() == plant_voltage(x, p_u, q_u, model8, graph8, "linear").tobytes()
 
 
 def test_lemma1_sensitivity_bound(graph8, model8):

@@ -399,23 +399,13 @@ def test_warm_start_matches_cold_start(fixture, rows, request):
         np.testing.assert_allclose(getattr(warm, name), getattr(cold, name), rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("fixture", ["graph8", "graph37"])
-def test_warm_start_from_one_row_broadcasts_to_rows(fixture, request):
-    graph = request.getfixturevalue(fixture)
-    rng = np.random.default_rng(14)
-    one = _random_rows(graph.n, rng)
-    rows = InjectionState(*(np.stack([getattr(one, f)] * 4) for f in ("p", "q", "p_u", "q_u")))
-    near = _nearby(rows, rng)
-    warm = solve_nonlinear(graph, near, 1.0, start=solve_nonlinear(graph, one, 1.0))
-    assert warm.v.shape == (4, graph.n)
-    np.testing.assert_allclose(warm.v, solve_nonlinear(graph, near, 1.0).v, rtol=0.0, atol=1e-9)
-
-
 def test_warm_start_that_does_not_broadcast_raises(graph8, graph37):
     rng = np.random.default_rng(15)
     s = _random_rows(graph8.n, rng, rows=(2,))
     other_feeder = solve_nonlinear(graph37, _random_rows(graph37.n, rng), 1.0)
     more_rows = solve_nonlinear(graph8, _random_rows(graph8.n, rng, rows=(3,)), 1.0)
-    for start in (other_feeder, more_rows):
-        with pytest.raises(ValueError, match="does not broadcast"):
+    one_row = solve_nonlinear(graph8, _random_rows(graph8.n, rng), 1.0)
+    for start in (other_feeder, more_rows, one_row):
+        with pytest.raises(ValueError, match=r"start of shape \(.+\) does not match the "
+                                             rf"injections' shape \(2, {graph8.n}\)"):
             solve_nonlinear(graph8, s, 1.0, start=start)

@@ -20,6 +20,7 @@ from localopf.cli import STAGE_EXIT, main
 from localopf.runner import (
     config_hash,
     day_settings,
+    load_config,
     load_trajectory,
     resolve_config,
     run_experiment,
@@ -210,6 +211,23 @@ def test_resolve_config_overrides_reach_every_field_type():
     assert (gen.joint_noise, gen.trend, gen.horizon) == (False, ((0.0, 1.0),), 5)
     assert cfg["feeder"] == "feeder_8bus.txt"
     assert feeder_path == DATA / "feeder_8bus.txt"
+
+
+@pytest.mark.parametrize("name", ["config_8bus.yaml", "config_37bus.yaml"])
+def test_shipped_config_parses_alike_under_both_loaders(name):
+    """libyaml's loader, used when PyYAML has it, builds what the pure-Python one builds."""
+    text = (DATA / name).read_text(encoding="utf-8")
+    want = yaml.load(text, Loader=yaml.SafeLoader)
+    if hasattr(yaml, "CSafeLoader"):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == want
+    assert load_config(DATA / name) == want
+
+
+@pytest.mark.parametrize("text", ["trainer: {epochs: 1\n", "trainer:\n  - a\n b: [\n", "- 1\n"])
+def test_cli_malformed_config_exit_code(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["build-feeder", str(path)]) == STAGE_EXIT["config"] == 2
 
 
 def test_write_manifest_sorted(tmp_path):

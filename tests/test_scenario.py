@@ -205,6 +205,42 @@ def test_project_box_nonexpansive(x, y):
     assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+_EDGES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5, 1e-300, -5e-324])
+
+
+def _edge_box(rng, n_p, n_q):
+    """Bounds drawn from signed zeros, infinities and finite values; about a third have lo == hi."""
+    a, b = rng.choice(_EDGES[_EDGES == _EDGES], (2, n_p + n_q))  # every edge value but NaN
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    same = rng.random(n_p + n_q) < 0.3
+    hi[same] = lo[same]
+    return BoxLimits(lo[:n_p], hi[:n_p], lo[n_p:], hi[n_p:])
+
+
+def _edge_rows(rng, shape):
+    """Rows mixing NaN, signed zeros, infinities and tiny values with ordinary numbers."""
+    return np.where(rng.random(shape) < 0.5, rng.choice(_EDGES, shape), rng.normal(size=shape))
+
+
+def test_project_box_matches_clip_bit_for_bit():
+    """The two-ufunc projection gives np.clip's bytes at every row length from 1 to 257."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 258):
+        box = _edge_box(rng, n, 0)
+        for shape in ((n,), (3, n)):
+            x = _edge_rows(rng, shape)
+            assert project_box(x, box).tobytes() == np.clip(x, box.lo, box.hi).tobytes(), shape
+
+
+def test_project_box_matches_clip_on_minibatch_rows():
+    """(32, 72) rows, a 37-bus minibatch of (p, q) setpoints, against np.clip."""
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        box = _edge_box(rng, 36, 36)
+        x = _edge_rows(rng, (32, 72))
+        assert project_box(x, box).tobytes() == np.clip(x, box.lo, box.hi).tobytes()
+
+
 def test_box_limits_rejects_inverted():
     with pytest.raises(ValueError):
         BoxLimits(np.array([1.0]), np.array([0.0]), np.zeros(1), np.zeros(1))

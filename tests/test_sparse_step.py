@@ -17,7 +17,13 @@ import pytest
 
 from localopf import init_policy, trainer
 from localopf.controller import ControllerConfig
-from localopf.policy import backward_all, enforce_conditions, forward_all, param_views
+from localopf.policy import (
+    backward_all,
+    channel_runs,
+    enforce_conditions,
+    forward_all,
+    param_views,
+)
 from localopf.runner import day_settings, load_network, resolve_config, trainer_config
 from localopf.scenario import generate_profile
 from localopf.trainer import ADAM_BLOCK, AdamState, adam_update, train
@@ -143,31 +149,45 @@ def test_adam_update_on_active_rows_matches_dense_reference(shipped):
 
 
 def check_adam_against_dense(pol, walk_active):
-    """Live sets none, one, some, half, all in turn, as Adam's live rows or all rows live.
+    """Live sets none, one, some, half, then interleaved kinds, then all, as Adam's live rows.
 
     Walking the live sets, the rows that were live before and are not now
     take the step that reads no gradient, the rows never live are inactive,
     and the gradient's dead rows hold NaN, which Adam must not read.  Row
-    C - 2, first live in the second step, sits at 1e17, where its steps
-    round to nothing.  Adam must report exactly the rows whose theta bytes
-    changed.
+    C - 2, first live in the second step, and every row but 3, 7, 11, ...
+    sit at 1e17, where their steps round to nothing, so from step 5 on such
+    a row settles once it takes a decay-only step, and settled rows can
+    form runs.  Between ``half`` and ``all``,
+    eight steps draw random live sets that spare every third row of the
+    lower half, so the rows' kinds (inactive, live, decay-only, settled)
+    interleave and Adam's run scan crosses every boundary between two kinds.
+    With ``walk_active`` False every row is live in every step instead.
+    Adam must report exactly the rows whose theta bytes changed.
     """
     C, P = pol.n_channels, pol.row_size
     rng = np.random.default_rng(11)
-    pol.theta.reshape(C, P)[C - 2] = 1e17
+    rows = pol.theta.reshape(C, P)
+    rows[np.arange(C) % 4 != 3] = 1e17  # row C - 2 among them
     adam = AdamState.zeros_like(pol)
     ref_theta, ref = pol.theta.copy(), AdamState.zeros_like(pol)
-    for t, live in enumerate(live_sets(C).values()):
+    *walk, every = live_sets(C).values()
+    spared = np.arange(1, C // 2, 3)  # never live: inactive throughout
+    draws = [np.setdiff1d(np.flatnonzero(rng.random(C) < 0.4), spared) for _ in range(8)]
+    steps = walk + draws + [every]
+    boundaries = set()  # (kind, kind of the next row) pairs before each step, kinds differing
+    for t, live in enumerate(steps):
         grad = np.zeros((C, P))
         grad[live] = rng.normal(size=(len(live), P))
         if t == 1:
             grad[0] = -0.0  # a row of negative zeros leaves theta, m and v as they are
         live = np.isin(np.arange(C), live) if walk_active else np.ones(C, dtype=bool)
+        kind = np.select([live, adam.settled, adam.active], [1, 3, 2], 0)
+        boundaries |= {(a, b) for a, b in zip(kind.tolist(), kind[1:].tolist()) if a != b}
         before = [a.reshape(C, P).copy() for a in (pol.theta, adam.m, adam.v)]
         idle = ~(np.any(grad, axis=1) | np.any(before[1], axis=1) | np.any(before[2], axis=1))
         dense_adam_update(ref_theta, grad.ravel().copy(), ref, lr=1e-3)
         grad[~live] = np.nan
-        moved = adam_update(pol, grad.ravel(), adam, 1e-3, live, horizon=5)
+        moved = adam_update(pol, grad.ravel(), adam, 1e-3, live, horizon=len(steps))
         assert adam.t == ref.t
         for got, want, old in zip((pol.theta, adam.m, adam.v), (ref_theta, ref.m, ref.v), before):
             assert got.tobytes() == want.tobytes()
@@ -175,6 +195,8 @@ def check_adam_against_dense(pol, walk_active):
         changed = np.any(pol.theta.reshape(C, P).view(np.int64) != before[0].view(np.int64), axis=1)
         assert moved.tolist() == changed.tolist()
         assert not changed[C - 2]
+    if walk_active:
+        assert boundaries == {(a, b) for a in range(4) for b in range(4) if a != b}
 
 
 def test_adam_update_reports_unchanged_rows_across_blocks(graph37):
@@ -260,6 +282,10 @@ def test_settled_rows_stay_put_under_zero_gradients(graph37):
     assert moved_after[0] and not np.any(settled & moved_after)  # refused rows kept stepping
 
 
+# the channels of the trained 37-bus policy that go live: 9 channels in 5 runs
+SHIPPED_37BUS_ACTIVE_MASK = np.isin(np.arange(26), [4, 5, 7, 8, 9, 10, 13, 17, 24])
+
+
 @pytest.mark.parametrize("S", [1, 7, 32])
 def test_forward_all_on_channels_matches_full_pass(shipped, S):
     graph, pol = shipped
@@ -267,7 +293,11 @@ def test_forward_all_on_channels_matches_full_pass(shipped, S):
     rng = np.random.default_rng(S + 5)
     p_u, q_u = rng.normal(size=(S, n)), rng.normal(size=(S, n))
     u_full, tape_full = forward_all(pol, p_u, q_u, with_tape=True)
-    for name, sel in live_sets(C).items():
+    sets = live_sets(C)
+    if C == len(SHIPPED_37BUS_ACTIVE_MASK):
+        assert len(channel_runs(SHIPPED_37BUS_ACTIVE_MASK)) == 5
+        sets["shipped"] = np.flatnonzero(SHIPPED_37BUS_ACTIVE_MASK)
+    for name, sel in sets.items():
         channels = np.zeros(C, dtype=bool)
         channels[sel] = True
         u, tape = forward_all(pol, p_u, q_u, with_tape=True, channels=channels)
@@ -405,6 +435,8 @@ def count_passes(monkeypatch):
 SHIPPED_RUNS = {
     "8bus": ("config_8bus.yaml",),
     "8bus-gradient_free": ("config_8bus.yaml", "trainer.mode=gradient_free"),
+    # the offsets lambda move between the logged Lagrangian and the dual step
+    "8bus-learned_lambda": ("config_8bus.yaml", "trainer.lambda_mode=learned"),
     # 103 = 3 * 32 + 7: each epoch ends on a 7-row minibatch, whose rows may
     # differ in the last bit from the same rows in a 32-row pass
     "8bus-short_tail": ("config_8bus.yaml", "scenario.horizon_train=103"),
