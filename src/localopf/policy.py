@@ -50,12 +50,7 @@ class PolicyParams:
     row_size: int = field(init=False, repr=False)  # P, the parameter count of one channel
 
     def __post_init__(self):
-        L, width = self.arch
-        dims = [1] + [width] * L + [1]
-        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((o, i), (o,))] + [()]
-        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
-        self.layout = [(int(a), int(b), s) for a, b, s in zip(ends, ends[1:], shapes)]
-        self.row_size = int(ends[-1])
+        self.layout, self.row_size = _row_layout(self.arch)
         self.weights, self.biases, self.k = param_views(self, self.theta)
         idx = np.array(self.nodes, dtype=int) - 1
         self.columns = np.concatenate([idx, self.n_bus + idx])
@@ -92,12 +87,27 @@ def param_views(params: PolicyParams, flat: np.ndarray):
     return views[:-1:2], views[1:-1:2], views[-1]
 
 
-def _flatten(weights, biases, k) -> np.ndarray:
-    """Pack per-layer (C, ...) arrays into one vector in ``theta`` order: a row per channel."""
-    blocks = [a for wb in zip(weights, biases) for a in wb] + [np.asarray(k)]
-    C = len(blocks[-1])
-    cols = [int(np.prod(a.shape[1:])) for a in blocks]  # not reshape(C, -1): C may be 0
-    return np.concatenate([a.reshape(C, n) for a, n in zip(blocks, cols)], axis=1).ravel()
+def _row_layout(arch: tuple[int, int]):
+    """(layout, row size P) of one channel's row of ``theta`` under ``arch``."""
+    L, width = arch
+    dims = [1] + [width] * L + [1]
+    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((o, i), (o,))] + [()]
+    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    return [(int(a), int(b), s) for a, b, s in zip(ends, ends[1:], shapes)], int(ends[-1])
+
+
+def _zero_policy(nodes: tuple[int, ...], arch: tuple[int, int], k_max: float,
+                 n_bus: int) -> PolicyParams:
+    """A policy whose ``theta`` is all zeros and whose ``d_scale`` is all ones.
+
+    ``np.zeros`` leaves the pages of ``theta`` untouched until a view writes
+    them, so the callers fill it layer by layer and no per-layer copy is
+    ever held beside it.
+    """
+    C = 2 * len(nodes)
+    return PolicyParams(nodes=nodes, arch=arch, k_max=k_max,
+                        theta=np.zeros(C * _row_layout(arch)[1]), d_scale=np.ones(C),
+                        n_bus=n_bus)
 
 
 class StabilityError(ValueError):
@@ -139,29 +149,28 @@ def init_policy(
     k_max: float = 1.0,
     seed: int = 0,
 ) -> PolicyParams:
-    """Fresh policy: fan-in-scaled symmetric weights, zero biases, k = k_max/2."""
+    """Fresh policy: fan-in-scaled symmetric weights, zero biases, k = k_max/2.
+
+    Layer l's weights are ``rng.uniform(-1, 1, (C, n_l, n_{l-1})) /
+    sqrt(n_{l-1})``, drawn in layer order from ``default_rng(seed)``.  Each
+    draw is divided in place and written through its view into a zero
+    ``theta``, so building the policy holds at most one layer's draw beside
+    ``theta``.
+    """
     if k_max <= 0:
         raise ValueError("k_max must be positive")
     nodes = tuple(sorted(int(i) for i in nodes))
     if any(i < 1 or i > graph.n for i in nodes):
         raise ValueError(f"controllable ids must lie in 1..{graph.n}")
     L, width = arch
-    dims = [1] + [width] * L + [1]
-    C = 2 * len(nodes)
+    params = _zero_policy(nodes, (L, width), float(k_max), graph.n)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for l in range(1, len(dims)):
-        fan_in = dims[l - 1]
-        weights.append(rng.uniform(-1.0, 1.0, size=(C, dims[l], fan_in)) / np.sqrt(fan_in))
-        biases.append(np.zeros((C, dims[l])))
-    return PolicyParams(
-        nodes=nodes,
-        arch=(L, width),
-        k_max=float(k_max),
-        theta=_flatten(weights, biases, np.full(C, 0.5 * k_max)),
-        d_scale=np.ones(C),
-        n_bus=graph.n,
-    )
+    for w in params.weights:  # biases stay zero
+        draw = rng.uniform(-1.0, 1.0, size=w.shape)
+        w[...] = np.divide(draw, np.sqrt(w.shape[2]), out=draw)
+        del draw  # freed before the next layer's draw
+    params.k[...] = 0.5 * k_max
+    return params
 
 
 def set_input_scale(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray) -> None:
@@ -185,7 +194,7 @@ def enforce_conditions(params: PolicyParams) -> PolicyParams:
 # Stacked forward/backward across all channels, with optional batch dims.
 
 def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tape: bool = False,
-                channels: np.ndarray | None = None):
+                channels: np.ndarray | None = None, tape_out: list | None = None):
     """MLP term of every channel, scattered into a length-2N vector.
 
     ``p_u``, ``q_u`` have shape (..., N); returns shape (..., 2N) with each
@@ -207,6 +216,12 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     the end.  Each channel's product is still its own BLAS call on the same
     layout, so its results are the same, bit for bit, as in a pass over
     every channel, which writes its tape in place.
+
+    ``tape_out``, a caller-owned list of one (C, S, width) buffer per
+    hidden layer, receives the hidden layers in place of fresh arrays, so a
+    caller that makes many passes of S rows keeps one tape alive; the
+    returned tape then holds these buffers.  Buffers of any other shape
+    raise ValueError.
     """
     C = params.n_channels
     batch_shape = np.shape(p_u)[:-1]
@@ -220,7 +235,12 @@ def forward_all(params: PolicyParams, p_u: np.ndarray, q_u: np.ndarray, with_tap
     def gather(a):  # a layer's (C, ...) weights or biases of the pass's channels
         return a if every else a[sel]
 
-    hs = [h0] + [np.empty((C, S, w.shape[1])) for w in params.weights[:-1]]
+    if tape_out is None:
+        tape_out = [np.empty((C, S, w.shape[1])) for w in params.weights[:-1]]
+    elif [np.shape(h) for h in tape_out] != [(C, S, w.shape[1]) for w in params.weights[:-1]]:
+        raise ValueError(f"tape buffers of shapes {[np.shape(h) for h in tape_out]}, "
+                         f"the pass needs {[(C, S, w.shape[1]) for w in params.weights[:-1]]}")
+    hs = [h0, *tape_out]
     h = h0[sel]
     for l, w in enumerate(params.weights[:-1]):
         w = gather(w)
@@ -262,7 +282,8 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     ``v`` (..., N) holds the squared voltages the gain term read; ``tape`` is
     the forward pass's list of post-activations, whose sign is the ReLU
     mask.  The gradient, laid out like ``params.theta``, is written into
-    ``out`` when given (and returned), else into a fresh zero vector.
+    ``out`` when given (and returned), else into a fresh ``np.zeros``
+    vector, whose pages stay untouched until written.
 
     The layer loop runs only on the live channels, those with a nonzero
     ``upstream`` entry, so the tape is read only for them; with none live it
@@ -277,7 +298,7 @@ def backward_all(params: PolicyParams, tape, upstream: np.ndarray, v: np.ndarray
     C = params.n_channels
     up = np.asarray(upstream, dtype=float).reshape(-1, C)  # (S, C)
     v_sel = np.concatenate([v, v], axis=-1)[..., params.columns].reshape(-1, C)
-    grad = np.zeros_like(params.theta) if out is None else out
+    grad = np.zeros(params.theta.shape) if out is None else out
     live = np.any(up, axis=0)
     dW, db, dk = param_views(params, grad)
     last = len(params.weights) - 1
@@ -323,28 +344,42 @@ def save_policy(params: PolicyParams, path) -> None:
 def load_policy(path) -> PolicyParams:
     """The policy of a :func:`save_policy` checkpoint.
 
-    A file numpy cannot read as an archive of the checkpoint's arrays raises
-    ``ValueError("<path> is not a localopf policy checkpoint")``; a missing
-    file raises ``FileNotFoundError``.
+    Each of the checkpoint's ``W{l}``, ``b{l}``, ``k`` and ``d_scale``
+    arrays must have exactly the shape of the policy array it fills, and
+    every node id must lie in 1..``n_bus``.  The arrays are read one at a
+    time and written through the views of a zero ``theta`` (``d_scale``
+    into a fresh vector), so no per-layer copy is kept beside ``theta``.
+    A file numpy cannot read as such an archive raises ``ValueError("<path>
+    is not a localopf policy checkpoint")``; a missing file raises
+    ``FileNotFoundError``.
     """
     try:
         with np.load(path) as data:
-            ckpt = {key: data[key] for key in data.files}
-        version = int(ckpt["version"])
-        if version == _CKPT_VERSION:
-            arch = tuple(int(a) for a in ckpt["arch"])
-            layers = range(arch[0] + 1)
-            params = PolicyParams(
-                nodes=tuple(int(i) for i in ckpt["nodes"]),
-                arch=arch,  # type: ignore[arg-type]
-                k_max=float(ckpt["k_max"]),
-                theta=_flatten([ckpt[f"W{l}"] for l in layers], [ckpt[f"b{l}"] for l in layers],
-                               ckpt["k"]),
-                d_scale=ckpt["d_scale"],
-                n_bus=int(ckpt["n_bus"]),
-            )
+            version = int(data["version"])
+            if version == _CKPT_VERSION:
+                params = _read_checkpoint(data)
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path} is not a localopf policy checkpoint") from exc
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    return params
+
+
+def _read_checkpoint(data) -> PolicyParams:
+    """The policy of an open version-1 checkpoint archive; raises ValueError or KeyError."""
+    n_bus = int(data["n_bus"])
+    nodes = tuple(int(i) for i in data["nodes"])
+    if any(i < 1 or i > n_bus for i in nodes):
+        raise ValueError(f"node ids {nodes} do not all lie in 1..{n_bus}")
+    arch = tuple(int(a) for a in data["arch"])
+    params = _zero_policy(nodes, arch, float(data["k_max"]), n_bus)  # type: ignore[arg-type]
+    views = {"k": params.k, "d_scale": params.d_scale}
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        views[f"W{l}"], views[f"b{l}"] = w, b
+    for key, view in views.items():
+        arr = data[key]
+        if arr.shape != view.shape:  # assignment would broadcast it
+            raise ValueError(f"{key} has shape {arr.shape}, the policy needs {view.shape}")
+        view[...] = arr
+        del arr  # freed before the next array is read
     return params

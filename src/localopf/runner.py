@@ -385,7 +385,8 @@ def run_training(days: tuple[GeneratorConfig, list[int]], tr_cfg: TrainerConfig,
     ``policy.npz`` and ``training_log.csv`` into ``out``, which must exist.
 
     Failures belong to the ``scenario`` and ``train`` stages.  Returns
-    (TrainerState, training log).
+    (trained PolicyParams, training log); the rest of the final
+    TrainerState, Adam's moments among it, is freed on return.
     """
     with stage("scenario"):
         scns = [generate_profile(graph, days[0], s) for s in days[1]]
@@ -393,7 +394,7 @@ def run_training(days: tuple[GeneratorConfig, list[int]], tr_cfg: TrainerConfig,
         state, log = train(scns, tr_cfg, graph, model)
     write_training_log(log, out / "training_log.csv")
     save_policy(state.policy, out / "policy.npz")
-    return state, log
+    return state.policy, log
 
 
 def write_training_log(log, path) -> None:
@@ -435,16 +436,16 @@ def run_experiment(config_path, output_dir=None, overrides=()) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     with stage("scenario"):
         test_scn = generate_profile(graph, test_gen, test_seed)
-    state, _ = run_training(train_days, tr_cfg, graph, model, out)
+    policy, _ = run_training(train_days, tr_cfg, graph, model, out)
 
     m, xi = convexity_constants(test_scn.cost)
-    stability = check_stability(m, xi, model.a_norm, state.policy, tr_cfg.alpha)
+    stability = check_stability(m, xi, model.a_norm, policy, tr_cfg.alpha)
 
     v_lo, v_hi = tr_cfg.v_lo, tr_cfg.v_hi
     ctrl_cfg = ControllerConfig(alpha=tr_cfg.alpha, plant="nonlinear")
     x0 = test_scn.box.midpoint
     with stage("operate"):
-        ctrl_traj, (step_time, plant_time) = run_controller(test_scn, state.policy, model,
+        ctrl_traj, (step_time, plant_time) = run_controller(test_scn, policy, model,
                                                             graph, ctrl_cfg, x0=x0)
         nc_traj = run_no_control(test_scn, model, graph)
         bcfg = cfg.get("baseline", {})

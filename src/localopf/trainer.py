@@ -118,6 +118,10 @@ class AdamState:
 
     ``active``: rows whose m or v may be nonzero; ``settled``: active rows a
     zero-gradient step provably leaves unchanged (see :func:`adam_update`).
+    :meth:`zeros_like` makes m and v with ``np.zeros``, whose pages stay
+    untouched until written, and :func:`adam_update` writes no inactive
+    row, so the moments of rows that never receive a gradient take no
+    resident memory.
     """
 
     m: np.ndarray
@@ -129,8 +133,8 @@ class AdamState:
     @classmethod
     def zeros_like(cls, policy: PolicyParams) -> "AdamState":
         none = np.zeros(policy.n_channels, dtype=bool)
-        return cls(m=np.zeros_like(policy.theta), v=np.zeros_like(policy.theta),
-                   active=none, settled=none.copy())
+        shape = policy.theta.shape  # np.zeros, not zeros_like, which writes every page
+        return cls(m=np.zeros(shape), v=np.zeros(shape), active=none, settled=none.copy())
 
 
 @dataclass
@@ -156,7 +160,9 @@ class Batch:
     holds only the converged rows.  ``tape`` is that pass's tape, written
     for the ``taped`` channels alone; it is None, and ``taped`` all False,
     when no channel ran or a row was skipped.  :func:`grad_policy` reuses
-    the tape when it covers every live channel.
+    the tape when it covers every live channel.  In :func:`train` a full
+    minibatch's tape is the run's one tape, which the next full pass
+    overwrites.
     """
 
     p_u: np.ndarray  # (S, N)
@@ -229,7 +235,7 @@ def grad_policy(
     upstream = _policy_upstream(batch, state, model, cfg, voltage_jacobian)
     live = np.any(upstream, axis=0)
     if not live.any():
-        return np.zeros_like(state.policy.theta) if out is None else out, live
+        return np.zeros(state.policy.theta.shape) if out is None else out, live
     tape = batch.tape
     if (live & ~batch.taped).any():  # a channel turned live on stored values, or no tape
         _, tape = forward_all(state.policy, batch.p_u, batch.q_u, with_tape=True, channels=live)
@@ -444,8 +450,10 @@ def train(
     ``theta`` row keeps its bits: the rows Adam reports moved are cleared,
     and a pass runs only on the channels with a stale entry among the
     minibatch's rows (none when all are fresh; a short minibatch runs every
-    channel).  Each minibatch's gradient is :func:`grad_policy`'s, and Adam
-    steps each row by its kind (see :func:`adam_update`).  The result is
+    channel).  Every full pass writes its hidden layers into one tape
+    allocated per run; a short minibatch's pass allocates its own.  Each
+    minibatch's gradient is :func:`grad_policy`'s, and Adam steps each row
+    by its kind (see :func:`adam_update`).  The result is
     bit for bit that of a step over every channel as long as a row's MLP
     term does not depend on the other rows of a pass of ``batch_size``
     rows, which ``tests/test_sparse_step.py`` checks.  Returns (final
@@ -482,7 +490,9 @@ def train(
     C, cols = state.policy.n_channels, state.policy.columns
     stored = np.empty((len(p_u), C))  # each pooled row's MLP term, per channel
     fresh = np.zeros((len(p_u), C), dtype=bool)
-    grad = np.zeros_like(state.policy.theta)  # Adam reads only the live rows grad_policy wrote
+    grad = np.zeros(state.policy.theta.shape)  # Adam reads only the live rows grad_policy wrote
+    # the hidden layers of every full pass, each overwritten by the next
+    tape_out = [np.empty((C, cfg.batch_size, w.shape[1])) for w in state.policy.weights[:-1]]
     horizon = cfg.epochs * -(-len(p_u) // cfg.batch_size)  # the run's Adam steps
     log = []
     for epoch in range(cfg.epochs):
@@ -494,7 +504,8 @@ def train(
             full = len(chunk) == cfg.batch_size
             ran = ~fresh[chunk].all(axis=0) if full else np.ones(C, dtype=bool)
             if ran.any():
-                offset, tape = forward_all(state.policy, p_mb, q_mb, with_tape=True, channels=ran)
+                offset, tape = forward_all(state.policy, p_mb, q_mb, with_tape=True, channels=ran,
+                                           tape_out=tape_out if full else None)
             else:
                 offset, tape = np.zeros((len(chunk), 2 * graph.n)), None
             if full:

@@ -253,6 +253,54 @@ def test_init_policy_contract(graph8):
         np.testing.assert_array_equal(a, b)
 
 
+def reference_init_theta(n_channels, arch, k_max, seed):
+    """``theta`` built the way ``init_policy`` once built it: per-layer draws, then one concatenate."""
+    L, width = arch
+    dims = [1] + [width] * L + [1]
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for l in range(1, len(dims)):
+        fan_in = dims[l - 1]
+        w = rng.uniform(-1.0, 1.0, size=(n_channels, dims[l], fan_in)) / np.sqrt(fan_in)
+        blocks.append(w.reshape(n_channels, dims[l] * fan_in))
+    blocks += [np.zeros((n_channels, d)) for d in dims[1:]]
+    blocks.append(np.full((n_channels, 1), 0.5 * k_max))
+    # theta's row order: every layer's weights, then every layer's biases, then k
+    order = [blocks[i] for l in range(L + 1) for i in (l, L + 1 + l)] + [blocks[-1]]
+    return np.concatenate(order, axis=1).ravel()
+
+
+INIT_ARCHS = [(3, 64), (2, 32), (0, 1)]
+
+
+@pytest.mark.parametrize("arch", INIT_ARCHS, ids=lambda a: f"{a[0]}x{a[1]}")
+@pytest.mark.parametrize("nodes", [(3, 5, 7), ()], ids=["3nodes", "no_nodes"])
+def test_init_policy_theta_matches_reference_bytes(graph8, arch, nodes):
+    """Drawn in place through the views, ``theta`` keeps the bytes of the concatenated build."""
+    pol = init_policy(graph8, nodes, arch=arch, k_max=0.3, seed=11)
+    want = reference_init_theta(2 * len(nodes), arch, 0.3, 11)
+    assert pol.theta.shape == want.shape
+    assert pol.theta.tobytes() == want.tobytes()
+    assert pol.d_scale.tobytes() == np.ones(2 * len(nodes)).tobytes()
+
+
+def test_init_policy_peak_is_theta_and_one_layer_draw(graph37):
+    """Building the 37-bus policy holds at most one layer's draw beside ``theta``."""
+    import tracemalloc
+
+    nodes = (3, 5, 8, 11, 13, 16, 18, 21, 23, 27, 29, 32, 36)  # config_37bus.yaml's
+    init_policy(graph37, nodes[:1], arch=(1, 2))  # numpy.random's first use imports modules
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pol = init_policy(graph37, nodes, arch=(3, 64), k_max=0.2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    largest_draw = max(w.size for w in pol.weights) * pol.theta.itemsize
+    assert peak <= pol.theta.nbytes + largest_draw + 64 * 1024, (peak, pol.theta.nbytes)
+
+
 def test_compute_k_max_arithmetic():
     alpha, m, xi, a_norm = 0.48, 2.0, 2.0, 4.0
     expected = 0.95 * (1.0 - np.sqrt(1.0 - 2 * alpha * m + alpha**2 * xi**2)) / (alpha * a_norm)
@@ -348,3 +396,43 @@ def test_save_load_round_trip(policy, tmp_path):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(back.biases, policy.biases):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("arch", INIT_ARCHS, ids=lambda a: f"{a[0]}x{a[1]}")
+@pytest.mark.parametrize("nodes", [(3, 5, 7), ()], ids=["3nodes", "no_nodes"])
+def test_save_load_round_trip_is_bit_exact(graph8, tmp_path, arch, nodes):
+    pol = init_policy(graph8, nodes, arch=arch, k_max=0.3, seed=5)
+    rng = np.random.default_rng(6)
+    pol.theta[:] = rng.normal(size=pol.theta.size)  # nonzero biases, k and signed weights
+    pol.d_scale = rng.uniform(0.5, 2.0, pol.n_channels)
+    save_policy(pol, tmp_path / "pol.npz")
+    back = load_policy(tmp_path / "pol.npz")
+    assert (back.nodes, back.arch, back.k_max, back.n_bus) == (nodes, arch, 0.3, graph8.n)
+    assert back.theta.tobytes() == pol.theta.tobytes()
+    assert back.d_scale.tobytes() == pol.d_scale.tobytes()
+
+
+def _damaged_checkpoint(policy, path, damage):
+    """Save ``policy``, then rewrite one entry of the archive as ``damage`` says."""
+    save_policy(policy, path)
+    with np.load(path) as data:
+        payload = {key: data[key] for key in data.files}
+    C = policy.n_channels
+    if damage == "d_scale_one":  # broadcasts to every channel
+        payload["d_scale"] = np.array([2.0])
+    elif damage == "W0_broadcast":  # (C, 1, 1) broadcasts to (C, width, 1)
+        payload["W0"] = payload["W0"][:, :1, :]
+        assert payload["W0"].shape == (C, 1, 1)
+    elif damage == "node_above_n_bus":
+        payload["nodes"] = np.array(policy.nodes[:-1] + (policy.n_bus + 1,))
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize("damage", ["d_scale_one", "W0_broadcast", "node_above_n_bus"])
+def test_load_policy_rejects_arrays_of_another_shape(graph8, tmp_path, damage):
+    """An array that only broadcasts to the layout, or a node off the feeder, is not a checkpoint."""
+    pol = init_policy(graph8, [3, 5], arch=(2, 8), k_max=0.2, seed=0)
+    path = tmp_path / "pol.npz"
+    _damaged_checkpoint(pol, path, damage)
+    with pytest.raises(ValueError, match="is not a localopf policy checkpoint"):
+        load_policy(path)

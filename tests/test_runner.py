@@ -21,10 +21,12 @@ from localopf.runner import (
     config_hash,
     day_settings,
     load_config,
+    load_network,
     load_trajectory,
     resolve_config,
     run_experiment,
     run_no_control,
+    run_training,
     save_trajectory,
     trainer_config,
     volt_violation_series,
@@ -511,6 +513,18 @@ def test_cli_train_and_overrides(tmp_path, capsys):
     assert len(log) == 2  # header + 1 epoch
     skipped, live = log[1].split(",")[-2:]
     assert int(skipped) == 0 and 0.0 <= float(live) <= 6.0  # 3 controllable nodes
+
+
+def test_run_training_returns_the_policy_it_saves(tmp_path):
+    """The training stage hands on the trained policy alone, as written to ``policy.npz``."""
+    from localopf.policy import PolicyParams, load_policy
+
+    cfg, feeder_path = resolve_config(CONFIG8, ["trainer.epochs=1", "scenario.horizon_train=16"])
+    graph, model = load_network(feeder_path)
+    policy, log = run_training(day_settings(cfg, "train"), trainer_config(cfg), graph, model,
+                               tmp_path)
+    assert isinstance(policy, PolicyParams) and len(log) == 1
+    assert load_policy(tmp_path / "policy.npz").theta.tobytes() == policy.theta.tobytes()
 
 
 def test_cli_train_zero_epochs(tmp_path, capsys):

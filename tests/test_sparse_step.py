@@ -309,6 +309,41 @@ def test_forward_all_on_channels_matches_full_pass(shipped, S):
             assert h[channels].tobytes() == h_full[channels].tobytes(), name
 
 
+@pytest.mark.parametrize("S", [1, 7, 32])
+def test_forward_all_into_a_caller_tape_matches_a_fresh_tape(shipped, S):
+    """A pass into the caller's buffers writes them, and gives a fresh tape's values."""
+    graph, pol = shipped
+    C, n = pol.n_channels, graph.n
+    rng = np.random.default_rng(S + 6)
+    p_u, q_u = rng.normal(size=(S, n)), rng.normal(size=(S, n))
+    masks = {"every": None}
+    if C == len(SHIPPED_37BUS_ACTIVE_MASK):
+        masks["shipped"] = SHIPPED_37BUS_ACTIVE_MASK
+    for name, channels in masks.items():
+        taped = np.ones(C, dtype=bool) if channels is None else channels
+        u_fresh, tape_fresh = forward_all(pol, p_u, q_u, with_tape=True, channels=channels)
+        # buffers holding an earlier pass's values, as in training
+        mine = [rng.normal(size=(C, S, w.shape[1])) for w in pol.weights[:-1]]
+        u, tape = forward_all(pol, p_u, q_u, with_tape=True, channels=channels, tape_out=mine)
+        assert u.tobytes() == u_fresh.tobytes(), name
+        assert tape[0].tobytes() == tape_fresh[0].tobytes(), name
+        assert len(tape) == len(mine) + 1, name
+        for h, h_fresh, buf in zip(tape[1:], tape_fresh[1:], mine):
+            assert np.shares_memory(h, buf), name
+            assert h[taped].tobytes() == h_fresh[taped].tobytes(), name
+            assert buf[taped].tobytes() == h_fresh[taped].tobytes(), name
+
+
+def test_forward_all_rejects_a_tape_of_another_shape(shipped):
+    graph, pol = shipped
+    C, n, S = pol.n_channels, graph.n, 4
+    p_u = q_u = np.ones((S, n))
+    good = [np.empty((C, S, w.shape[1])) for w in pol.weights[:-1]]
+    for bad in (good[:-1], [np.empty((C, S + 1, h.shape[2])) for h in good]):
+        with pytest.raises(ValueError, match="tape buffers of shapes"):
+            forward_all(pol, p_u, q_u, with_tape=True, tape_out=bad)
+
+
 def test_backward_all_on_a_subset_allocates_no_more_than_on_all(shipped):
     """With a strict subset of the channels live, a call peaks no higher than with all live."""
     import tracemalloc

@@ -508,6 +508,26 @@ def test_train_runs_one_mlp_pass_per_minibatch(graph8, model8, monkeypatch, mode
     assert rows == [8, 8, 4] * 2  # one MLP pass per minibatch, none inside Picard or grad
 
 
+def test_train_writes_every_full_pass_into_one_tape(graph8, model8, monkeypatch):
+    """Full minibatches share one caller tape; a short one's pass allocates its own."""
+    from localopf import trainer
+
+    passes = []
+
+    def counted(*args, tape_out=None, **kwargs):
+        passes.append((len(args[1]), tape_out))
+        return forward_all(*args, tape_out=tape_out, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_all", counted)
+    scn = train_scenario(graph8, horizon=20)
+    cfg = TrainerConfig(epochs=2, batch_size=8, v_lo=0.9604, v_hi=1.0816)
+    train(scn, cfg, graph8, model8)
+    assert [rows for rows, _ in passes] == [8, 8, 4] * 2
+    tapes = [tape for rows, tape in passes if rows == 8]
+    assert tapes[0] is not None and all(tape is tapes[0] for tape in tapes)
+    assert all(tape is None for rows, tape in passes if rows == 4)
+
+
 def _solve(samples, pol, model, graph, cfg):
     """``_solve_batch`` on per-slot samples sharing one cost and box, and its forward pass."""
     p_u, q_u = np.array([s.p_u for s in samples]), np.array([s.q_u for s in samples])
